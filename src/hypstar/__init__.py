@@ -35,10 +35,12 @@ from .errors import (
 )
 from .hypergeom import (
     HypergeomParams,
+    RingValues,
     SeriesSettings,
     gauss_2f1,
     gauss_2f1_derivative,
     gauss_2f1_grid,
+    gauss_2f1_ring,
     log_derivative_q,
     ode_residual,
     shifted_f,

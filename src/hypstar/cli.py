@@ -5,7 +5,8 @@ take "re,im" pairs; angles are radians; all decimals use '.'.
 
 Exit codes: 0 success / certificate passed / report Consistent / crosscheck
 SOUND-or-INFO; 1 certificate failed or report Violated; 2 invalid inputs or
-Degenerate report; 3 evaluation error; 4 crosscheck UNSOUND.
+Degenerate report; 3 evaluation error or Incomplete report; 4 crosscheck
+UNSOUND.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .oracles import LineSearchSettings
 from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike
 from .verifier import (
     CONSISTENT,
+    INCOMPLETE,
     UNSOUND,
     VIOLATED,
     DiskGridSettings,
@@ -242,6 +244,8 @@ def cmd_verify(args) -> int:
         return 0
     if report.status == VIOLATED:
         return 1
+    if report.status == INCOMPLETE:
+        return 3
     return 2
 
 
@@ -323,6 +327,8 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         raise InvalidParams(f"'certificate' must be one of {THEOREM_KINDS}")
     grid = DiskGridSettings(**data.get("grid", {}))
     series = SeriesSettings(**data.get("series", {}))
+    if grid.r_max > series.radius_cap:
+        raise InvalidParams(f"grid r_max = {grid.r_max} exceeds the series radius_cap = {series.radius_cap}")
     line_search = LineSearchSettings(**data.get("line_search", {}))
     boundary = BoundaryGridSettings(**data.get("boundary", {}))
     return ScanSpec(

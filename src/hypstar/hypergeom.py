@@ -9,6 +9,8 @@ at desk scale.  All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,9 @@ _STREAK = 3
 # rounding slack for the radius gate: |r e^{i theta}| can land a few ulps
 # above r when the grid sits exactly on the cap
 _RADIUS_SLACK = 1e-12
+# fewest series terms per block of the ring evaluator
+_RING_BLOCK = 256
+_PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
 
 
 def _is_nonpositive_integer(w: complex, tol: float = NONPOS_INT_TOL) -> bool:
@@ -69,9 +74,12 @@ class HypergeomParams:
 class SeriesSettings:
     """Truncation control for the power series.
 
-    tol is a relative tolerance: summation stops once three consecutive terms
-    fall below tol times the running partial sum.  radius_cap keeps requests
-    off the unit circle, where the series cannot converge in finite time.
+    tol is a relative tolerance.  Pointwise summation stops once three
+    consecutive terms fall below tol times the running partial sum; the ring
+    evaluator stops once its rigorous tail bound falls below tol times |F|
+    and |zF'| at every point of the ring.  max_terms caps the number of
+    terms either way.  radius_cap keeps requests off the unit circle, where
+    the series cannot converge in finite time.
     """
 
     tol: float = 1e-15
@@ -150,6 +158,141 @@ def gauss_2f1_grid(
         if n >= _STREAK and int(streak.min()) >= _STREAK:
             return total, np.ones(z.shape, dtype=bool)
     return total, streak >= _STREAK
+
+
+@dataclass(frozen=True)
+class RingValues:
+    """F and zF' at the n points z_k = r e^{2 pi i k/n}, k = 0, ..., n-1.
+
+    f and zdf are np.clongdouble arrays; converged flags the points where the
+    truncation bound `tail` is at most tol |F| and tol |zF'|.  `terms` counts
+    the series terms summed, u_0 through u_{terms-1}.
+    """
+
+    f: np.ndarray
+    zdf: np.ndarray
+    converged: np.ndarray
+    terms: int
+    tail: float
+
+
+def _tail_ratio(params: HypergeomParams, r: float, k: int) -> float:
+    """An upper bound on |(n+1) u_{n+1}| / |n u_n| over every n >= k >= 1.
+
+    u_{n+1}/u_n = r (a+n)(b+n) / ((c+n)(n+1)).  Split it as
+    [(a+n)/(n+1)] [(b+n)/(c+n)] = [1 + (a-1)/(n+1)] [1 + (b-c)/(c+n)], or
+    with a and b swapped; with |c+n| >= n + Re c each factor's modulus is at
+    most its value at n = k.  Returns inf while k + Re c <= 0.
+    """
+    a, b, c = params.a, params.b, params.c
+    if k + c.real <= 0:
+        return math.inf
+    pair = min(
+        (1 + abs(a - 1) / (k + 1)) * (1 + abs(b - c) / (k + c.real)),
+        (1 + abs(b - 1) / (k + 1)) * (1 + abs(a - c) / (k + c.real)),
+    )
+    return r * pair * (1 + 1 / k)
+
+
+def _term_ratios(params: HypergeomParams, r: float, n: np.ndarray) -> np.ndarray:
+    """u_{n+1}/u_n = r (a+n)(b+n) / ((c+n)(n+1)) over a long double array n.
+
+    Spelled out in real arithmetic, which numpy runs several times faster
+    than complex long double; the products keep a and b symmetric, so a swap
+    gives bit-identical ratios.
+    """
+    a, b, c = params.a, params.b, params.c
+    A, B, C = n + a.real, n + b.real, n + c.real
+    num_re = A * B - a.imag * b.imag
+    num_im = A * b.imag + a.imag * B
+    scale = np.longdouble(r) / ((n + 1) * (C * C + c.imag * c.imag))
+    out = np.empty(len(n), dtype=np.clongdouble)
+    out.real = (num_re * C + num_im * c.imag) * scale
+    out.imag = (num_im * C - num_re * c.imag) * scale
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """e^{2 pi i k/n}, k = 0, ..., n-1, in long double; read-only, as it is shared."""
+    w = np.exp(2j * _PI * np.arange(n, dtype=np.longdouble) / n)
+    w.flags.writeable = False
+    return w
+
+
+def _deflated_dft(fold: np.ndarray, r: np.longdouble) -> np.ndarray:
+    """(1 - z_k) sum_m fold_m w^{mk} at z_k = r w^k, w = e^{2 pi i/n}.
+
+    (1 - z) times a folded series folds to fold_m - r fold_{m-1}, cyclically.
+    The FFT's rounding error scales with the largest value on the ring, and
+    near z = 1 F and zF' can exceed their values elsewhere by orders of
+    magnitude; (1 - z) damps that peak, so the error stays near the size of
+    the values everywhere else.
+    """
+    return len(fold) * np.fft.ifft(fold - r * np.roll(fold, 1))
+
+
+def gauss_2f1_ring(
+    params: HypergeomParams, r: float, n_angles: int, settings: SeriesSettings = DEFAULT_SERIES
+) -> RingValues:
+    """F and zF' on a whole ring from one pass over the series.
+
+    At the roots of unity, sum_n u_n w^{nk} with u_n = t_n r^n is the length-n
+    DFT of the folded sequence b_m = sum_{n = m mod n_angles} u_n, and zF' is
+    the same with n u_n.  The terms come block by block from the ratio
+    recurrence and are folded as they come, so memory stays O(n_angles).
+    Summation stops at the first block after which the geometric tail bound
+    K |u_K| rho / (1 - rho), with rho from `_tail_ratio`, is at most tol times
+    |F| and |zF'| at every point, or when max_terms is reached; a terminating
+    series stops at its degree with a zero tail.  Terms, folds and FFTs run
+    in np.clongdouble, which carries 64-bit mantissas on x86-64, and each
+    FFT transforms (1 - z) times the series (see `_deflated_dft`).
+    """
+    r = float(r)
+    if r > settings.radius_cap + _RADIUS_SLACK:
+        raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
+    width = n_angles * -(-_RING_BLOCK // n_angles)  # a multiple of n_angles
+    fold = np.zeros(n_angles, dtype=np.clongdouble)  # b_m
+    # sum of row_start * u over the rows folded so far; n u_n folds to
+    # m b_m + wfold_m, since n = row_start + m
+    wfold = np.zeros(n_angles, dtype=np.clongdouble)
+    m = np.arange(n_angles, dtype=np.longdouble)
+    rl = np.longdouble(r)
+    one_minus_z = 1 - rl * _roots_of_unity(n_angles)
+    last = np.clongdouble(1)  # u_{start-1}, the carry between blocks
+    goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
+    start = 0
+    while True:
+        stop = min(start + width, settings.max_terms + 1)
+        n = np.arange(max(start, 1) - 1, stop - 1, dtype=np.longdouble)
+        ratio = _term_ratios(params, r, n)
+        if start == 0:
+            ratio = np.concatenate(([np.clongdouble(1)], ratio))
+        ratio[0] *= last
+        u = np.cumprod(ratio)
+        last = u[-1]
+        pad = -len(u) % n_angles
+        if pad:
+            u = np.concatenate((u, np.zeros(pad, dtype=np.clongdouble)))
+        for row_start, row in zip(range(start, stop, n_angles), u.reshape(-1, n_angles)):
+            fold += row
+            wfold += np.longdouble(row_start) * row
+        k = stop - 1
+        if last == 0:
+            tail = 0.0
+        else:
+            rho = _tail_ratio(params, r, k)
+            tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
+        exhausted = stop > settings.max_terms or not np.isfinite(last)
+        if tail <= settings.tol * goal or exhausted:
+            f = _deflated_dft(fold, rl) / one_minus_z
+            zdf = _deflated_dft(m * fold + wfold, rl) / one_minus_z
+            scale = np.minimum(np.abs(f), np.abs(zdf))
+            converged = tail <= settings.tol * scale
+            if converged.all() or exhausted:
+                return RingValues(f, zdf, converged, stop, tail)
+            goal = float(scale[~converged].min())
+        start = stop
 
 
 def gauss_2f1_derivative(

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from hypstar.cli import main
+from hypstar.cli import main, parse_scan_spec
+from hypstar.errors import InvalidParams
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
 
@@ -133,6 +134,16 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["status"] == "Degenerate"
 
+    def test_incomplete_exits_three(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--class", "starlike", "--alpha", "0",
+            "--a", "2,0", "--b", "1,0", "--c", "2,0", "--max-terms", "100", *FAST_GRID,
+        )
+        assert code == 3
+        data = json.loads(out)
+        assert data["status"] == "Incomplete"
+        assert data["n_unevaluated"] > 0
+
     def test_strongly_starlike(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--class", "strongly-starlike", "--alpha", "0.5",
@@ -249,6 +260,32 @@ class TestScan:
         # q = 1/(1-z) has min real part 1/(1+r): high orders must be flagged
         assert rows[-1]["status"] == "Violated"
         assert rows[0]["status"] == "Consistent"
+
+    def test_grid_beyond_radius_cap_rejected_at_parse_time(self, tmp_path, capsys):
+        spec = dict(SCAN_SPEC, verify=True, grid={"n_radii": 2, "r_max": 0.999, "n_angles": 16})
+        with pytest.raises(InvalidParams, match="radius_cap"):
+            parse_scan_spec(spec)
+        out_csv = tmp_path / "cap.csv"
+        code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
+        assert code == 2
+        assert not out_csv.exists()
+
+    def test_incomplete_rows_show_in_status(self, tmp_path, capsys):
+        spec = {
+            "varying": [{"symbol": "alpha", "from": 0.0, "to": 0.1, "steps": 2}],
+            "fixed": {"a_re": 2.0, "b_re": 1.0, "c_re": 2.0},
+            "certificate": "starlike-order",
+            "verify": True,
+            "grid": {"n_radii": 4, "r_max": 0.9, "n_angles": 36},
+            "series": {"max_terms": 50},
+        }
+        out_csv = str(tmp_path / "inc.csv")
+        code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", out_csv)
+        assert code == 0
+        import csv
+
+        rows = list(csv.DictReader(open(out_csv)))
+        assert [row["status"] for row in rows] == ["Incomplete", "Incomplete"]
 
     def test_rows_with_failed_preconditions_stay_in_the_csv(self, tmp_path, capsys):
         spec = {

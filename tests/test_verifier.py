@@ -1,23 +1,28 @@
 """Disk-grid verifier: closed-form slack expectations, statuses, cross-checks."""
 
+import cmath
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from hypstar import (
     Certificate,
     DiskGridSettings,
     HypergeomParams,
+    SeriesSettings,
     SpirallikeOrder,
     StarlikeOrder,
     StronglyStarlike,
     certify_starlike_order,
     certify_strong_starlike,
     cross_check,
+    gauss_2f1_ring,
     verify_on_disk,
 )
-from hypstar.verifier import CONSISTENT, DEGENERATE, INFO, SOUND, UNSOUND, VIOLATED
+from hypstar.verifier import CONSISTENT, DEGENERATE, INCOMPLETE, INFO, SOUND, UNSOUND, VIOLATED
 
 FAST = DiskGridSettings(n_radii=10, r_max=0.99, n_angles=120)
 
@@ -145,3 +150,99 @@ class TestCrossCheck:
         assert data["verdict"] == SOUND
         assert data["certificate"]["passed"] is True
         assert data["report"]["status"] == "Consistent"
+
+
+_ROT = cmath.exp(0.15j)
+RING_TRIPLES = [
+    (2, 2 + 5j, 3 + 5j),
+    (2, 1, 2),
+    (1, 1, 3),
+    (_ROT, 1.1 * _ROT, _ROT + 1.1 * _ROT + 1),
+]
+
+
+class TestRingEvaluator:
+    R, N = 0.995, 720
+
+    @pytest.mark.parametrize("abc", RING_TRIPLES)
+    def test_outer_ring_matches_mpmath(self, abc):
+        """F, zF' and q on the outer ring against mpmath at 30 digits.
+
+        Relative bounds, set from the long double pass: 1e-14 for F, 1e-13
+        for zF' and for q.  The tightest node is on (2, 2+5i, 3+5i), where
+        |q| falls to 0.025 while |zF'| reaches 2e5 near z = 1.
+        """
+        ring = gauss_2f1_ring(HypergeomParams(*abc), self.R, self.N)
+        assert ring.converged.all()
+        a, b, c = (mpmath.mpc(w) for w in abc)
+        with mpmath.workdps(30):
+            for k in range(0, self.N, 24):
+                z = mpmath.mpf(self.R) * mpmath.expjpi(mpmath.mpf(2 * k) / self.N)
+                F = mpmath.hyp2f1(a, b, c, z)
+                zdF = z * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+                q = 1 + zdF / F
+                f, zdf = complex(ring.f[k]), complex(ring.zdf[k])
+                q_ring = complex(1 + ring.zdf[k] / ring.f[k])
+                assert abs(f - F) <= 1e-14 * abs(F), (abc, k)
+                assert abs(zdf - zdF) <= 1e-13 * abs(zdF), (abc, k)
+                assert abs(q_ring - q) <= 1e-13 * abs(q), (abc, k)
+
+    def test_terminating_series_is_the_polynomial(self):
+        ring = gauss_2f1_ring(HypergeomParams(-1, 2, 1), self.R, self.N)
+        assert ring.converged.all() and ring.tail == 0
+        for k in range(self.N):
+            z = mpmath.mpf(self.R) * mpmath.expjpi(mpmath.mpf(2 * k) / self.N)
+            assert abs(complex(ring.f[k]) - (1 - 2 * z)) <= 1e-15
+            assert abs(complex(ring.zdf[k]) + 2 * z) <= 1e-15
+
+    def test_term_budget_flags_points(self):
+        ring = gauss_2f1_ring(HypergeomParams(2, 1, 2), self.R, self.N, SeriesSettings(max_terms=100))
+        assert not ring.converged.any()
+        assert ring.terms == 101
+
+
+class TestEvidenceGaps:
+    def test_interior_zero_off_the_grid_is_degenerate(self):
+        # F = 1 - 2z vanishes at 0.5, which is no node of the default grid
+        report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(-1, 2, 1))
+        assert report.status == DEGENERATE
+        assert report.n_f_zeros == 0
+        assert report.f_zeros_inside == 1
+        assert report.to_json()["f_zeros_inside"] == 1
+
+    def test_zero_free_instance_counts_no_zeros(self):
+        report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(2, 1, 2), FAST)
+        assert report.f_zeros_inside == 0
+        assert report.n_unevaluated == 0
+        data = report.to_json()
+        assert data["f_zeros_inside"] == 0 and data["n_unevaluated"] == 0
+
+    def test_unconverged_points_are_never_consistent(self):
+        settings = SeriesSettings(max_terms=100)
+        report = verify_on_disk(StarlikeOrder(0), HypergeomParams(2, 1, 2), settings=settings)
+        assert report.status != CONSISTENT
+        assert report.status == INCOMPLETE
+        assert report.n_unevaluated > 0
+
+    def test_incomplete_report_crosschecks_as_info(self):
+        params = HypergeomParams(2, 2 + 5j, 3 + 5j)
+        cert = certify_starlike_order(params, 0.0)
+        assert cert.passed
+        result = cross_check(StarlikeOrder(0.0), params, cert, FAST, SeriesSettings(max_terms=100))
+        assert result.report.status == INCOMPLETE
+        assert result.verdict == INFO
+
+    def test_koebe_winding_needs_refined_sampling(self):
+        # F = (1-z)^-2, so f is the Koebe function, starlike with
+        # q = (1+z)/(1-z).  arg F turns by about 2 pi within 0.01 rad of
+        # z = 0.995: the default 720 angles need one doubling, and even
+        # 8 x 16 samples of the outer ring cannot follow it
+        params = HypergeomParams(2, 1, 1)
+        report = verify_on_disk(StarlikeOrder(0.0), params)
+        assert report.status == CONSISTENT
+        assert report.f_zeros_inside == 0
+        coarse = DiskGridSettings(n_radii=2, r_max=0.995, n_angles=16)
+        report = verify_on_disk(StarlikeOrder(0.0), params, coarse)
+        assert report.n_violations == 0
+        assert report.f_zeros_inside is None
+        assert report.status == INCOMPLETE
