@@ -7,9 +7,14 @@ threshold and verdict, so a failed certificate shows exactly which margin
 broke.  A passing closed-form certificate is a proof-grade statement about
 membership; the grid checker is labelled grid-consistent evidence only.
 
-Numeric conventions: "x is real" means |Im x| <= 1e-12 (1 + |x|); strict
-inequalities require a margin above 1e-12; closed inequalities tolerate
--1e-12 times a problem-size scale.
+The starlike-order, spirallike and strong-starlikeness checkers (with the
+sst-cor-p0 and sst-cor-max corollaries) are written over arrays of
+parameter rows (`*_batch`, returning a CertificateBatch); each scalar
+`certify_*` of these kinds is the certificate of a one-row batch.
+
+Numeric conventions are those of `tolerance`: "x is real" means
+|Im x| <= 1e-12 (1 + |x|); strict inequalities require a margin above
+1e-12; closed inequalities tolerate -1e-12 times a problem-size scale.
 """
 
 from __future__ import annotations
@@ -17,20 +22,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidParams, PrecondFailed
-from .hypergeom import HypergeomParams
+from .errors import InvalidC, InvalidParams, NonFinite, PrecondFailed
+from .hypergeom import NONPOS_INT_TOL, HypergeomParams
 from .oracles import (
     DEFAULT_LINE_SEARCH,
     SAFE_BOTH_ENDS,
     LineSearchSettings,
-    _group_terms,
-    _net_leading,
     ab_gap_formula,
+    leading_coefficients,
     minimize_on_positive_line,
+    rows_per_block,
 )
 from .shapes import (
     THETA_MIN,
@@ -45,9 +50,7 @@ from .shapes import (
     sst_boundary_Q,
     sst_boundary_zQprime,
 )
-
-STRICT_TOL = 1e-12
-REAL_TOL = 1e-12
+from .tolerance import REAL_TOL, STRICT_TOL, is_real, nonneg, strict_pos
 
 KIND_GENERAL = "GeneralMain"
 KIND_STARLIKE_ORDER = "StarlikeOrderThm"
@@ -65,6 +68,9 @@ KIND_CONVEXITY = "ConvexityWrapper"
 
 @dataclass(frozen=True)
 class Condition:
+    """One inequality of a checker; in a CertificateBatch, `value` and
+    `passed` are arrays with one entry per row."""
+
     name: str
     value: Union[float, complex]
     threshold: str
@@ -114,31 +120,105 @@ class Certificate:
 
 
 def _finish(kind, conditions, params, cls, notes=None) -> Certificate:
+    conditions = [Condition(c.name, c.value, c.threshold, bool(c.passed)) for c in conditions]
     return Certificate(kind, all(c.passed for c in conditions), conditions, params, cls, notes or [])
 
 
-def _cond_real(name: str, value: complex) -> Condition:
-    ok = abs(value.imag) <= REAL_TOL * (1 + abs(value))
-    return Condition(f"Im[{name}]", value.imag, "|Im| <= 1e-12 (relative)", ok)
+def _cond_real(name: str, value) -> Condition:
+    return Condition(f"Im[{name}]", np.imag(value), "|Im| <= 1e-12 (relative)", is_real(value))
 
 
-def _cond_strict_pos(name: str, value: float) -> Condition:
-    return Condition(name, value, "> 0 (strict, tol 1e-12)", value > STRICT_TOL)
+def _cond_strict_pos(name: str, value) -> Condition:
+    return Condition(name, value, "> 0 (strict, tol 1e-12)", strict_pos(value))
 
 
-def _cond_nonneg(name: str, value: float, scale: float = 1.0) -> Condition:
-    return Condition(name, value, ">= 0", value >= -STRICT_TOL * max(1.0, scale))
+def _cond_nonneg(name: str, value, scale=1.0) -> Condition:
+    return Condition(name, value, ">= 0", nonneg(value, scale))
 
 
-def _cond_info(name: str, value: Union[float, complex]) -> Condition:
-    return Condition(name, value, "(informational)", True)
+def _cond_info(name: str, value) -> Condition:
+    return Condition(name, value, "(informational)", np.ones(np.shape(value), dtype=bool))
+
+
+@dataclass
+class CertificateBatch:
+    """One checker over many parameter rows: each condition's value and
+    verdict are arrays with one entry per row.
+
+    `params` holds the rows' (a, b, c), with c pinned where the checker pins
+    it.  `errors` maps each row the checker refuses to the exception its
+    scalar checker raises: refused inputs, and rows with a condition value
+    that is not finite (NonFinite).
+    """
+
+    kind: str
+    conditions: list[Condition]
+    params: tuple[np.ndarray, np.ndarray, np.ndarray]
+    shape_class: Callable[[int], ShapeClass]
+    errors: dict[int, Exception]
+    notes: Callable[[int], list[str]] = lambda i: []
+
+    def __post_init__(self):
+        for cond in self.conditions:
+            for i in np.flatnonzero(~np.isfinite(cond.value)):
+                self.errors.setdefault(int(i), NonFinite(f"{cond.name} is not finite"))
+
+    def passed(self) -> np.ndarray:
+        mask = np.logical_and.reduce([cond.passed for cond in self.conditions])
+        mask[list(self.errors)] = False
+        return mask
+
+    def failed_conditions(self) -> list[str]:
+        """Per row: "" when it passed, the first failed condition's name, or "invalid: <message>"."""
+        ok = np.stack([cond.passed for cond in self.conditions])
+        first = np.argmax(~ok, axis=0).tolist()
+        names = [cond.name for cond in self.conditions]
+        out = ["" if all_ok else names[j] for j, all_ok in zip(first, ok.all(axis=0).tolist())]
+        for i, exc in self.errors.items():
+            out[i] = f"invalid: {exc}"
+        return out
+
+    def certificate(self, i: int = 0) -> Certificate:
+        """Row i as a Certificate; a refused row raises its error."""
+        if i in self.errors:
+            raise self.errors[i]
+        conditions = [Condition(c.name, c.value[i].item(), c.threshold, c.passed[i]) for c in self.conditions]
+        a, b, c = self.params
+        return _finish(self.kind, conditions, HypergeomParams(a[i], b[i], c[i]), self.shape_class(i), self.notes(i))
+
+
+def _rows(complex_values: tuple, real_values: tuple) -> list[np.ndarray]:
+    """Checker inputs as 1-D arrays of one common length: the complex ones, then the real ones."""
+    arrays = np.broadcast_arrays(*(np.atleast_1d(v) for v in (*complex_values, *real_values)))
+    k = len(complex_values)
+    return [x.astype(complex) for x in arrays[:k]] + [x.astype(float) for x in arrays[k:]]
+
+
+def _refuse(errors: dict, mask: np.ndarray, error: Callable[[], Exception]) -> None:
+    for i in np.flatnonzero(mask):
+        errors.setdefault(int(i), error())
+
+
+def _refuse_nonpositive_c(errors: dict, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """Refuse the rows HypergeomParams refuses: c at a nonpositive integer."""
+    near = (np.abs(c.imag) <= NONPOS_INT_TOL) & (c.real <= NONPOS_INT_TOL)
+    for i in np.flatnonzero(near):
+        try:
+            HypergeomParams(a[i], b[i], c[i])
+        except InvalidC as exc:
+            errors.setdefault(int(i), exc)
+
+
+def _refuse_zero_ab(errors: dict, a: np.ndarray, b: np.ndarray) -> None:
+    _refuse(errors, np.abs(a * b) <= STRICT_TOL, lambda: InvalidParams("ab must be nonzero"))
 
 
 @dataclass(frozen=True)
 class LMNCoefficients:
     """Coefficients of the boundary quadratic L s^2 - 2 M s + N; `source`
     records which checker's convention produced them (the two conventions
-    differ by a positive factor, so the sign conditions agree)."""
+    differ by a positive factor, so the sign conditions agree).  Array
+    inputs give arrays of coefficients."""
 
     L: float
     M: float
@@ -159,19 +239,19 @@ def starlike_order_lmn(a: complex, b: complex, c: complex, alpha: float) -> LMNC
 
 def spirallike_lmn(a: complex, b: complex, lam: float, alpha: float) -> LMNCoefficients:
     """Quadratic coefficients of the spirallike boundary inequality (c = a+b+1)."""
-    e1 = cmath.exp(-1j * lam)
-    e2 = cmath.exp(-2j * lam)
+    e1 = np.exp(-1j * lam)
+    e2 = np.exp(-2j * lam)
     m0 = e1 * a * b
     L = (m0 * (2 - alpha + (1 - alpha) * e2)).real
     M = (m0 * (a.conjugate() + b.conjugate() - (1 - alpha) * (1 + e2))).imag
     N = (m0 * (2 * a.conjugate() + 2 * b.conjugate() + alpha - (1 - alpha) * e2)).real - (
         abs(a) * abs(b)
-    ) ** 2 / ((1 - alpha) * math.cos(lam))
+    ) ** 2 / ((1 - alpha) * np.cos(lam))
     return LMNCoefficients(L, M, N, "spirallike")
 
 
 def _lmn_conditions(lmn: LMNCoefficients) -> list[Condition]:
-    scale = max(1.0, abs(lmn.L), abs(lmn.M), abs(lmn.N))
+    scale = np.maximum(np.maximum(np.maximum(1.0, abs(lmn.L)), abs(lmn.M)), abs(lmn.N))
     return [
         _cond_nonneg("L", lmn.L, scale),
         _cond_info("M", lmn.M),
@@ -180,31 +260,42 @@ def _lmn_conditions(lmn: LMNCoefficients) -> list[Condition]:
     ]
 
 
-def certify_starlike_order(params: HypergeomParams, alpha: float) -> Certificate:
-    """Sufficient condition for f to be starlike of order alpha.
-
-    Requires p = a+b+1-c real, Re[ab] > p(1-alpha), and nonnegativity of the
-    boundary quadratic given by L, M, N.
-    """
-    a, b, c = params.a, params.b, params.c
-    if abs(a * b) <= STRICT_TOL:
-        raise InvalidParams("ab must be nonzero")
-    if not 0 <= alpha < 1:
-        raise InvalidParams("alpha must lie in [0, 1)")
-    p = params.p
+@np.errstate(all="ignore")
+def starlike_order_batch(a, b, c, alpha) -> CertificateBatch:
+    """certify_starlike_order over arrays of (a, b, c, alpha)."""
+    a, b, c, alpha = _rows((a, b, c), (alpha,))
+    errors: dict[int, Exception] = {}
+    _refuse_nonpositive_c(errors, a, b, c)
+    _refuse_zero_ab(errors, a, b)
+    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in [0, 1)"))
+    p = a + b + 1 - c
     margin = (a * b).real - p.real * (1 - alpha)
     conditions = [
         _cond_real("p", p),
         _cond_strict_pos("Re[ab] - p(1-alpha)", margin),
         *_lmn_conditions(starlike_order_lmn(a, b, c, alpha)),
     ]
-    notes = []
-    if abs(margin) <= 1e-9:
-        notes.append(
-            "Re[ab] - p(1-alpha) is on the strict boundary; for real parameters with "
-            "0 < a <= 2, b <= c and b + c = 3 the limiting-family checker (CorA2) still certifies"
-        )
-    return _finish(KIND_STARLIKE_ORDER, conditions, params, StarlikeOrder(alpha), notes)
+
+    def notes(i: int) -> list[str]:
+        if abs(margin[i]) <= 1e-9:
+            return [
+                "Re[ab] - p(1-alpha) is on the strict boundary; for real parameters with "
+                "0 < a <= 2, b <= c and b + c = 3 the limiting-family checker (CorA2) still certifies"
+            ]
+        return []
+
+    return CertificateBatch(
+        KIND_STARLIKE_ORDER, conditions, (a, b, c), lambda i: StarlikeOrder(float(alpha[i])), errors, notes
+    )
+
+
+def certify_starlike_order(params: HypergeomParams, alpha: float) -> Certificate:
+    """Sufficient condition for f to be starlike of order alpha.
+
+    Requires p = a+b+1-c real, Re[ab] > p(1-alpha), and nonnegativity of the
+    boundary quadratic given by L, M, N.
+    """
+    return starlike_order_batch(params.a, params.b, params.c, alpha).certificate()
 
 
 def certify_cor_a2(a: float, b: float, c: float, s: float = 0.0) -> Certificate:
@@ -226,34 +317,44 @@ def certify_cor_a2(a: float, b: float, c: float, s: float = 0.0) -> Certificate:
     return _finish(KIND_COR_A2, conditions, params, cls, notes)
 
 
+@np.errstate(all="ignore")
+def spirallike_batch(a, b, lam, alpha) -> CertificateBatch:
+    """certify_spirallike over arrays of (a, b, lam, alpha)."""
+    a, b, lam, alpha = _rows((a, b), (lam, alpha))
+    errors: dict[int, Exception] = {}
+    _refuse_zero_ab(errors, a, b)
+    _refuse(errors, ~(np.abs(lam) < np.pi / 2), lambda: InvalidParams("lam must lie in (-pi/2, pi/2)"))
+    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in [0, 1)"))
+    c = a + b + 1
+    _refuse_nonpositive_c(errors, a, b, c)  # a+b at -1, -2, ...
+    m0 = (np.exp(-1j * lam) * a * b).real
+    conditions = [
+        _cond_strict_pos("Re[e^{-i lam} ab]", m0),
+        *_lmn_conditions(spirallike_lmn(a, b, lam, alpha)),
+    ]
+
+    def notes(i: int) -> list[str]:
+        if m0[i] < -STRICT_TOL:
+            return [
+                "Re[e^{-i lam} ab] < 0: a nonnegative value is necessary for lam-spirallikeness, "
+                "so f is not lam-spirallike of any order"
+            ]
+        return []
+
+    return CertificateBatch(
+        KIND_SPIRALLIKE, conditions, (a, b, c), lambda i: SpirallikeOrder(float(lam[i]), float(alpha[i])), errors, notes
+    )
+
+
 def certify_spirallike(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
     """Sufficient condition for z 2F1(a,b;a+b+1;z) to be lam-spirallike of
     order alpha: Re[e^{-i lam} ab] > 0 plus nonnegativity of the boundary
     quadratic.  The parameter c is pinned to a + b + 1."""
-    a, b = complex(a), complex(b)
-    if abs(a * b) <= STRICT_TOL:
-        raise InvalidParams("ab must be nonzero")
-    if not abs(lam) < math.pi / 2:
-        raise InvalidParams("lam must lie in (-pi/2, pi/2)")
-    if not 0 <= alpha < 1:
-        raise InvalidParams("alpha must lie in [0, 1)")
-    params = HypergeomParams(a, b, a + b + 1)  # rejects a+b at -1, -2, ...
-    m0 = cmath.exp(-1j * lam) * a * b
-    conditions = [
-        _cond_strict_pos("Re[e^{-i lam} ab]", m0.real),
-        *_lmn_conditions(spirallike_lmn(a, b, lam, alpha)),
-    ]
-    notes = []
-    if m0.real < -STRICT_TOL:
-        notes.append(
-            "Re[e^{-i lam} ab] < 0: a nonnegative value is necessary for lam-spirallikeness, "
-            "so f is not lam-spirallike of any order"
-        )
-    return _finish(KIND_SPIRALLIKE, conditions, params, SpirallikeOrder(lam, alpha), notes)
+    return spirallike_batch(a, b, lam, alpha).certificate()
 
 
 def _positive_real(name: str, value: complex) -> float:
-    if abs(value.imag) > REAL_TOL * (1 + abs(value)) or value.real <= STRICT_TOL:
+    if not (is_real(value) and strict_pos(value.real)):
         raise PrecondFailed(f"{name} must be a positive real number, got {value}")
     return value.real
 
@@ -275,7 +376,7 @@ def certify_spirallike_cor1(a: complex, b: complex, lam: float, alpha: float) ->
     scale = max(1.0, abs(lhs), abs(rhs))
     conditions = [
         _cond_info("m = e^{-i lam} ab", m),
-        Condition("RHS - LHS", rhs - lhs, ">= 0", rhs - lhs >= -STRICT_TOL * scale),
+        _cond_nonneg("RHS - LHS", rhs - lhs, scale),
     ]
     return _finish(KIND_SPIRALLIKE_COR1, conditions, params, SpirallikeOrder(lam, alpha))
 
@@ -302,7 +403,7 @@ def certify_spirallike_cor2(a: complex, b: complex, lam: float, alpha: float) ->
     scale = max(1.0, abs(lhs), abs(rhs))
     conditions = [
         _cond_info("m = ab", m),
-        Condition("RHS - LHS", rhs - lhs, ">= 0", rhs - lhs >= -STRICT_TOL * scale),
+        _cond_nonneg("RHS - LHS", rhs - lhs, scale),
     ]
     return _finish(KIND_SPIRALLIKE_COR2, conditions, params, SpirallikeOrder(lam, alpha))
 
@@ -310,7 +411,8 @@ def certify_spirallike_cor2(a: complex, b: complex, lam: float, alpha: float) ->
 @dataclass(frozen=True)
 class CubicCoefficients:
     """Coefficients of G_eps(x) = S x^3 + T_eps x^2 + U_eps x + V, the cubic
-    (in x = s^alpha) equal to |B|^2 - |A|^2 on the strongly starlike boundary."""
+    (in x = s^alpha) equal to |B|^2 - |A|^2 on the strongly starlike boundary.
+    Array inputs give arrays of coefficients."""
 
     S: float
     T_plus: float
@@ -328,15 +430,15 @@ class CubicCoefficients:
 
 def strong_starlike_cubic(a: complex, b: complex, c: complex, alpha: float) -> CubicCoefficients:
     p = (a + b + 1 - c).real
-    ca = math.cos(math.pi * alpha / 2)
+    ca = np.cos(np.pi * alpha / 2)
     base = abs(a) ** 2 + abs(b) ** 2 - abs(c - 1) ** 2
 
     def T(eps: int) -> float:
-        eta = cmath.exp(-1j * eps * math.pi * alpha / 2)
+        eta = np.exp(-1j * eps * np.pi * alpha / 2)
         return base - 2 * p - 4 * p * ca * ca + 4 * (a * eta).real * (b * eta).real
 
     def U(eps: int) -> float:
-        eta = cmath.exp(-1j * eps * math.pi * alpha / 2)
+        eta = np.exp(-1j * eps * np.pi * alpha / 2)
         return (
             -2 * (base - 3 * p) * ca
             + 2 * (a * eta).real * (abs(b) ** 2 - 2 * b.real)
@@ -347,7 +449,7 @@ def strong_starlike_cubic(a: complex, b: complex, c: complex, alpha: float) -> C
     return CubicCoefficients(2 * p * ca, T(1), T(-1), U(1), U(-1), V)
 
 
-def _cubic_residual(alpha: float, K: float, S: float, T: float, U: float, V: float):
+def _cubic_residual(alpha, K, S, T, U, V):
     """RHS - LHS of the boundary inequality, as a function of s > 0."""
 
     def residual(s):
@@ -358,7 +460,7 @@ def _cubic_residual(alpha: float, K: float, S: float, T: float, U: float, V: flo
     return residual
 
 
-def _cubic_terms(alpha: float, K: float, S: float, T: float, U: float, V: float):
+def _cubic_terms(alpha, K, S, T, U, V):
     return [
         (1 + alpha, alpha * K),
         (alpha - 1, alpha * K),
@@ -369,42 +471,92 @@ def _cubic_terms(alpha: float, K: float, S: float, T: float, U: float, V: float)
     ]
 
 
-def _tail_coefficient(terms) -> float:
-    """Net coefficient of the dominant exponent as s -> infinity."""
-    return _net_leading(_group_terms(terms))
+def _line_minima(alpha: np.ndarray, S, per_eps: list[tuple], line_search: LineSearchSettings):
+    """Conditions of the quantified bound G_eps(s^alpha) <= alpha (s + 1/s) s^alpha K_eps
+    for eps = +1 and -1, and the notes of row i.
 
-
-def _minimizer_conditions(
-    label: str,
-    alpha: float,
-    K: float,
-    S: float,
-    T: float,
-    U: float,
-    V: float,
-    line_search: LineSearchSettings,
-    notes: list[str],
-) -> list[Condition]:
-    terms = _cubic_terms(alpha, K, S, T, U, V)
-    result = minimize_on_positive_line(_cubic_residual(alpha, K, S, T, U, V), line_search, terms)
-    tail = _tail_coefficient(terms)
-    ok_min = result.min_value > line_search.min_margin
-    if not result.conclusive:
-        notes.append(
-            f"{label}: inconclusive, min residual {result.min_value:.6g} at s = {result.argmin_s:.6g} "
-            f"lies within +-{line_search.min_margin:g} of zero"
-        )
-    else:
-        notes.append(f"{label}: min residual {result.min_value:.6g} at s = {result.argmin_s:.6g}")
-    return [
-        Condition(
-            f"min residual ({label})",
-            result.min_value,
-            f"> {line_search.min_margin:g}",
-            ok_min and result.endpoint_verdict == SAFE_BOTH_ENDS,
-        ),
-        Condition(f"tail coefficient ({label})", tail, "> 0 as s -> infinity", tail > 0),
+    per_eps holds (K, T, U, V) for each sign.  The residual of every row and
+    sign is minimized over s > 0 by the batched line minimizer, in row
+    blocks sized by `rows_per_block`; the tail coefficient is the net
+    coefficient of the highest power of s.
+    """
+    n = len(alpha)
+    stacked = [
+        np.concatenate([np.broadcast_to(v, (n,)) for v in pair])
+        for pair in ((alpha, alpha), (S, S), *zip(*per_eps))
     ]
+    alpha2, S2, K2, T2, U2, V2 = stacked
+    order = (alpha2, K2, S2, T2, U2, V2)
+    block = rows_per_block(line_search)
+    results = []
+    for start in range(0, 2 * n, block):
+        cols = [x[start:start + block] for x in order]
+        residual = _cubic_residual(*(x[:, None] for x in cols))
+        results.append(minimize_on_positive_line(residual, line_search, _cubic_terms(*cols)))
+    min_value = np.concatenate([r.min_value for r in results])
+    argmin_s = np.concatenate([r.argmin_s for r in results])
+    safe = np.concatenate([r.endpoint_verdict for r in results]) == SAFE_BOTH_ENDS
+    conclusive = np.concatenate([r.conclusive for r in results])
+    tail, _ = leading_coefficients(_cubic_terms(*order))
+    margin = line_search.min_margin
+
+    labels = ("eps=+1", "eps=-1")
+    conditions = []
+    for k, label in enumerate(labels):
+        rows = slice(k * n, (k + 1) * n)
+        conditions += [
+            Condition(f"min residual ({label})", min_value[rows], f"> {margin:g}",
+                      (min_value[rows] > margin) & safe[rows]),
+            Condition(f"tail coefficient ({label})", tail[rows], "> 0 as s -> infinity", tail[rows] > 0),
+        ]
+
+    def notes(i: int) -> list[str]:
+        out = []
+        for k, label in enumerate(labels):
+            v, s = min_value[k * n + i], argmin_s[k * n + i]
+            if conclusive[k * n + i]:
+                out.append(f"{label}: min residual {v:.6g} at s = {s:.6g}")
+            else:
+                out.append(f"{label}: inconclusive, min residual {v:.6g} at s = {s:.6g} "
+                           f"lies within +-{margin:g} of zero")
+        return out
+
+    return conditions, notes
+
+
+@np.errstate(all="ignore")
+def strong_starlike_batch(a, b, c, alpha, line_search: LineSearchSettings = DEFAULT_LINE_SEARCH) -> CertificateBatch:
+    """certify_strong_starlike over arrays of (a, b, c, alpha)."""
+    a, b, c, alpha = _rows((a, b, c), (alpha,))
+    errors: dict[int, Exception] = {}
+    _refuse_nonpositive_c(errors, a, b, c)
+    _refuse_zero_ab(errors, a, b)
+    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in (0, 1)"))
+    p = a + b + 1 - c
+    w = a * b - p.real
+    sector = np.where(np.abs(w) > STRICT_TOL, np.pi * alpha / 2 - np.abs(np.angle(w)), -np.pi * alpha / 2)
+    cubic = strong_starlike_cubic(a, b, c, alpha)
+    per_eps = [
+        ((w * np.exp(1j * eps * np.pi * (1 - alpha) / 2)).real, cubic.T(eps), cubic.U(eps), cubic.V)
+        for eps in (1, -1)
+    ]
+    minima, minima_notes = _line_minima(alpha, cubic.S, per_eps, line_search)
+    conditions = [
+        _cond_real("p", p),
+        _cond_strict_pos("pi*alpha/2 - |arg(ab - p)|", sector),
+        *minima,
+    ]
+
+    def notes(i: int) -> list[str]:
+        return [
+            f"S = {cubic.S[i]:.6g}, T+ = {cubic.T_plus[i]:.6g}, T- = {cubic.T_minus[i]:.6g}, "
+            f"U+ = {cubic.U_plus[i]:.6g}, U- = {cubic.U_minus[i]:.6g}, V = {cubic.V[i]:.6g}",
+            *minima_notes(i),
+        ]
+
+    return CertificateBatch(
+        KIND_STRONG_STARLIKE, conditions, (a, b, c), lambda i: StronglyStarlike(float(alpha[i])), errors, notes
+    )
 
 
 def certify_strong_starlike(
@@ -418,32 +570,50 @@ def certify_strong_starlike(
     positive-line minimizer on the residual plus a leading-exponent
     comparison at both ends of the range.
     """
-    a, b, c = params.a, params.b, params.c
-    if abs(a * b) <= STRICT_TOL:
-        raise InvalidParams("ab must be nonzero")
-    if not 0 < alpha < 1:
-        raise InvalidParams("alpha must lie in (0, 1)")
-    p = params.p
-    pr = p.real
-    w = a * b - pr
-    sector = math.pi * alpha / 2 - abs(cmath.phase(w)) if abs(w) > STRICT_TOL else -math.pi * alpha / 2
-    cubic = strong_starlike_cubic(a, b, c, alpha)
-    notes = [
-        f"S = {cubic.S:.6g}, T+ = {cubic.T_plus:.6g}, T- = {cubic.T_minus:.6g}, "
-        f"U+ = {cubic.U_plus:.6g}, U- = {cubic.U_minus:.6g}, V = {cubic.V:.6g}"
-    ]
-    conditions = [
-        _cond_real("p", p),
-        _cond_strict_pos("pi*alpha/2 - |arg(ab - p)|", sector),
-    ]
+    return strong_starlike_batch(params.a, params.b, params.c, alpha, line_search).certificate()
+
+
+def _pinned_c_rows(a, b, alpha) -> tuple[list[np.ndarray], dict[int, Exception]]:
+    """Rows and refusals of the c = a + b + 1 strong-starlikeness corollaries."""
+    a, b, alpha = _rows((a, b), (alpha,))
+    errors: dict[int, Exception] = {}
+    _refuse_zero_ab(errors, a, b)
+    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in (0, 1)"))
+    c = a + b + 1
+    _refuse_nonpositive_c(errors, a, b, c)
+    return [a, b, c, alpha], errors
+
+
+def _corollary_coefficients(a, b, alpha, eps: int):
+    """(A, B, C, K) of the c = a + b + 1 corollaries, with eta = e^{-i eps pi alpha/2}:
+    A = 2 Re[eta^2 ab], B = 2 Re[eta ab (conj(a)+conj(b)-2)],
+    C = |ab|^2 - 2 Re[ab (conj(a)+conj(b)-1)], K = Re[e^{i eps pi (1-alpha)/2} ab]."""
+    ab = a * b
+    eta = np.exp(-1j * eps * np.pi * alpha / 2)
+    A = 2 * (ab * eta * eta).real
+    B = 2 * (ab * eta * (a.conjugate() + b.conjugate() - 2)).real
+    C = abs(ab) ** 2 - 2 * (ab * (a.conjugate() + b.conjugate() - 1)).real
+    K = (ab * np.exp(1j * eps * np.pi * (1 - alpha) / 2)).real
+    return A, B, C, K
+
+
+def _sector_condition(a, b, alpha) -> Condition:
+    return _cond_strict_pos("pi*alpha/2 - |arg(ab)|", np.pi * alpha / 2 - np.abs(np.angle(a * b)))
+
+
+@np.errstate(all="ignore")
+def sst_cor_p0_batch(a, b, alpha, line_search: LineSearchSettings = DEFAULT_LINE_SEARCH) -> CertificateBatch:
+    """certify_sst_cor_p0 over arrays of (a, b, alpha)."""
+    (a, b, c, alpha), errors = _pinned_c_rows(a, b, alpha)
+    per_eps = []
     for eps in (1, -1):
-        K = (w * cmath.exp(1j * eps * math.pi * (1 - alpha) / 2)).real
-        conditions.extend(
-            _minimizer_conditions(
-                f"eps={eps:+d}", alpha, K, cubic.S, cubic.T(eps), cubic.U(eps), cubic.V, line_search, notes
-            )
-        )
-    return _finish(KIND_STRONG_STARLIKE, conditions, params, StronglyStarlike(alpha), notes)
+        A, B, C, K = _corollary_coefficients(a, b, alpha, eps)
+        per_eps.append((K, A, B, C))
+    minima, notes = _line_minima(alpha, 0.0, per_eps, line_search)
+    conditions = [_sector_condition(a, b, alpha), *minima]
+    return CertificateBatch(
+        KIND_SST_COR_P0, conditions, (a, b, c), lambda i: StronglyStarlike(float(alpha[i])), errors, notes
+    )
 
 
 def certify_sst_cor_p0(
@@ -452,26 +622,21 @@ def certify_sst_cor_p0(
     """Strong starlikeness of order alpha for c = a + b + 1 (so the cubic term
     vanishes): requires |arg(ab)| < pi alpha / 2 and a quantified quadratic
     bound decided by the same minimizer."""
-    a, b = complex(a), complex(b)
-    if abs(a * b) <= STRICT_TOL:
-        raise InvalidParams("ab must be nonzero")
-    if not 0 < alpha < 1:
-        raise InvalidParams("alpha must lie in (0, 1)")
-    params = HypergeomParams(a, b, a + b + 1)
-    ab = a * b
-    sector = math.pi * alpha / 2 - abs(cmath.phase(ab))
-    conditions = [_cond_strict_pos("pi*alpha/2 - |arg(ab)|", sector)]
-    notes: list[str] = []
+    return sst_cor_p0_batch(a, b, alpha, line_search).certificate()
+
+
+@np.errstate(all="ignore")
+def sst_cor_max_batch(a, b, alpha) -> CertificateBatch:
+    """certify_sst_cor_max over arrays of (a, b, alpha)."""
+    (a, b, c, alpha), errors = _pinned_c_rows(a, b, alpha)
+    conditions = [_sector_condition(a, b, alpha)]
     for eps in (1, -1):
-        eta = cmath.exp(-1j * eps * math.pi * alpha / 2)
-        A2 = 2 * (ab * eta * eta).real
-        A1 = 2 * (ab * eta * (a.conjugate() + b.conjugate() - 2)).real
-        A0 = abs(ab) ** 2 - 2 * (ab * (a.conjugate() + b.conjugate() - 1)).real
-        K = (ab * cmath.exp(1j * eps * math.pi * (1 - alpha) / 2)).real
-        conditions.extend(
-            _minimizer_conditions(f"eps={eps:+d}", alpha, K, 0.0, A2, A1, A0, line_search, notes)
-        )
-    return _finish(KIND_SST_COR_P0, conditions, params, StronglyStarlike(alpha), notes)
+        A, B, C, K = _corollary_coefficients(a, b, alpha, eps)
+        half_b, biggest, rhs = B / 2, np.maximum(A, C), alpha * K
+        scale = np.maximum(np.maximum(1.0, np.abs(half_b) + np.abs(biggest)), np.abs(rhs))
+        conditions.append(_cond_nonneg(f"K - B/2 - max(A, C) (eps={eps:+d})", rhs - half_b - biggest, scale))
+        conditions.append(_cond_nonneg(f"K - max(A, C) (eps={eps:+d})", rhs - biggest, scale))
+    return CertificateBatch(KIND_SST_COR_MAX, conditions, (a, b, c), lambda i: StronglyStarlike(float(alpha[i])), errors)
 
 
 def certify_sst_cor_max(a: complex, b: complex, alpha: float) -> Certificate:
@@ -484,36 +649,7 @@ def certify_sst_cor_max(a: complex, b: complex, alpha: float) -> Certificate:
     once B/2 + max(A, C) <= K and max(A, C) <= K (the second clause guards a
     region where the one-line estimate is invalid; see half_plane_bound_check).
     Strictly stronger than the minimizer-based checker."""
-    a, b = complex(a), complex(b)
-    if abs(a * b) <= STRICT_TOL:
-        raise InvalidParams("ab must be nonzero")
-    if not 0 < alpha < 1:
-        raise InvalidParams("alpha must lie in (0, 1)")
-    params = HypergeomParams(a, b, a + b + 1)
-    ab = a * b
-    sector = math.pi * alpha / 2 - abs(cmath.phase(ab))
-    conditions = [_cond_strict_pos("pi*alpha/2 - |arg(ab)|", sector)]
-    for eps in (1, -1):
-        eta = cmath.exp(-1j * eps * math.pi * alpha / 2)
-        half_b = (ab * eta * (a.conjugate() + b.conjugate() - 2)).real
-        biggest = max(
-            2 * (ab * eta * eta).real,
-            abs(ab) ** 2 - 2 * (ab * (a.conjugate() + b.conjugate() - 1)).real,
-        )
-        rhs = alpha * (ab * cmath.exp(1j * eps * math.pi * (1 - alpha) / 2)).real
-        scale = max(1.0, abs(half_b) + abs(biggest), abs(rhs))
-        conditions.append(
-            Condition(
-                f"K - B/2 - max(A, C) (eps={eps:+d})",
-                rhs - half_b - biggest,
-                ">= 0",
-                rhs - half_b - biggest >= -STRICT_TOL * scale,
-            )
-        )
-        conditions.append(
-            Condition(f"K - max(A, C) (eps={eps:+d})", rhs - biggest, ">= 0", rhs - biggest >= -STRICT_TOL * scale)
-        )
-    return _finish(KIND_SST_COR_MAX, conditions, params, StronglyStarlike(alpha), notes=[])
+    return sst_cor_max_batch(a, b, alpha).certificate()
 
 
 def certify_sst_cor_final(a: complex, b: complex, alpha: float) -> Certificate:
@@ -524,7 +660,7 @@ def certify_sst_cor_final(a: complex, b: complex, alpha: float) -> Certificate:
     if not 0 < alpha < 1:
         raise InvalidParams("alpha must lie in (0, 1)")
     lsum = a + b
-    if abs(lsum.imag) > REAL_TOL * (1 + abs(lsum)):
+    if not is_real(lsum):
         raise PrecondFailed("a + b must be real")
     m = _positive_real("ab", a * b)
     prod = (a - 2) * (b - 2)
@@ -555,7 +691,7 @@ def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
     if not 1 / 3 < alpha < 1:
         raise PrecondFailed("alpha must lie in (1/3, 1)")
     lsum = a + b
-    if abs(lsum.imag) > REAL_TOL * (1 + abs(lsum)):
+    if not is_real(lsum):
         raise PrecondFailed("a + b must be real")
     _positive_real("ab", a * b)
     diff2 = (a - b) * (a - b)
@@ -567,12 +703,7 @@ def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
     rhs = quad.real
     scale = max(1.0, abs(lhs), abs(rhs))
     conditions = [
-        Condition(
-            "((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) - (a^2 + ab + b^2)",
-            lhs - rhs,
-            ">= 0",
-            lhs - rhs >= -STRICT_TOL * scale,
-        )
+        _cond_nonneg("((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) - (a^2 + ab + b^2)", lhs - rhs, scale)
     ]
     return _finish(KIND_THEOREM_A, conditions, params, StronglyStarlike(alpha), notes=[])
 
@@ -661,12 +792,12 @@ def certify_general(
     if not isinstance(cls, StronglyStarlike):
         mu = mu_of(cls)
         coef = -2 * p.real * mu.imag * abs(mu) ** 2
-        if abs(p.real) > STRICT_TOL and abs(mu.imag) > STRICT_TOL and abs(p.imag) <= REAL_TOL * (1 + abs(p)):
+        if abs(p.real) > STRICT_TOL and abs(mu.imag) > STRICT_TOL and is_real(p):
             notes.append(
                 f"structural obstruction: |B|^2 - |A|^2 grows like {coef:.6g} * s^3 against a degree-2 "
                 "right-hand side, so the inequality must fail for large |s|; this route needs lam = 0 or p = 0"
             )
-    if abs(p.imag) > REAL_TOL * (1 + abs(p)):
+    if not is_real(p):
         notes.append("Im p != 0 makes D change sign linearly in s; positivity must fail for large |s|")
     return _finish(KIND_GENERAL, conditions, params, cls, notes)
 

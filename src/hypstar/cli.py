@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import logging
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .certificates import (
     BoundaryGridSettings,
@@ -36,8 +38,14 @@ from .certificates import (
     certify_starlike_order,
     certify_strong_starlike,
     certify_theorem_A,
+    spirallike_batch,
+    sst_cor_max_batch,
+    sst_cor_p0_batch,
+    starlike_order_batch,
+    strong_starlike_batch,
 )
 from .errors import (
+    HypstarError,
     InvalidC,
     InvalidParams,
     NoConvergence,
@@ -56,6 +64,7 @@ from .hypergeom import (
 )
 from .oracles import LineSearchSettings
 from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike
+from .tolerance import is_real
 from .verifier import (
     CONSISTENT,
     INCOMPLETE,
@@ -143,7 +152,7 @@ def build_shape_class(kind: str, alpha: float, lam: float) -> ShapeClass:
 
 
 def _require_real(name: str, v: complex) -> float:
-    if abs(v.imag) > 1e-12:
+    if not is_real(v):
         raise InvalidParams(f"{name} must be real for this checker")
     return v.real
 
@@ -344,79 +353,186 @@ def parse_scan_spec(data: dict) -> ScanSpec:
     )
 
 
-_POINT_DEFAULTS = {s: 0.0 for s in SCAN_SYMBOLS}
+# rows checked together and written before the next chunk starts
+SCAN_CHUNK_ROWS = 4096
+
+# kinds whose rows a chunk checks at once; every other kind runs its scalar checker row by row
+_ARRAY_CHECKERS = {
+    "starlike-order": lambda pts, spec: starlike_order_batch(pts.a, pts.b, pts.c, pts.alpha),
+    "spirallike": lambda pts, spec: spirallike_batch(pts.a, pts.b, pts.lam, pts.alpha),
+    "strong-starlike": lambda pts, spec: strong_starlike_batch(pts.a, pts.b, pts.c, pts.alpha, spec.line_search),
+    "sst-cor-p0": lambda pts, spec: sst_cor_p0_batch(pts.a, pts.b, pts.alpha, spec.line_search),
+    "sst-cor-max": lambda pts, spec: sst_cor_max_batch(pts.a, pts.b, pts.alpha),
+}
+
+# the kinds that take a class from the spec
+_CLASS_THEOREMS = ("general", "convexity")
+
+# what a row's checker may raise; the row is written as refused and the scan goes on
+ROW_ERRORS = (HypstarError, ValueError, ArithmeticError)
 
 
-def _scan_class(spec: ScanSpec, point: dict) -> Optional[ShapeClass]:
-    if spec.class_spec is None:
+@dataclass(frozen=True)
+class _ChunkPoints:
+    """Parameter values of a run of consecutive scan rows, one array entry per row."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    alpha: np.ndarray
+    lam: np.ndarray
+
+
+class _ScanGrid:
+    """Row-major enumeration of the scan points (first axis slowest)."""
+
+    def __init__(self, spec: ScanSpec):
+        self.axes = spec.axes
+        self.values = [np.array(ax.values()) for ax in spec.axes]
+        self.labels = [[_fmt(v) for v in ax.values()] for ax in spec.axes]
+        self.strides = [int(np.prod([ax.steps for ax in spec.axes[k + 1:]])) for k in range(len(spec.axes))]
+        self.size = int(np.prod([ax.steps for ax in spec.axes]))
+        self.fixed = {sym: float(spec.fixed.get(sym, 0.0)) for sym in SCAN_SYMBOLS}
+        self.s = float(spec.fixed.get("s", 0.0))
+
+    def _axis_indices(self, start: int, stop: int) -> list[np.ndarray]:
+        rows = np.arange(start, stop)
+        return [(rows // stride) % ax.steps for ax, stride in zip(self.axes, self.strides)]
+
+    def points(self, start: int, stop: int) -> _ChunkPoints:
+        point = {sym: np.full(stop - start, value) for sym, value in self.fixed.items()}
+        for ax, values, idx in zip(self.axes, self.values, self._axis_indices(start, stop)):
+            point[ax.symbol] = values[idx]
+
+        def complex_of(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+            z = np.empty(len(re), dtype=complex)
+            z.real, z.imag = re, im
+            return z
+
+        return _ChunkPoints(
+            complex_of(point["a_re"], point["a_im"]),
+            complex_of(point["b_re"], point["b_im"]),
+            complex_of(point["c_re"], point["c_im"]),
+            point["alpha"],
+            point["lambda"],
+        )
+
+    def row_labels(self, start: int, stop: int) -> list[tuple]:
+        columns = [[labels[j] for j in idx.tolist()] for labels, idx in zip(self.labels, self._axis_indices(start, stop))]
+        return list(zip(*columns))
+
+
+def _scan_class(spec: ScanSpec, alpha: float, lam: float) -> Optional[ShapeClass]:
+    if spec.class_spec is None or spec.certificate_kind not in _CLASS_THEOREMS:
         return None
     kind = spec.class_spec.get("kind")
-    alpha = float(spec.class_spec.get("alpha", point["alpha"]))
-    lam = float(spec.class_spec.get("lambda", point["lambda"]))
+    alpha = float(spec.class_spec.get("alpha", alpha))
+    lam = float(spec.class_spec.get("lambda", lam))
     return build_shape_class(kind, alpha, lam)
 
 
-def _scan_row(spec: ScanSpec, coords: tuple) -> list[str]:
-    point = dict(_POINT_DEFAULTS)
-    point.update(spec.fixed)
-    for ax, value in zip(spec.axes, coords):
-        point[ax.symbol] = value
-    a = complex(point["a_re"], point["a_im"])
-    b = complex(point["b_re"], point["b_im"])
-    c = complex(point["c_re"], point["c_im"])
-    cert: Optional[Certificate] = None
-    try:
-        cert = certify_dispatch(
-            spec.certificate_kind,
-            a,
-            b,
-            c,
-            float(point["alpha"]),
-            float(point["lambda"]),
-            float(point.get("s", spec.fixed.get("s", 0.0))),
-            cls=_scan_class(spec, point),
-            line_search=spec.line_search,
-            boundary=spec.boundary,
+def _check_rows(spec: ScanSpec, grid: _ScanGrid, pts: _ChunkPoints):
+    """(passed, failed_condition, certificate_of) for the rows of a chunk;
+    certificate_of(i) is row i's Certificate, or None for a refused row."""
+    array_checker = _ARRAY_CHECKERS.get(spec.certificate_kind)
+    if array_checker is not None:
+        batch = array_checker(pts, spec)
+        return (
+            batch.passed().tolist(),
+            batch.failed_conditions(),
+            lambda i: None if i in batch.errors else batch.certificate(i),
         )
-        passed = cert.passed
-        failed = cert.failed_condition()
-    except (InvalidC, InvalidParams, PrecondFailed, ValueError) as exc:
-        passed = False
-        failed = f"invalid: {exc}"
-    min_slack = ""
-    status = ""
-    if spec.verify:
-        if cert is not None:
-            report = verify_on_disk(cert.shape_class, cert.params, spec.grid, spec.series)
-            min_slack = _fmt(report.min_slack)
-            status = report.status
+    passed, failed, certs = [], [], []
+    for i in range(len(pts.a)):
+        alpha, lam = float(pts.alpha[i]), float(pts.lam[i])
+        try:
+            cert = certify_dispatch(
+                spec.certificate_kind,
+                complex(pts.a[i]),
+                complex(pts.b[i]),
+                complex(pts.c[i]),
+                alpha,
+                lam,
+                grid.s,
+                cls=_scan_class(spec, alpha, lam),
+                line_search=spec.line_search,
+                boundary=spec.boundary,
+            )
+        except ROW_ERRORS as exc:
+            passed.append(False)
+            failed.append(f"invalid: {exc}")
+            certs.append(None)
         else:
-            status = "Invalid"
-    return [*(_fmt(v) for v in coords), "true" if passed else "false", failed, min_slack, status]
+            passed.append(cert.passed)
+            failed.append(cert.failed_condition())
+            certs.append(cert)
+    return passed, failed, certs.__getitem__
+
+
+def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> list[list[str]]:
+    """The CSV rows of scan rows start..stop-1."""
+    passed, failed, certificate_of = _check_rows(spec, grid, grid.points(start, stop))
+    rows = []
+    for i, labels in enumerate(grid.row_labels(start, stop)):
+        min_slack = ""
+        status = ""
+        if spec.verify:
+            cert = certificate_of(i)
+            if cert is None:
+                status = "Invalid"
+            else:
+                report = verify_on_disk(cert.shape_class, cert.params, spec.grid, spec.series)
+                min_slack = _fmt(report.min_slack)
+                status = report.status
+        rows.append([*labels, "true" if passed[i] else "false", failed[i], min_slack, status])
+    return rows
+
+
+def _chunks_in_order(work, ranges: list[tuple[int, int]], threads: int):
+    """work(start, stop) for each range, yielded in range order; with
+    threads > 1 a pool works ahead on at most 2 * threads chunks."""
+    if threads <= 1:
+        for start, stop in ranges:
+            yield work(start, stop)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for start, stop in ranges:
+            pending.append(pool.submit(work, start, stop))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:
-    """Compute every grid point (row-major over the axes, first axis slowest)
-    and write the CSV.  Row order and bytes are independent of the thread
-    count; workers only shorten the wall time."""
-    points = list(itertools.product(*(ax.values() for ax in spec.axes)))
-    if threads > 1:
-        chunk = max(1, len(points) // (threads * 8))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda pt: _scan_row(spec, pt), points, chunksize=chunk))
-    else:
-        rows = [_scan_row(spec, pt) for pt in points]
+    """Check every grid point (row-major over the axes, first axis slowest)
+    and stream the CSV.
+
+    Rows go in chunks of SCAN_CHUNK_ROWS: array-checked kinds check a whole
+    chunk at once, other kinds row by row, and each chunk's rows are written
+    before the next chunk's are held.  A row whose checker raises is written
+    as refused ("invalid: <message>", status Invalid when verifying).  Row
+    order and bytes are independent of the thread count; workers take whole
+    chunks and only shorten the wall time.
+    """
+    grid = _ScanGrid(spec)
+    ranges = [(start, min(start + SCAN_CHUNK_ROWS, grid.size)) for start in range(0, grid.size, SCAN_CHUNK_ROWS)]
     header = [ax.symbol for ax in spec.axes] + ["certificate_passed", "failed_condition", "min_slack", "status"]
+    k = len(spec.axes)
+    n_pass = 0
+    n_viol = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
-    n_pass = sum(1 for row in rows if row[len(spec.axes)] == "true")
-    n_viol = sum(1 for row in rows if row[-1] == VIOLATED)
+        for rows in _chunks_in_order(lambda start, stop: _scan_chunk(spec, grid, start, stop), ranges, threads):
+            writer.writerows(rows)
+            n_pass += sum(1 for row in rows if row[k] == "true")
+            n_viol += sum(1 for row in rows if row[-1] == VIOLATED)
     return {
-        "points": len(points),
+        "points": grid.size,
         "certified": n_pass,
-        "failed": len(points) - n_pass,
+        "failed": grid.size - n_pass,
         "verifier_violations": n_viol,
         "out": out_path,
     }
@@ -445,7 +561,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--series-tol", type=float, default=1e-15, help="relative series truncation tolerance")
     parser.add_argument("--max-terms", type=int, default=200_000, help="series term budget")
     parser.add_argument("--radius-cap", type=float, default=0.995, help="largest |z| the series will accept")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for scans")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout; logs stay on stderr")
 
 
@@ -520,6 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="parameter-region scan to CSV")
     p_scan.add_argument("--spec", required=True, help="path to a ScanSpec JSON file")
     p_scan.add_argument("--out", required=True, help="output CSV path")
+    p_scan.add_argument("--threads", type=int, default=1, help="worker threads, each checking whole chunks of rows")
     _add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -554,7 +670,7 @@ def main(argv=None) -> int:
     except (InvalidC, InvalidParams, PrecondFailed, ValueError) as exc:
         log.error("%s", exc)
         return 2
-    except (RadiusExceeded, NoConvergence, ZeroOfF, NonFinite) as exc:
+    except (RadiusExceeded, NoConvergence, ZeroOfF, NonFinite, ArithmeticError) as exc:
         log.error("%s", exc)
         return 3
 

@@ -59,21 +59,37 @@ def quadratic_nonneg_exact(L: float, M: float, N: float) -> bool:
     return L >= 0 and N >= 0 and L * N - M * M >= 0
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimization of f on [lo, hi]; returns (argmin, min)."""
+def golden_section(f: Callable, lo, hi, iters: int):
+    """Golden-section minimization of f on [lo, hi]; returns (argmin, min).
+
+    lo and hi may be arrays of brackets: f is then called on arrays of that
+    shape, and all brackets shrink in lockstep with the same arithmetic a
+    single bracket gets.
+    """
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        where = np.where
+    else:
+        where = _choose
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+        left = f1 <= f2
+        # left: the minimum lies in [lo, x2] and x1 becomes the new x2; else it lies in [x1, hi]
+        hi = where(left, x2, hi)
+        lo = where(left, lo, x1)
+        x_kept, f_kept = where(left, x1, x2), where(left, f1, f2)
+        x_new = where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        f_new = f(x_new)
+        x1, f1 = where(left, x_new, x_kept), where(left, f_new, f_kept)
+        x2, f2 = where(left, x_kept, x_new), where(left, f_kept, f_new)
+    first = f1 <= f2
+    return where(first, x1, x2), where(first, f1, f2)
+
+
+def _choose(cond: bool, a, b):
+    return a if cond else b
 
 
 def quadratic_nonneg_sampled(L: float, M: float, N: float, grid: int = 2001) -> bool:
@@ -124,31 +140,61 @@ DEFAULT_LINE_SEARCH = LineSearchSettings()
 
 @dataclass(frozen=True)
 class MinimizerResult:
+    """Outcome of the positive-line minimizer; every field holds one entry
+    per row when the residual describes many rows at once."""
+
     min_value: float
     argmin_s: float
     endpoint_verdict: str
     conclusive: bool
 
 
-def _net_leading(groups: list[tuple[float, float]]) -> float:
-    """Coefficient of the dominant exponent after cancelling ties."""
-    scale = max((abs(c) for _, c in groups), default=0.0)
-    for _, coef in groups:
-        if abs(coef) > 1e-12 * max(scale, 1.0):
-            return coef
-    return 0.0
+# float64 values per row block of a batched log scan (1 MB per array)
+_SCAN_BLOCK_VALUES = 1 << 17
 
 
-def _group_terms(terms: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sum coefficients of exponents equal up to 1e-12, sorted descending."""
-    ordered = sorted(terms, key=lambda t: -t[0])
-    groups: list[tuple[float, float]] = []
-    for expo, coef in ordered:
-        if groups and abs(groups[-1][0] - expo) <= 1e-12:
-            groups[-1] = (groups[-1][0], groups[-1][1] + coef)
-        else:
-            groups.append((expo, coef))
-    return groups
+def rows_per_block(settings: LineSearchSettings) -> int:
+    """Rows of a batched minimizer call whose log scan fits in one block."""
+    return max(1, _SCAN_BLOCK_VALUES // settings.n_log_points)
+
+
+def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Net coefficients of the dominant exponents of sum coef * s^expo, as
+    s -> infinity (highest exponent) and as s -> 0+ (lowest exponent).
+
+    Exponents within 1e-12 of a group's first exponent join that group and
+    their coefficients are summed, in descending order of exponent; a group
+    whose net coefficient is within 1e-12 (relative to the largest, at least
+    1) of zero cancels and the next one decides.  Exponents and coefficients
+    may be arrays, one entry per row; the results have one entry per row.
+    """
+    parts = np.broadcast_arrays(*(np.asarray(x, dtype=float) for term in terms for x in term))
+    expo = np.atleast_2d(np.stack(parts[0::2], axis=-1))
+    coef = np.atleast_2d(np.stack(parts[1::2], axis=-1))
+    order = np.argsort(-expo, axis=1, kind="stable")
+    expo = np.take_along_axis(expo, order, axis=1)
+    coef = np.take_along_axis(coef, order, axis=1)
+    n_rows, n_terms = expo.shape
+    rows = np.arange(n_rows)
+    group = np.zeros(expo.shape, dtype=int)
+    first = expo[:, 0]
+    for j in range(1, n_terms):
+        new = ~(np.abs(first - expo[:, j]) <= 1e-12)
+        group[:, j] = group[:, j - 1] + new
+        first = np.where(new, expo[:, j], first)
+    sums = np.zeros(expo.shape)
+    for j in range(n_terms):
+        sums[rows, group[:, j]] += coef[:, j]
+    size = np.abs(sums)  # slots past the last group hold 0
+    decides = size > 1e-12 * np.maximum(size.max(axis=1), 1.0)[:, None]
+    any_decides = decides.any(axis=1)
+    at_infinity = np.where(any_decides, sums[rows, np.argmax(decides, axis=1)], 0.0)
+    at_zero = np.where(any_decides, sums[rows, n_terms - 1 - np.argmax(decides[:, ::-1], axis=1)], 0.0)
+    return at_infinity, at_zero
+
+
+def _verdicts(at_infinity, at_zero) -> np.ndarray:
+    return np.where(at_infinity < 0, DIVERGES_AT_INFINITY, np.where(at_zero < 0, DIVERGES_AT_ZERO, SAFE_BOTH_ENDS))
 
 
 def endpoint_verdict_from_terms(terms: Sequence[tuple[float, float]]) -> str:
@@ -157,18 +203,24 @@ def endpoint_verdict_from_terms(terms: Sequence[tuple[float, float]]) -> str:
     The residual tends to the sign of the dominant net coefficient: highest
     exponent as s -> infinity, lowest as s -> 0+.
     """
-    groups = _group_terms(terms)
-    if _net_leading(groups) < 0:
-        return DIVERGES_AT_INFINITY
-    if _net_leading(list(reversed(groups))) < 0:
-        return DIVERGES_AT_ZERO
-    return SAFE_BOTH_ENDS
+    return str(_verdicts(*leading_coefficients(terms))[0])
+
+
+def _values(residual: Callable, s: np.ndarray) -> np.ndarray:
+    """residual at the points s; a residual that only takes scalars is called point by point."""
+    try:
+        vals = np.asarray(residual(s), dtype=float)
+        if vals.shape[-1:] != s.shape or vals.ndim > 2:
+            raise TypeError
+    except (TypeError, ValueError):  # scalar-only callable
+        vals = np.array([float(residual(float(si))) for si in s])
+    return vals
 
 
 def minimize_on_positive_line(
     residual: Callable,
     settings: LineSearchSettings = DEFAULT_LINE_SEARCH,
-    terms: Optional[Sequence[tuple[float, float]]] = None,
+    terms: Optional[Sequence[tuple]] = None,
 ) -> MinimizerResult:
     """Minimum of residual(s) over s in [s_min, s_max].
 
@@ -178,42 +230,56 @@ def minimize_on_positive_line(
     about behaviour beyond the scanned range; without it the verdict falls
     back on the signs at the extreme samples.  A minimum within +-min_margin
     of zero is flagged inconclusive rather than trusted either way.
+
+    Many rows at once: a residual that returns shape (rows, n) for the n
+    scan points s (shape (n,)) is later called with points of shape
+    (rows, 3), and all 3 * rows refinements run in lockstep.  `terms` then
+    holds per-row arrays, every result field has one entry per row, and a
+    row whose residual is not finite gets min_value NaN where a single
+    residual raises NonFinite.  `rows_per_block` sizes such calls.
     """
     s = np.logspace(math.log10(settings.s_min), math.log10(settings.s_max), settings.n_log_points)
-    try:
-        vals = np.asarray(residual(s), dtype=float)
-        if vals.shape != s.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # scalar-only callable
-        vals = np.array([float(residual(float(si))) for si in s])
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("residual returned a non-finite value inside the search range")
+    vals = _values(residual, s)
+    single = vals.ndim == 1
+    if single:
+        if not np.all(np.isfinite(vals)):
+            raise NonFinite("residual returned a non-finite value inside the search range")
+        one_row = residual
+        residual = lambda x: _values(one_row, x[0])[None]  # noqa: E731
+        vals = vals[None]
+    rows = np.arange(len(vals))
+    bad = ~np.isfinite(vals).all(axis=1)
 
-    def in_log(t: float) -> float:
-        return float(residual(math.exp(t)))
-
-    best_v = float(vals.min())
-    best_s = float(s[int(np.argmin(vals))])
+    best_i = np.argmin(vals, axis=1)
+    best_v = vals[rows, best_i]
+    best_s = s[best_i]
     log_s = np.log(s)
-    for i in np.argsort(vals, kind="stable")[:3]:
-        lo = log_s[max(int(i) - 1, 0)]
-        hi = log_s[min(int(i) + 1, len(s) - 1)]
-        t, v = golden_section(in_log, float(lo), float(hi), settings.refine_iters)
-        if not math.isfinite(v):
-            raise NonFinite("residual returned a non-finite value during refinement")
-        si = math.exp(t)
-        if v < best_v or (v == best_v and si < best_s):
-            best_v, best_s = v, si
+    idx = np.argsort(vals, axis=1, kind="stable")[:, :3]
+    lo = log_s[np.maximum(idx - 1, 0)]
+    hi = log_s[np.minimum(idx + 1, len(s) - 1)]
+    t, v = golden_section(lambda x: residual(np.exp(x)), lo, hi, settings.refine_iters)
+    refine_bad = ~np.isfinite(v).all(axis=1)
+    if single and refine_bad[0]:
+        raise NonFinite("residual returned a non-finite value during refinement")
+    for k in range(idx.shape[1]):
+        si, vk = np.exp(t[:, k]), v[:, k]
+        better = (vk < best_v) | ((vk == best_v) & (si < best_s))
+        best_v = np.where(better, vk, best_v)
+        best_s = np.where(better, si, best_s)
+    best_v = np.where(bad | refine_bad, np.nan, best_v)
 
     if terms is not None:
-        verdict = endpoint_verdict_from_terms(terms)
-    elif vals[-1] < -settings.min_margin and vals[-1] <= vals[-2]:
-        verdict = DIVERGES_AT_INFINITY
-    elif vals[0] < -settings.min_margin and vals[0] <= vals[1]:
-        verdict = DIVERGES_AT_ZERO
+        verdict = _verdicts(*leading_coefficients(terms))
     else:
-        verdict = SAFE_BOTH_ENDS
-    conclusive = not (-settings.min_margin <= best_v <= settings.min_margin)
+        margin = settings.min_margin
+        verdict = np.where(
+            (vals[:, -1] < -margin) & (vals[:, -1] <= vals[:, -2]),
+            DIVERGES_AT_INFINITY,
+            np.where((vals[:, 0] < -margin) & (vals[:, 0] <= vals[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
+        )
+    conclusive = ~((-settings.min_margin <= best_v) & (best_v <= settings.min_margin))
+    if single:
+        return MinimizerResult(float(best_v[0]), float(best_s[0]), str(verdict[0]), bool(conclusive[0]))
     return MinimizerResult(best_v, best_s, verdict, conclusive)
 
 

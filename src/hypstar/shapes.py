@@ -22,9 +22,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .tolerance import REAL_TOL
+
 # boundary grids stay this far away (in radians) from singular boundary points
 THETA_MIN = 1e-4
-_REAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def admissibility_vi(cls: ShapeClass) -> AdmissibilityResult:
         )
     lam = _lam(cls)
     value = -1 / ((1 - cls.alpha) * (1 + cmath.exp(2j * lam)))
-    in_unit_interval = abs(value.imag) <= _REAL_TOL and -_REAL_TOL <= value.real <= 1 + _REAL_TOL
+    in_unit_interval = abs(value.imag) <= REAL_TOL and -REAL_TOL <= value.real <= 1 + REAL_TOL
     return AdmissibilityResult(not in_unit_interval, value)
 
 

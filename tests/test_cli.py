@@ -1,5 +1,7 @@
 """CLI surface: flags, exit codes, JSON round-trips, scan CSV contract."""
 
+import csv
+import itertools
 import json
 import math
 import subprocess
@@ -7,7 +9,8 @@ import sys
 
 import pytest
 
-from hypstar.cli import main, parse_scan_spec
+from hypstar import cli
+from hypstar.cli import ROW_ERRORS, certify_dispatch, main, parse_scan_spec
 from hypstar.errors import InvalidParams
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
@@ -82,6 +85,33 @@ class TestCertify:
         assert code == 0
         data = json.loads(out)
         assert data["params"]["b"] == [2.0, 5.0]
+
+    def test_cor_a2_takes_relatively_real_parameters(self, capsys):
+        # |Im b| = 1e-10 is within 1e-12 (1 + |b|) for |b| = 1000
+        code, out, _ = run_cli(
+            capsys, "certify", "--theorem", "cor-a2", "--a", "2,0", "--b", "1000,1e-10", "--c", "1000,0"
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_overflowing_parameters_exit_three(self, capsys, caplog):
+        code, _, _ = run_cli(
+            capsys, "certify", "--theorem", "strong-starlike", "--a", "1,0", "--b", "1e155,0", "--c", "3,0",
+            "--alpha", "0.5",
+        )
+        assert code == 3
+        assert "not finite" in caplog.text
+        # a scalar-only checker whose float arithmetic raises OverflowError
+        code, _, _ = run_cli(
+            capsys, "certify", "--theorem", "spirallike-cor2", "--a", "1e160,0", "--b", "1e-160,0",
+            "--lambda", "0.3", "--alpha", "0.2",
+        )
+        assert code == 3
+
+    def test_threads_only_on_scan(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--theorem", "cor-a2", "--a", "2,0", "--b", "2,0", "--c", "3,0", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_general_needs_class(self, capsys):
         code, _, _ = run_cli(capsys, "certify", "--theorem", "general", "--a", "1,0", "--b", "1,0", "--c", "3,0")
@@ -334,6 +364,132 @@ class TestScan:
         for ra, rb in zip(rows_a, rows_b):
             if ra["certificate_passed"] == "true":
                 assert rb["certificate_passed"] == "true"
+
+
+    def test_row_errors_never_end_a_scan(self, tmp_path, capsys):
+        # |b|^2 overflows a double for b = 5e154 and 1e155
+        base = {
+            "varying": [{"symbol": "b_re", "from": 1, "to": 1e155, "steps": 3}],
+            "fixed": {"a_re": 1, "c_re": 3, "alpha": 0.5},
+            "certificate": "strong-starlike",
+        }
+        grid = {"n_radii": 4, "r_max": 0.9, "n_angles": 36}
+        for verify in (False, True):
+            out_csv = tmp_path / f"overflow-{verify}.csv"
+            spec = self.write_spec(tmp_path, dict(base, verify=verify, grid=grid))
+            code, _, _ = run_cli(capsys, "scan", "--spec", spec, "--out", str(out_csv))
+            assert code == 0
+            rows = list(csv.DictReader(open(out_csv)))
+            assert len(rows) == 3
+            assert rows[0]["certificate_passed"] == "true"
+            for row in rows[1:]:
+                assert row["certificate_passed"] == "false"
+                assert row["failed_condition"].startswith("invalid: ")
+                assert row["status"] == ("Invalid" if verify else "")
+            assert rows[0]["status"] == ("Consistent" if verify else "")
+
+
+# scans per array-checked kind: axes straddle the conditions' boundaries and
+# cross refused inputs (ab = 0, alpha or lambda outside its range, c or
+# a + b + 1 at 0 and -1)
+AGREEMENT_SPECS = {
+    "starlike-order": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "c_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 1.5}},
+        {"varying": [{"symbol": "a_im", "from": -1, "to": 1, "steps": 5},
+                     {"symbol": "c_im", "from": -1, "to": 1, "steps": 5},
+                     {"symbol": "b_re", "from": 0.2, "to": 3, "steps": 8}],
+         "fixed": {"a_re": 2, "b_im": 0.5, "c_re": 3, "alpha": 0.1}},
+    ],
+    "spirallike": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "lambda", "from": -2, "to": 2, "steps": 9},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": -2}},
+        {"varying": [{"symbol": "a_im", "from": -1, "to": 1, "steps": 5},
+                     {"symbol": "b_re", "from": 0.2, "to": 2.5, "steps": 6},
+                     {"symbol": "lambda", "from": -1.2, "to": 1.2, "steps": 5}],
+         "fixed": {"a_re": 1, "b_im": 0.3, "alpha": 0.2}},
+    ],
+    "sst-cor-max": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "a_im", "from": -1, "to": 1, "steps": 5},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": -2}},
+        {"varying": [{"symbol": "a_re", "from": 0.2, "to": 2.5, "steps": 8},
+                     {"symbol": "b_re", "from": 0.2, "to": 2.5, "steps": 8},
+                     {"symbol": "alpha", "from": 0.05, "to": 0.95, "steps": 7}],
+         "fixed": {"a_im": 0.1}},
+    ],
+    "strong-starlike": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 5},
+                     {"symbol": "c_re", "from": -1, "to": 3, "steps": 5},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 1}},
+        {"varying": [{"symbol": "b_re", "from": 0.5, "to": 2, "steps": 6},
+                     {"symbol": "c_im", "from": -0.2, "to": 0.2, "steps": 3},
+                     {"symbol": "alpha", "from": 0.05, "to": 0.95, "steps": 5}],
+         "fixed": {"a_re": 1, "c_re": 3}},
+    ],
+    "sst-cor-p0": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 5},
+                     {"symbol": "a_im", "from": -0.5, "to": 0.5, "steps": 3},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": -2}},
+        {"varying": [{"symbol": "a_re", "from": 0.3, "to": 2.5, "steps": 6},
+                     {"symbol": "b_re", "from": 0.3, "to": 2.5, "steps": 6},
+                     {"symbol": "alpha", "from": 0.1, "to": 0.9, "steps": 5}],
+         "fixed": {"a_im": 0.2, "b_im": -0.2}},
+    ],
+}
+
+
+def _dispatch_outcome(spec, coords) -> list[str]:
+    """passed and failed_condition of one scan point, straight from certify_dispatch."""
+    point = {sym: 0.0 for sym in cli.SCAN_SYMBOLS}
+    point.update(spec.fixed)
+    for ax, value in zip(spec.axes, coords):
+        point[ax.symbol] = value
+    try:
+        cert = certify_dispatch(
+            spec.certificate_kind,
+            complex(point["a_re"], point["a_im"]),
+            complex(point["b_re"], point["b_im"]),
+            complex(point["c_re"], point["c_im"]),
+            float(point["alpha"]),
+            float(point["lambda"]),
+            0.0,
+            line_search=spec.line_search,
+        )
+    except ROW_ERRORS as exc:
+        return ["false", f"invalid: {exc}"]
+    return ["true" if cert.passed else "false", cert.failed_condition()]
+
+
+@pytest.mark.parametrize("kind", sorted(AGREEMENT_SPECS))
+def test_array_checkers_agree_with_dispatch(kind, tmp_path, monkeypatch):
+    # small chunks, so that rows cross chunk boundaries and the pool takes several chunks
+    monkeypatch.setattr(cli, "SCAN_CHUNK_ROWS", 17)
+    outcomes = set()
+    for n, raw in enumerate(AGREEMENT_SPECS[kind]):
+        spec = parse_scan_spec(dict(raw, certificate=kind))
+        texts = []
+        for threads in (1, 3):
+            out = tmp_path / f"{n}-{threads}.csv"
+            cli.run_scan(spec, str(out), threads=threads)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        rows = list(csv.reader(texts[0].decode().splitlines()))[1:]
+        points = list(itertools.product(*(ax.values() for ax in spec.axes)))
+        assert len(rows) == len(points)
+        k = len(spec.axes)
+        for row, coords in zip(rows, points):
+            assert row[k:k + 2] == _dispatch_outcome(spec, coords), (kind, coords)
+            outcomes.add(row[k + 1].split(":")[0])
+    # the specs reach passing rows, failed conditions and refused rows
+    assert "" in outcomes and "invalid" in outcomes and len(outcomes) >= 4
 
 
 class TestEntryPoint:
