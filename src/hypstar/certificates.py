@@ -359,6 +359,12 @@ def _positive_real(name: str, value: complex) -> float:
     return value.real
 
 
+def _real_sum(a: complex, b: complex) -> float:
+    if not is_real(a + b):
+        raise PrecondFailed("a + b must be real")
+    return (a + b).real
+
+
 def certify_spirallike_cor1(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
     """Spirallike checker for the special case m = e^{-i lam} ab positive real
     and lam nonzero; the quadratic test collapses to a single inequality."""
@@ -659,20 +665,16 @@ def certify_sst_cor_final(a: complex, b: complex, alpha: float) -> Certificate:
     a, b = complex(a), complex(b)
     if not 0 < alpha < 1:
         raise InvalidParams("alpha must lie in (0, 1)")
-    lsum = a + b
-    if not is_real(lsum):
-        raise PrecondFailed("a + b must be real")
+    lsum = _real_sum(a, b)
     m = _positive_real("ab", a * b)
-    prod = (a - 2) * (b - 2)
-    if abs(prod.imag) > 1e-10 * (1 + abs(prod)):
-        raise PrecondFailed("(a-2)(b-2) has a nonreal residue; inputs are inconsistent")
+    prod = m - 2 * lsum + 4  # (a-2)(b-2), real because a + b and ab are
     params = HypergeomParams(a, b, a + b + 1)
     half = math.pi * alpha / 2
     cap1 = 4 * math.cos(half) ** 2
     cap2 = 2 - 2 * math.cos(math.pi * alpha) / math.cos(half) + alpha * math.tan(half)
     conditions = [
-        Condition("(a-2)(b-2)", prod.real, f"<= 4 cos^2(pi alpha/2) = {cap1:.15g}", prod.real <= cap1 + STRICT_TOL * max(1.0, abs(prod.real))),
-        Condition("a + b", lsum.real, f"<= {cap2:.15g}", lsum.real <= cap2 + STRICT_TOL * max(1.0, abs(lsum.real))),
+        Condition("(a-2)(b-2)", prod, f"<= 4 cos^2(pi alpha/2) = {cap1:.15g}", prod <= cap1 + STRICT_TOL * max(1.0, abs(prod))),
+        Condition("a + b", lsum, f"<= {cap2:.15g}", lsum <= cap2 + STRICT_TOL * max(1.0, abs(lsum))),
     ]
     lo = 2 * math.sin(half) ** 2
     notes = [
@@ -690,17 +692,12 @@ def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
     a, b = complex(a), complex(b)
     if not 1 / 3 < alpha < 1:
         raise PrecondFailed("alpha must lie in (1/3, 1)")
-    lsum = a + b
-    if not is_real(lsum):
-        raise PrecondFailed("a + b must be real")
-    _positive_real("ab", a * b)
-    diff2 = (a - b) * (a - b)
-    quad = a * a + a * b + b * b
-    if abs(diff2.imag) > 1e-10 * (1 + abs(diff2)) or abs(quad.imag) > 1e-10 * (1 + abs(quad)):
-        raise PrecondFailed("derived real combinations have nonreal residues")
+    lsum = _real_sum(a, b)
+    m = _positive_real("ab", a * b)
     params = HypergeomParams(a, b, a + b + 1)
-    lhs = (diff2.real + 6 * lsum.real - 3) * math.sin(math.pi * alpha / 2) ** 2
-    rhs = quad.real
+    # (a-b)^2 = (a+b)^2 - 4ab and a^2 + ab + b^2 = (a+b)^2 - ab, real because a + b and ab are
+    lhs = (lsum * lsum - 4 * m + 6 * lsum - 3) * math.sin(math.pi * alpha / 2) ** 2
+    rhs = lsum * lsum - m
     scale = max(1.0, abs(lhs), abs(rhs))
     conditions = [
         _cond_nonneg("((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) - (a^2 + ab + b^2)", lhs - rhs, scale)

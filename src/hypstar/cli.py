@@ -16,10 +16,8 @@ import csv
 import json
 import logging
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,23 +75,6 @@ from .verifier import (
 
 log = logging.getLogger("hypstar")
 
-THEOREM_KINDS = (
-    "starlike-order",
-    "cor-a2",
-    "spirallike",
-    "spirallike-cor1",
-    "spirallike-cor2",
-    "strong-starlike",
-    "sst-cor-p0",
-    "sst-cor-max",
-    "sst-cor-final",
-    "theorem-a",
-    "general",
-    "convexity",
-)
-
-CLASS_KINDS = ("starlike", "strongly-starlike", "spirallike")
-
 SCAN_SYMBOLS = ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "alpha", "lambda")
 
 
@@ -141,20 +122,77 @@ def _boundary_settings(args) -> BoundaryGridSettings:
     return BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
 
 
+# --class name -> the ShapeClass it builds from (alpha, lam)
+SHAPE_CLASSES = {
+    "starlike": lambda alpha, lam: StarlikeOrder(alpha),
+    "strongly-starlike": lambda alpha, lam: StronglyStarlike(alpha),
+    "spirallike": lambda alpha, lam: SpirallikeOrder(lam, alpha),
+}
+
+
 def build_shape_class(kind: str, alpha: float, lam: float) -> ShapeClass:
-    if kind == "starlike":
-        return StarlikeOrder(alpha)
-    if kind == "strongly-starlike":
-        return StronglyStarlike(alpha)
-    if kind == "spirallike":
-        return SpirallikeOrder(lam, alpha)
-    raise InvalidParams(f"unknown class kind {kind!r}")
+    if kind not in SHAPE_CLASSES:
+        raise InvalidParams(f"unknown class kind {kind!r}")
+    return SHAPE_CLASSES[kind](alpha, lam)
 
 
 def _require_real(name: str, v: complex) -> float:
     if not is_real(v):
         raise InvalidParams(f"{name} must be real for this checker")
     return v.real
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One --theorem kind.
+
+    `check` takes the row's values by keyword (a, b, c, alpha, lam, s, cls,
+    line_search, boundary, relaxed) and returns its Certificate.
+    `check_chunk(points, spec)` checks a scan chunk at once and returns a
+    CertificateBatch; kinds without one run `check` row by row.  Both look
+    their checker up by name when called, so that a patched `cli.certify_*`
+    sees every call.
+    """
+
+    check: Callable[..., Certificate]
+    check_chunk: Optional[Callable] = None
+    takes_class: bool = False
+
+
+THEOREMS = {
+    "starlike-order": Theorem(
+        lambda a, b, c, alpha, **_: certify_starlike_order(HypergeomParams(a, b, c), alpha),
+        lambda pts, spec: starlike_order_batch(pts.a, pts.b, pts.c, pts.alpha),
+    ),
+    "cor-a2": Theorem(
+        lambda a, b, c, s, **_: certify_cor_a2(_require_real("a", a), _require_real("b", b), _require_real("c", c), s)
+    ),
+    "spirallike": Theorem(
+        lambda a, b, lam, alpha, **_: certify_spirallike(a, b, lam, alpha),
+        lambda pts, spec: spirallike_batch(pts.a, pts.b, pts.lam, pts.alpha),
+    ),
+    "spirallike-cor1": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor1(a, b, lam, alpha)),
+    "spirallike-cor2": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor2(a, b, lam, alpha)),
+    "strong-starlike": Theorem(
+        lambda a, b, c, alpha, line_search, **_: certify_strong_starlike(HypergeomParams(a, b, c), alpha, line_search),
+        lambda pts, spec: strong_starlike_batch(pts.a, pts.b, pts.c, pts.alpha, spec.line_search),
+    ),
+    "sst-cor-p0": Theorem(
+        lambda a, b, alpha, line_search, **_: certify_sst_cor_p0(a, b, alpha, line_search),
+        lambda pts, spec: sst_cor_p0_batch(pts.a, pts.b, pts.alpha, spec.line_search),
+    ),
+    "sst-cor-max": Theorem(
+        lambda a, b, alpha, **_: certify_sst_cor_max(a, b, alpha),
+        lambda pts, spec: sst_cor_max_batch(pts.a, pts.b, pts.alpha),
+    ),
+    "sst-cor-final": Theorem(lambda a, b, alpha, **_: certify_sst_cor_final(a, b, alpha)),
+    "theorem-a": Theorem(lambda a, b, alpha, **_: certify_theorem_A(a, b, alpha)),
+    "general": Theorem(
+        lambda a, b, c, cls, boundary, relaxed, **_: certify_general(cls, HypergeomParams(a, b, c), boundary, relaxed),
+        takes_class=True,
+    ),
+    "convexity": Theorem(lambda a, b, c, cls, **_: certify_convexity(cls, HypergeomParams(a, b, c)), takes_class=True),
+}
 
 
 def certify_dispatch(
@@ -170,35 +208,14 @@ def certify_dispatch(
     boundary: BoundaryGridSettings = BoundaryGridSettings(),
     relaxed: bool = False,
 ) -> Certificate:
-    if kind == "starlike-order":
-        return certify_starlike_order(HypergeomParams(a, b, c), alpha)
-    if kind == "cor-a2":
-        return certify_cor_a2(_require_real("a", a), _require_real("b", b), _require_real("c", c), s)
-    if kind == "spirallike":
-        return certify_spirallike(a, b, lam, alpha)
-    if kind == "spirallike-cor1":
-        return certify_spirallike_cor1(a, b, lam, alpha)
-    if kind == "spirallike-cor2":
-        return certify_spirallike_cor2(a, b, lam, alpha)
-    if kind == "strong-starlike":
-        return certify_strong_starlike(HypergeomParams(a, b, c), alpha, line_search)
-    if kind == "sst-cor-p0":
-        return certify_sst_cor_p0(a, b, alpha, line_search)
-    if kind == "sst-cor-max":
-        return certify_sst_cor_max(a, b, alpha)
-    if kind == "sst-cor-final":
-        return certify_sst_cor_final(a, b, alpha)
-    if kind == "theorem-a":
-        return certify_theorem_A(a, b, alpha)
-    if kind == "general":
-        if cls is None:
-            raise InvalidParams("--class is required for the general boundary-grid checker")
-        return certify_general(cls, HypergeomParams(a, b, c), boundary, relaxed)
-    if kind == "convexity":
-        if cls is None:
-            raise InvalidParams("--class is required for the convexity wrapper")
-        return certify_convexity(cls, HypergeomParams(a, b, c))
-    raise InvalidParams(f"unknown theorem kind {kind!r}")
+    theorem = THEOREMS.get(kind)
+    if theorem is None:
+        raise InvalidParams(f"unknown theorem kind {kind!r}")
+    if theorem.takes_class and cls is None:
+        raise InvalidParams(f"--class is required for the {kind} checker")
+    return theorem.check(
+        a=a, b=b, c=c, alpha=alpha, lam=lam, s=s, cls=cls, line_search=line_search, boundary=boundary, relaxed=relaxed
+    )
 
 
 def cmd_eval(args) -> int:
@@ -223,11 +240,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
-    cls = None
-    if args.cls is not None:
-        cls = build_shape_class(args.cls, args.alpha, args.lam)
-    cert = certify_dispatch(
+def _certificate(args) -> Certificate:
+    """The certificate that `certify` and `crosscheck` both start from."""
+    cls = None if args.cls is None else build_shape_class(args.cls, args.alpha, args.lam)
+    return certify_dispatch(
         args.theorem,
         args.a,
         args.b,
@@ -240,6 +256,10 @@ def cmd_certify(args) -> int:
         boundary=_boundary_settings(args),
         relaxed=args.relaxed,
     )
+
+
+def cmd_certify(args) -> int:
+    cert = _certificate(args)
     print(json.dumps(cert.to_json(), indent=2))
     return 0 if cert.passed else 1
 
@@ -259,22 +279,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    cls = None
-    if args.cls is not None:
-        cls = build_shape_class(args.cls, args.alpha, args.lam)
-    cert = certify_dispatch(
-        args.theorem,
-        args.a,
-        args.b,
-        args.c,
-        args.alpha,
-        args.lam,
-        args.s,
-        cls=cls,
-        line_search=_line_search(args),
-        boundary=_boundary_settings(args),
-        relaxed=args.relaxed,
-    )
+    cert = _certificate(args)
     result = cross_check(cert.shape_class, cert.params, cert, _grid_settings(args), _series_settings(args))
     print(json.dumps(result.to_json(), indent=2))
     return 4 if result.verdict == UNSOUND else 0
@@ -332,8 +337,13 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         if key not in SCAN_SYMBOLS and key != "s":
             raise InvalidParams(f"unknown fixed symbol {key!r}")
     kind = data.get("certificate")
-    if kind not in THEOREM_KINDS:
-        raise InvalidParams(f"'certificate' must be one of {THEOREM_KINDS}")
+    if kind not in THEOREMS:
+        raise InvalidParams(f"'certificate' must be one of {tuple(THEOREMS)}")
+    class_spec = data.get("class")
+    if THEOREMS[kind].takes_class and (
+        not isinstance(class_spec, dict) or class_spec.get("kind") not in SHAPE_CLASSES
+    ):
+        raise InvalidParams(f"the {kind} certificate needs a 'class' whose 'kind' is one of {tuple(SHAPE_CLASSES)}")
     grid = DiskGridSettings(**data.get("grid", {}))
     series = SeriesSettings(**data.get("series", {}))
     if grid.r_max > series.radius_cap:
@@ -343,7 +353,7 @@ def parse_scan_spec(data: dict) -> ScanSpec:
     return ScanSpec(
         axes=axes,
         fixed=dict(fixed),
-        class_spec=data.get("class"),
+        class_spec=class_spec,
         certificate_kind=kind,
         verify=bool(data.get("verify", False)),
         grid=grid,
@@ -355,18 +365,6 @@ def parse_scan_spec(data: dict) -> ScanSpec:
 
 # rows checked together and written before the next chunk starts
 SCAN_CHUNK_ROWS = 4096
-
-# kinds whose rows a chunk checks at once; every other kind runs its scalar checker row by row
-_ARRAY_CHECKERS = {
-    "starlike-order": lambda pts, spec: starlike_order_batch(pts.a, pts.b, pts.c, pts.alpha),
-    "spirallike": lambda pts, spec: spirallike_batch(pts.a, pts.b, pts.lam, pts.alpha),
-    "strong-starlike": lambda pts, spec: strong_starlike_batch(pts.a, pts.b, pts.c, pts.alpha, spec.line_search),
-    "sst-cor-p0": lambda pts, spec: sst_cor_p0_batch(pts.a, pts.b, pts.alpha, spec.line_search),
-    "sst-cor-max": lambda pts, spec: sst_cor_max_batch(pts.a, pts.b, pts.alpha),
-}
-
-# the kinds that take a class from the spec
-_CLASS_THEOREMS = ("general", "convexity")
 
 # what a row's checker may raise; the row is written as refused and the scan goes on
 ROW_ERRORS = (HypstarError, ValueError, ArithmeticError)
@@ -423,20 +421,18 @@ class _ScanGrid:
 
 
 def _scan_class(spec: ScanSpec, alpha: float, lam: float) -> Optional[ShapeClass]:
-    if spec.class_spec is None or spec.certificate_kind not in _CLASS_THEOREMS:
+    if not THEOREMS[spec.certificate_kind].takes_class:
         return None
-    kind = spec.class_spec.get("kind")
-    alpha = float(spec.class_spec.get("alpha", alpha))
-    lam = float(spec.class_spec.get("lambda", lam))
-    return build_shape_class(kind, alpha, lam)
+    cls = spec.class_spec
+    return build_shape_class(cls["kind"], float(cls.get("alpha", alpha)), float(cls.get("lambda", lam)))
 
 
 def _check_rows(spec: ScanSpec, grid: _ScanGrid, pts: _ChunkPoints):
     """(passed, failed_condition, certificate_of) for the rows of a chunk;
     certificate_of(i) is row i's Certificate, or None for a refused row."""
-    array_checker = _ARRAY_CHECKERS.get(spec.certificate_kind)
-    if array_checker is not None:
-        batch = array_checker(pts, spec)
+    check_chunk = THEOREMS[spec.certificate_kind].check_chunk
+    if check_chunk is not None:
+        batch = check_chunk(pts, spec)
         return (
             batch.passed().tolist(),
             batch.failed_conditions(),
@@ -488,23 +484,6 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> list[
     return rows
 
 
-def _chunks_in_order(work, ranges: list[tuple[int, int]], threads: int):
-    """work(start, stop) for each range, yielded in range order; with
-    threads > 1 a pool works ahead on at most 2 * threads chunks."""
-    if threads <= 1:
-        for start, stop in ranges:
-            yield work(start, stop)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for start, stop in ranges:
-            pending.append(pool.submit(work, start, stop))
-            if len(pending) >= 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:
     """Check every grid point (row-major over the axes, first axis slowest)
     and stream the CSV.
@@ -512,12 +491,10 @@ def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:
     Rows go in chunks of SCAN_CHUNK_ROWS: array-checked kinds check a whole
     chunk at once, other kinds row by row, and each chunk's rows are written
     before the next chunk's are held.  A row whose checker raises is written
-    as refused ("invalid: <message>", status Invalid when verifying).  Row
-    order and bytes are independent of the thread count; workers take whole
-    chunks and only shorten the wall time.
+    as refused ("invalid: <message>", status Invalid when verifying).
+    `threads` is accepted for compatibility and has no effect.
     """
     grid = _ScanGrid(spec)
-    ranges = [(start, min(start + SCAN_CHUNK_ROWS, grid.size)) for start in range(0, grid.size, SCAN_CHUNK_ROWS)]
     header = [ax.symbol for ax in spec.axes] + ["certificate_passed", "failed_condition", "min_slack", "status"]
     k = len(spec.axes)
     n_pass = 0
@@ -525,7 +502,8 @@ def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rows in _chunks_in_order(lambda start, stop: _scan_chunk(spec, grid, start, stop), ranges, threads):
+        for start in range(0, grid.size, SCAN_CHUNK_ROWS):
+            rows = _scan_chunk(spec, grid, start, min(start + SCAN_CHUNK_ROWS, grid.size))
             writer.writerows(rows)
             n_pass += sum(1 for row in rows if row[k] == "true")
             n_viol += sum(1 for row in rows if row[-1] == VIOLATED)
@@ -546,7 +524,7 @@ def cmd_scan(args) -> int:
         log.error("cannot read scan spec: %s", exc)
         return 2
     spec = parse_scan_spec(data)
-    summary = run_scan(spec, args.out, threads=args.threads)
+    summary = run_scan(spec, args.out)
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -574,13 +552,13 @@ def _add_params(parser: argparse.ArgumentParser, with_z: bool = False) -> None:
 
 
 def _add_class_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--class", dest="cls", choices=CLASS_KINDS, required=required, default=None)
+    parser.add_argument("--class", dest="cls", choices=tuple(SHAPE_CLASSES), required=required, default=None)
     parser.add_argument("--alpha", type=float, default=0.0, help="order parameter")
     parser.add_argument("--lambda", dest="lam", type=float, default=0.0, help="spiral angle in radians")
 
 
 def _add_certify_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theorem", choices=THEOREM_KINDS, required=True)
+    parser.add_argument("--theorem", choices=tuple(THEOREMS), required=True)
     _add_params(parser)
     _add_class_flags(parser, required=False)
     parser.add_argument("--s", type=float, default=0.0, help="imaginary shift for the cor-a2 family")
@@ -635,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="parameter-region scan to CSV")
     p_scan.add_argument("--spec", required=True, help="path to a ScanSpec JSON file")
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--threads", type=int, default=1, help="worker threads, each checking whole chunks of rows")
+    p_scan.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

@@ -223,6 +223,14 @@ class TestSstCorollaries:
         with pytest.raises(PrecondFailed):
             certify_sst_cor_final(-1, 1, 0.5)
 
+    @pytest.mark.parametrize("certify", [certify_sst_cor_final, certify_theorem_A])
+    def test_near_real_pair_matches_exact_reals(self, certify):
+        # a + b and ab pass the relative realness rule, so the derived combinations are real too
+        near = certify(complex(2, 1.9e-12), complex(100, -1.9e-12), 0.5)
+        exact = certify(2, 100, 0.5)
+        assert near.to_json()["conditions"] == exact.to_json()["conditions"]
+        assert near.passed == exact.passed
+
     def test_theorem_a_hand(self):
         assert certify_theorem_A(1, 1, 0.5).passed
         assert not certify_theorem_A(1, 1, 1 / 3 + 1e-9).passed
