@@ -21,8 +21,6 @@ from .errors import InvalidC, NoConvergence, RadiusExceeded, ZeroOfF
 NONPOS_INT_TOL = 1e-12
 # |F(z)| at or below this counts as a zero of F
 ZERO_TOL = 1e-12
-# consecutive relatively-small terms required before truncating
-_STREAK = 3
 # rounding slack for the radius gate: |r e^{i theta}| can land a few ulps
 # above r when the grid sits exactly on the cap
 _RADIUS_SLACK = 1e-12
@@ -74,11 +72,10 @@ class HypergeomParams:
 class SeriesSettings:
     """Truncation control for the power series.
 
-    tol is a relative tolerance.  Pointwise summation stops once three
-    consecutive terms fall below tol times the running partial sum; the ring
-    evaluator stops once its rigorous tail bound falls below tol times |F|
-    and |zF'| at every point of the ring.  max_terms caps the number of
-    terms either way.  radius_cap keeps requests off the unit circle, where
+    tol is a relative tolerance.  Points and rings share one stopping rule:
+    summation stops once a rigorous geometric bound on the tail is at most
+    tol times |F| and |zF'| at every requested point.  max_terms caps the
+    number of terms.  radius_cap keeps requests off the unit circle, where
     the series cannot converge in finite time.
     """
 
@@ -96,68 +93,6 @@ class SeriesSettings:
 
 
 DEFAULT_SERIES = SeriesSettings()
-
-
-def gauss_2f1(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
-    """2F1(a, b; c; z) by direct summation.
-
-    Terminating cases (a or b a nonpositive integer) are handled naturally by
-    the term recurrence, which hits an exact zero and stays there.
-    """
-    z = complex(z)
-    if abs(z) > settings.radius_cap + _RADIUS_SLACK:
-        raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
-    if z == 0:
-        return 1.0 + 0.0j
-    a, b, c = params.a, params.b, params.c
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan compensation: partial sums can dwarf the result
-    streak = 0
-    for n in range(settings.max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term == 0 or abs(term) < settings.tol * abs(total):
-            streak += 1
-            if streak >= _STREAK:
-                return total
-        else:
-            streak = 0
-    raise NoConvergence(f"series did not settle within {settings.max_terms} terms at z = {z}")
-
-
-def gauss_2f1_grid(
-    params: HypergeomParams, z: np.ndarray, settings: SeriesSettings = DEFAULT_SERIES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized series evaluation over an array of points.
-
-    Returns (values, converged).  Points that fail to settle within the term
-    budget are flagged False in the mask instead of raising, so grid sweeps
-    can record them and move on.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(z) > settings.radius_cap + _RADIUS_SLACK):
-        raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
-    a, b, c = params.a, params.b, params.c
-    term = np.ones(z.shape, dtype=np.complex128)
-    total = np.ones(z.shape, dtype=np.complex128)
-    comp = np.zeros(z.shape, dtype=np.complex128)  # Kahan compensation
-    streak = np.zeros(z.shape, dtype=np.int64)
-    for n in range(settings.max_terms):
-        term *= ((a + n) * (b + n) / ((c + n) * (n + 1)))
-        term *= z
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        small = (np.abs(term) < settings.tol * np.abs(total)) | (term == 0)
-        streak = np.where(small, streak + 1, 0)
-        if n >= _STREAK and int(streak.min()) >= _STREAK:
-            return total, np.ones(z.shape, dtype=bool)
-    return total, streak >= _STREAK
 
 
 @dataclass(frozen=True)
@@ -194,22 +129,112 @@ def _tail_ratio(params: HypergeomParams, r: float, k: int) -> float:
     return r * pair * (1 + 1 / k)
 
 
-def _term_ratios(params: HypergeomParams, r: float, n: np.ndarray) -> np.ndarray:
-    """u_{n+1}/u_n = r (a+n)(b+n) / ((c+n)(n+1)) over a long double array n.
+def _term_ratios(params: HypergeomParams, z: complex, n: np.ndarray) -> np.ndarray:
+    """u_{n+1}/u_n = z (a+n)(b+n) / ((c+n)(n+1)) over an np.clongdouble array n.
 
-    Spelled out in real arithmetic, which numpy runs several times faster
-    than complex long double; the products keep a and b symmetric, so a swap
-    gives bit-identical ratios.
+    (a+n)(b+n) is formed first, so a swap of a and b gives bit-identical
+    ratios; numpy adds Python complex to a complex array faster than to a real one.
     """
-    a, b, c = params.a, params.b, params.c
-    A, B, C = n + a.real, n + b.real, n + c.real
-    num_re = A * B - a.imag * b.imag
-    num_im = A * b.imag + a.imag * B
-    scale = np.longdouble(r) / ((n + 1) * (C * C + c.imag * c.imag))
-    out = np.empty(len(n), dtype=np.clongdouble)
-    out.real = (num_re * C + num_im * c.imag) * scale
-    out.imag = (num_im * C - num_re * c.imag) * scale
-    return out
+    return z * ((n + params.a) * (n + params.b)) / ((n + params.c) * (n + 1))
+
+
+def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, width: int, add, values):
+    """The one series loop: hands u_start, ..., u_{stop-1} to add(start, u), block by block.
+
+    u_0 = 1 is the caller's; blocks end at multiples of width.  K |u_K| rho /
+    (1 - rho), K = stop - 1 and rho from `_tail_ratio`, bounds the tails of
+    sum u_n and sum n u_n (zero for a terminating series).  Returns (F, zF',
+    converged, terms, tail), F and zF' from values(), once the bound is at
+    most tol |F| and tol |zF'| everywhere, or at max_terms.
+    """
+    r = abs(z)
+    last = np.clongdouble(1)  # u_{start-1}, the carry between blocks
+    goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
+    start = 1
+    while True:
+        stop = min(start - start % width + width, settings.max_terms + 1)
+        ratio = _term_ratios(params, z, np.arange(start - 1, stop - 1, dtype=np.clongdouble))
+        ratio[0] *= last
+        u = np.cumprod(ratio)
+        last = u[-1]
+        add(start, u)
+        k = stop - 1
+        if last == 0:
+            tail = 0.0
+        else:
+            rho = _tail_ratio(params, r, k)
+            tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
+        exhausted = stop > settings.max_terms or not np.isfinite(last)
+        if tail <= settings.tol * goal or exhausted:
+            f, zdf = values()
+            scale = np.minimum(abs(f), abs(zdf))
+            converged = tail <= settings.tol * scale
+            if converged.all() or exhausted:
+                return f, zdf, converged, stop, tail
+            goal = float(np.min(np.where(converged, np.inf, scale)))
+        start = stop
+
+
+def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings):
+    """(F, zF', z^2 F'', converged) at z: the long double sums of u_n, n u_n and n(n-1) u_n.
+
+    The first block holds 2 log(tol)/log|z| terms: on the test corpus the
+    count needed exceeds log(tol)/log|z| at 2 points in 3, and twice it at 1 in 50.
+    """
+    if abs(z) > settings.radius_cap + _RADIUS_SLACK:
+        raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
+    sums = np.array([1, 0, 0], dtype=np.clongdouble)  # u_0
+    if z == 0:
+        return sums[0], sums[1], sums[2], True
+
+    def add(start, u):
+        n = np.arange(start, start + len(u), dtype=np.clongdouble)
+        rows = np.empty((3, len(u)), dtype=np.clongdouble)
+        rows[0] = u
+        np.multiply(n, u, out=rows[1])
+        np.multiply(n - 1, rows[1], out=rows[2])
+        sums[:] += rows.sum(axis=1)
+
+    width = max(2, math.ceil(2 * math.log(settings.tol) / math.log(abs(z))))
+    f, zdf, converged, _, _ = _sum_series(params, z, settings, width, add, lambda: (sums[0], sums[1]))
+    return f, zdf, sums[2], bool(converged)
+
+
+def _point(params: HypergeomParams, z: complex, settings: SeriesSettings):
+    """(F, zF', z^2 F'') from `_point_series`; NoConvergence where the tail bound was not met."""
+    f, zdf, z2d2f, converged = _point_series(params, complex(z), settings)
+    if not converged:
+        raise NoConvergence(f"series did not settle within {settings.max_terms} terms at z = {z}")
+    return f, zdf, z2d2f
+
+
+def gauss_2f1(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
+    """2F1(a, b; c; z) by direct summation.
+
+    Terminating cases (a or b a nonpositive integer) are handled naturally by
+    the term recurrence, which hits an exact zero and stays there.
+    """
+    return complex(_point(params, z, settings)[0])
+
+
+def gauss_2f1_grid(
+    params: HypergeomParams, z: np.ndarray, settings: SeriesSettings = DEFAULT_SERIES
+) -> tuple[np.ndarray, np.ndarray]:
+    """`gauss_2f1` at every point of an array.
+
+    Returns (values, converged).  Points that fail to settle within the term
+    budget are flagged False in the mask instead of raising, so grid sweeps
+    can record them and move on.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(np.abs(z) > settings.radius_cap + _RADIUS_SLACK):
+        raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
+    values = np.empty(z.shape, dtype=np.complex128)
+    converged = np.empty(z.shape, dtype=bool)
+    for i, zi in np.ndenumerate(z):
+        f, _, _, converged[i] = _point_series(params, complex(zi), settings)
+        values[i] = complex(f)
+    return values, converged
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,67 +264,46 @@ def gauss_2f1_ring(
 
     At the roots of unity, sum_n u_n w^{nk} with u_n = t_n r^n is the length-n
     DFT of the folded sequence b_m = sum_{n = m mod n_angles} u_n, and zF' is
-    the same with n u_n.  The terms come block by block from the ratio
-    recurrence and are folded as they come, so memory stays O(n_angles).
-    Summation stops at the first block after which the geometric tail bound
-    K |u_K| rho / (1 - rho), with rho from `_tail_ratio`, is at most tol times
-    |F| and |zF'| at every point, or when max_terms is reached; a terminating
-    series stops at its degree with a zero tail.  Terms, folds and FFTs run
-    in np.clongdouble, which carries 64-bit mantissas on x86-64, and each
-    FFT transforms (1 - z) times the series (see `_deflated_dft`).
+    the same with n u_n.  The terms come block by block from `_sum_series`
+    at z = r and are folded as they come, so memory stays O(n_angles).
+    Terms, folds and FFTs run in np.clongdouble, which carries 64-bit
+    mantissas on x86-64; each FFT transforms (1 - z) times the series.
     """
     r = float(r)
     if r > settings.radius_cap + _RADIUS_SLACK:
         raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
-    width = n_angles * -(-_RING_BLOCK // n_angles)  # a multiple of n_angles
     fold = np.zeros(n_angles, dtype=np.clongdouble)  # b_m
+    fold[0] = 1  # u_0
     # sum of row_start * u over the rows folded so far; n u_n folds to
     # m b_m + wfold_m, since n = row_start + m
     wfold = np.zeros(n_angles, dtype=np.clongdouble)
     m = np.arange(n_angles, dtype=np.longdouble)
     rl = np.longdouble(r)
     one_minus_z = 1 - rl * _roots_of_unity(n_angles)
-    last = np.clongdouble(1)  # u_{start-1}, the carry between blocks
-    goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
-    start = 0
-    while True:
-        stop = min(start + width, settings.max_terms + 1)
-        n = np.arange(max(start, 1) - 1, stop - 1, dtype=np.longdouble)
-        ratio = _term_ratios(params, r, n)
-        if start == 0:
-            ratio = np.concatenate(([np.clongdouble(1)], ratio))
-        ratio[0] *= last
-        u = np.cumprod(ratio)
-        last = u[-1]
-        pad = -len(u) % n_angles
-        if pad:
-            u = np.concatenate((u, np.zeros(pad, dtype=np.clongdouble)))
-        for row_start, row in zip(range(start, stop, n_angles), u.reshape(-1, n_angles)):
-            fold += row
-            wfold += np.longdouble(row_start) * row
-        k = stop - 1
-        if last == 0:
-            tail = 0.0
-        else:
-            rho = _tail_ratio(params, r, k)
-            tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
-        exhausted = stop > settings.max_terms or not np.isfinite(last)
-        if tail <= settings.tol * goal or exhausted:
-            f = _deflated_dft(fold, rl) / one_minus_z
-            zdf = _deflated_dft(m * fold + wfold, rl) / one_minus_z
-            scale = np.minimum(np.abs(f), np.abs(zdf))
-            converged = tail <= settings.tol * scale
-            if converged.all() or exhausted:
-                return RingValues(f, zdf, converged, stop, tail)
-            goal = float(scale[~converged].min())
-        start = stop
+
+    def add(start, u):  # pads the block to whole rows that start at n = 0 mod n_angles
+        offset = start % n_angles
+        rows = np.zeros(-(-(offset + len(u)) // n_angles) * n_angles, dtype=np.clongdouble)
+        rows[offset:offset + len(u)] = u
+        for row_start, row in zip(range(start - offset, start + len(u), n_angles), rows.reshape(-1, n_angles)):
+            fold[:] += row
+            wfold[:] += np.longdouble(row_start) * row
+
+    def values():
+        return (_deflated_dft(fold, rl) / one_minus_z,
+                _deflated_dft(m * fold + wfold, rl) / one_minus_z)
+
+    width = n_angles * -(-_RING_BLOCK // n_angles)  # a multiple of n_angles
+    f, zdf, converged, terms, tail = _sum_series(params, r, settings, width, add, values)
+    return RingValues(f, zdf, converged, terms, tail)
 
 
-def gauss_2f1_derivative(
-    params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES
-) -> complex:
-    """d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1, b+1; c+1; z)."""
-    return params.a * params.b / params.c * gauss_2f1(params.shifted(), z, settings)
+def gauss_2f1_derivative(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
+    """d/dz 2F1(a,b;c;z) = zF'/z, with zF' from the pass that sums F; ab/c at z = 0."""
+    z = complex(z)
+    if z == 0:
+        return params.a * params.b / params.c
+    return complex(_point(params, z, settings)[1] / z)
 
 
 def shifted_f(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
@@ -308,38 +312,33 @@ def shifted_f(params: HypergeomParams, z: complex, settings: SeriesSettings = DE
 
 
 def log_derivative_q(
-    params: HypergeomParams,
-    z: complex,
-    settings: SeriesSettings = DEFAULT_SERIES,
-    zero_tol: float = ZERO_TOL,
+    params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES, zero_tol: float = ZERO_TOL
 ) -> complex:
     """q(z) = z f'(z) / f(z) = 1 + z F'(z)/F(z); exactly 1 at z = 0.
 
-    Raises ZeroOfF when |F(z)| <= zero_tol.  A zero of F means f is not
-    zero-free, so callers must treat the point as a hard failure rather
-    than skip it.
+    F and zF' come from one pass, and q is formed in long double.  Raises
+    ZeroOfF when |F(z)| <= zero_tol.  A zero of F means f is not zero-free,
+    so callers must treat the point as a hard failure rather than skip it.
     """
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j
-    F = gauss_2f1(params, z, settings)
-    if abs(F) <= zero_tol:
-        raise ZeroOfF(f"|F(z)| = {abs(F):.3g} at z = {z}; q is undefined there")
-    return 1.0 + z * gauss_2f1_derivative(params, z, settings) / F
+    f, zdf, _ = _point(params, z, settings)
+    if abs(f) <= zero_tol:
+        raise ZeroOfF(f"|F(z)| = {float(abs(f)):.3g} at z = {z}; q is undefined there")
+    return complex(1 + zdf / f)
 
 
 def ode_residual(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
     """(1-z) z F'' + [c - (a+b+1) z] F' - a b F, which should vanish.
 
-    The second derivative comes from applying the exact derivative formula
-    twice, not from finite differences, so the residual isolates series
-    truncation error only.
+    zF' and z^2 F'' are the sums of n u_n and n(n-1) u_n from the pass that
+    sums F, not finite differences, so the residual isolates truncation and
+    rounding.  The tail bound covers F and zF'; the tail of z^2 F'' is larger
+    by about the number of terms.
     """
     z = complex(z)
     if abs(z) > 0.9 * settings.radius_cap + _RADIUS_SLACK:
         raise RadiusExceeded("ode_residual requires |z| <= 0.9 * radius_cap")
     a, b, c = params.a, params.b, params.c
-    F = gauss_2f1(params, z, settings)
-    F1 = a * b / c * gauss_2f1(params.shifted(), z, settings)
-    F2 = a * b / c * (a + 1) * (b + 1) / (c + 1) * gauss_2f1(params.shifted(2), z, settings)
-    return (1 - z) * z * F2 + (c - (a + b + 1) * z) * F1 - a * b * F
+    if z == 0:
+        return c * (a * b / c) - a * b
+    f, zdf, z2d2f = _point(params, z, settings)
+    return complex(((1 - z) * z2d2f + (c - (a + b + 1) * z) * zdf) / z - a * b * f)

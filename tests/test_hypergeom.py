@@ -17,6 +17,7 @@ from hypstar import (
     gauss_2f1,
     gauss_2f1_derivative,
     gauss_2f1_grid,
+    gauss_2f1_ring,
     log_derivative_q,
     ode_residual,
     shifted_f,
@@ -84,6 +85,14 @@ class TestGauss2F1:
         assert ok.all()
         for zi, vi in zip(z, vals):
             assert complex(vi) == pytest.approx(gauss_2f1(params, zi), rel=1e-13)
+
+    def test_grid_flags_unconverged_points(self):
+        # five terms settle near the origin and nowhere near |z| = 0.9
+        z = np.array([0, 1e-4, 0.5, 0.9, 0.9j])
+        vals, ok = gauss_2f1_grid(HypergeomParams(1, 1, 2), z, SeriesSettings(max_terms=5))
+        assert ok.tolist() == [True, True, False, False, False]
+        assert vals[0] == 1
+        assert np.isfinite(vals).all()
 
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
@@ -185,3 +194,48 @@ class TestCorpusInvariants:
             exact = gauss_2f1_derivative(params, z)
             fd = (gauss_2f1(params, z + h) - gauss_2f1(params, z - h)) / (2 * h)
             assert abs(fd - exact) <= 1e-5 * max(abs(exact), 1e-12)
+
+
+class TestOnePass:
+    """F, F' and q from the one tail-bounded long double pass."""
+
+    def test_fft_keeps_long_double(self):
+        # numpy before 2.0 computed np.fft in complex128, which would drop
+        # the ring evaluator's extra digits without an error
+        out = np.fft.ifft(np.arange(8, dtype=np.clongdouble))
+        assert out.dtype == np.clongdouble
+
+    def test_corpus_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.RandomState(2024)
+        worst = 0.0
+        with mp.workdps(30):
+            for _ in range(300):
+                params, z = draw_corpus_point(rng)
+                a, b, c, w = (mp.mpc(v) for v in (params.a, params.b, params.c, z))
+                F = mp.hyp2f1(a, b, c, w)
+                dF = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, w)
+                q = 1 + w * dF / F
+                for got, want in (
+                    (gauss_2f1(params, z), F),
+                    (gauss_2f1_derivative(params, z), dF),
+                    (log_derivative_q(params, z), q),
+                ):
+                    worst = max(worst, float(abs(got - want) / abs(want)))
+        assert worst <= 1e-13, worst
+
+    def test_swap_is_bit_identical_at_points(self):
+        rng = np.random.RandomState(44)
+        for _ in range(100):
+            params, z = draw_corpus_point(rng)
+            swapped = params.swapped()
+            assert gauss_2f1(params, z) == gauss_2f1(swapped, z)
+            assert log_derivative_q(params, z) == log_derivative_q(swapped, z)
+
+    @pytest.mark.parametrize("abc", [(2, 2 + 5j, 3 + 5j), (0.5 - 1j, 1.5 + 2j, 3)])
+    def test_swap_is_bit_identical_on_rings(self, abc):
+        params = HypergeomParams(*abc)
+        ring = gauss_2f1_ring(params, 0.995, 720)
+        swapped = gauss_2f1_ring(params.swapped(), 0.995, 720)
+        assert np.array_equal(ring.f, swapped.f)
+        assert np.array_equal(ring.zdf, swapped.zdf)
