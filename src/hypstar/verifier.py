@@ -11,6 +11,7 @@ not be counted).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +30,7 @@ from .hypergeom import (  # noqa: F401
     gauss_2f1_grid,
     gauss_2f1_ring,
 )
-from .shapes import ShapeClass, class_to_json, membership_slack_array
+from .shapes import ShapeClass, StronglyStarlike, class_to_json, membership_slack_array
 
 CONSISTENT = "Consistent"
 VIOLATED = "Violated"
@@ -39,8 +40,8 @@ INCOMPLETE = "Incomplete"
 # slack below this counts as a violation; the strict inequalities genuinely
 # tighten toward |z| = 1, so exact-zero thresholds would flag rounding noise
 VIOLATION_TOL = 1e-9
-# the argument principle trusts a sampled winding number only while arg F
-# moves by at most this much between neighbouring samples
+# the argument principle trusts a sampled winding number only while each
+# principal step of arg F lies within this much of the trapezoid prediction
 MAX_PHASE_STEP = math.pi / 2
 # outer-ring samplings tried for the winding number, in multiples of n_angles
 _WINDING_REFINEMENTS = (1, 2, 4, 8)
@@ -94,6 +95,8 @@ class VerificationReport:
     n_unevaluated: int = 0
     # zeros of F inside the outer ring; None while the count is unresolved
     f_zeros_inside: Optional[int] = None
+    # "outer": the report rests on the origin and the outer ring; "all": on every ring
+    rings: str = "all"
 
     def to_json(self) -> dict:
         return {
@@ -106,23 +109,33 @@ class VerificationReport:
             "n_f_zeros": self.n_f_zeros,
             "n_unevaluated": self.n_unevaluated,
             "f_zeros_inside": self.f_zeros_inside,
+            "rings": self.rings,
             "status": self.status,
             "notes": list(self.notes),
         }
 
 
-def _winding_number(f: np.ndarray) -> Optional[int]:
+def _winding_number(ring: RingValues) -> Optional[int]:
     """Winding number about 0 of F sampled at equispaced points of a circle.
 
-    None when a sample is zero or not finite, when a step of arg F between
-    neighbouring samples exceeds pi/2 (the count would rest on too coarse a
+    v = Re(zF'/F) is d arg F / d theta, so the trapezoid rule predicts the
+    step of arg F between samples k and k+1 as p_k = (pi/N)(v_k + v_{k+1}).
+    Each principal step is moved to the branch nearest p_k, and the count is
+    the sum of the moved steps.  None when a sample is zero or not finite,
+    when some |p_k| exceeds pi or a moved step still differs from p_k by
+    more than MAX_PHASE_STEP (the count would rest on too coarse a
     sampling), or when the count comes out negative, which no analytic F
     can give.
     """
-    f = f.astype(np.complex128)
+    f = ring.f.astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
+        v = (ring.zdf / ring.f).real.astype(np.float64)
         steps = np.angle(np.roll(f, -1) / f)
-    if not np.all(np.abs(steps) <= MAX_PHASE_STEP):
+    predicted = math.pi / len(f) * (v + np.roll(v, -1))
+    if not np.all(np.abs(predicted) <= math.pi):
+        return None
+    steps += 2 * math.pi * np.round((predicted - steps) / (2 * math.pi))
+    if not np.all(np.abs(steps - predicted) <= MAX_PHASE_STEP):
         return None
     count = round(float(steps.sum()) / (2 * math.pi))
     return count if count >= 0 else None
@@ -143,10 +156,22 @@ def _zeros_inside(
         if refine > 1:
             ring = gauss_2f1_ring(params, r, refine * n_angles, settings)
         if ring.converged.all():
-            count = _winding_number(ring.f)
+            count = _winding_number(ring)
             if count is not None:
                 return count
     return None
+
+
+def _ring_slack(cls: ShapeClass, ring: RingValues, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(slack, zero): the slack of q at each node of a ring, inf where the
+    series did not settle or where |F| <= zero_tol (the mask `zero`)."""
+    zero = (np.abs(ring.f) <= zero_tol) & ring.converged
+    valid = ring.converged & ~zero
+    slack = np.full(len(ring.f), np.inf)
+    if valid.any():
+        q = (1 + ring.zdf[valid] / ring.f[valid]).astype(np.complex128)
+        slack[valid] = membership_slack_array(cls, q)
+    return slack, zero
 
 
 def verify_on_disk(
@@ -161,15 +186,29 @@ def verify_on_disk(
 
     Each ring comes from one extended-precision series pass
     (`gauss_2f1_ring`), and q = 1 + zF'/F is rounded to complex128 only at
-    the end.  The origin is handled analytically (q(0) = 1).  Points where
-    the series did not converge are counted in n_unevaluated and keep the
-    report from being Consistent.  Zeros of F inside the outer ring are
-    counted by its winding number.  The reduction is deterministic: the
-    reported argmin is the first grid point (radius-major, then angle)
+    the end.  The origin is handled analytically (q(0) = 1).  The outer ring
+    comes first; its winding number counts the zeros of F inside.  When the
+    count is 0 and every outer node converged, q is analytic on the disk and
+    the slack harmonic, so by the minimum principle the report rests on the
+    origin and the outer ring alone (rings = "outer").  For strong
+    starlikeness the outer ring must also be violation-free: q then stays in
+    the sector |arg q| < pi/2, winds 0 times, and arg q is harmonic.
+    Otherwise every ring is evaluated (rings = "all").  Points where the
+    series did not converge are counted in n_unevaluated and keep the report
+    from being Consistent.  The reduction is deterministic: the reported
+    argmin is the first evaluated point (radius-major, then angle)
     attaining the minimum slack.
     """
     theta = 2 * math.pi * np.arange(grid.n_angles) / grid.n_angles
     unit = np.exp(1j * theta)
+    radii = grid.radii()
+    r_out = float(radii[-1])
+    outer = gauss_2f1_ring(params, r_out, grid.n_angles, settings)
+    outer_slack, outer_zero = _ring_slack(cls, outer, zero_tol)
+    f_zeros_inside = _zeros_inside(params, r_out, outer, settings)
+    sector_broken = isinstance(cls, StronglyStarlike) and np.any(outer_slack < -violation_tol)
+    outer_only = f_zeros_inside == 0 and bool(outer.converged.all()) and not sector_broken
+    inner = () if outer_only else ((r, gauss_2f1_ring(params, r, grid.n_angles, settings)) for r in radii[:-1])
 
     min_slack = float(membership_slack_array(cls, np.asarray(1.0 + 0.0j)))
     argmin_z = 0.0 + 0.0j
@@ -178,25 +217,17 @@ def verify_on_disk(
     n_unevaluated = 0
     notes: list[str] = []
 
-    radii = grid.radii()
-    for r in radii:
+    for r, ring in itertools.chain(inner, [(r_out, outer)]):
         z = r * unit
-        ring = gauss_2f1_ring(params, r, grid.n_angles, settings)
-        F = ring.f
+        slack_row, zero = (outer_slack, outer_zero) if ring is outer else _ring_slack(cls, ring, zero_tol)
         bad = ~ring.converged
         if bad.any():
             n_unevaluated += int(bad.sum())
             notes.append(f"series failed to settle at {int(bad.sum())} points on r = {r:.6g}")
-        zero = (np.abs(F) <= zero_tol) & ~bad
         if zero.any():
             n_f_zeros += int(zero.sum())
             j = int(np.argmax(zero))
             notes.append(f"F vanishes at z = {complex(z[j]):.6g} (|F| <= {zero_tol:g})")
-        valid = ~bad & ~zero
-        slack_row = np.full(grid.n_angles, np.inf)
-        if valid.any():
-            q = (1 + ring.zdf[valid] / F[valid]).astype(np.complex128)
-            slack_row[valid] = membership_slack_array(cls, q)
         n_violations += int(np.count_nonzero(slack_row < -violation_tol))
         j = int(np.argmin(slack_row))
         v = float(slack_row[j])
@@ -204,8 +235,6 @@ def verify_on_disk(
             min_slack = v
             argmin_z = complex(z[j])
 
-    r_out = float(radii[-1])
-    f_zeros_inside = _zeros_inside(params, r_out, ring, settings)  # ring is the outer ring here
     if f_zeros_inside is None:
         n_max = _WINDING_REFINEMENTS[-1] * grid.n_angles
         notes.append(f"zeros of F inside r = {r_out:.6g} unresolved: no winding number on up to {n_max} angles")
@@ -222,7 +251,7 @@ def verify_on_disk(
         status = CONSISTENT
     return VerificationReport(
         cls, params, grid, min_slack, argmin_z, n_violations, n_f_zeros, status, notes,
-        n_unevaluated=n_unevaluated, f_zeros_inside=f_zeros_inside,
+        n_unevaluated=n_unevaluated, f_zeros_inside=f_zeros_inside, rings="outer" if outer_only else "all",
     )
 
 

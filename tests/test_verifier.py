@@ -16,15 +16,19 @@ from hypstar import (
     SpirallikeOrder,
     StarlikeOrder,
     StronglyStarlike,
+    certify_cor_a2,
+    certify_spirallike,
     certify_starlike_order,
     certify_strong_starlike,
     cross_check,
     gauss_2f1_ring,
     verify_on_disk,
 )
+from hypstar.shapes import membership_slack_array
 from hypstar.verifier import CONSISTENT, DEGENERATE, INCOMPLETE, INFO, SOUND, UNSOUND, VIOLATED
 
 FAST = DiskGridSettings(n_radii=10, r_max=0.99, n_angles=120)
+SWEEP_GRID = DiskGridSettings(n_radii=12, r_max=0.97, n_angles=120)
 
 
 class TestGridSettings:
@@ -235,8 +239,8 @@ class TestEvidenceGaps:
     def test_koebe_winding_needs_refined_sampling(self):
         # F = (1-z)^-2, so f is the Koebe function, starlike with
         # q = (1+z)/(1-z).  arg F turns by about 2 pi within 0.01 rad of
-        # z = 0.995: the default 720 angles need one doubling, and even
-        # 8 x 16 samples of the outer ring cannot follow it
+        # z = 0.995: the default 720 angles resolve it, but even 8 x 16
+        # samples of the outer ring cannot follow it
         params = HypergeomParams(2, 1, 1)
         report = verify_on_disk(StarlikeOrder(0.0), params)
         assert report.status == CONSISTENT
@@ -246,3 +250,68 @@ class TestEvidenceGaps:
         assert report.n_violations == 0
         assert report.f_zeros_inside is None
         assert report.status == INCOMPLETE
+
+    def test_winding_count_follows_fast_phase_turns(self):
+        # F has two zeros inside |z| = 0.97, one near 0.7635 - 0.2333i; near
+        # z = 1 arg F turns by 2 pi between neighbouring samples, and a count
+        # from principal steps alone comes out 0
+        params = HypergeomParams(2.8409 + 2.7323j, -0.4522 + 0.5618j, -2.7622 + 2.9318j)
+        for grid in (SWEEP_GRID, DiskGridSettings()):
+            report = verify_on_disk(StarlikeOrder(0), params, grid)
+            assert report.status == DEGENERATE, grid
+            assert report.f_zeros_inside == 2, grid
+
+
+def _outer_ring_instances():
+    """The four Consistent crosscheck instances and 6 sweep draws per family."""
+    from test_acceptance import _sweep_draws
+
+    rot = cmath.exp(0.15j)
+    cor_a2 = certify_cor_a2(2, 1, 2, 0.0)
+    spiral = certify_spirallike(rot, 1.1 * rot, 0.3, 0.0)
+    return [
+        (StarlikeOrder(0.0), HypergeomParams(2, 2 + 5j, 3 + 5j)),
+        (cor_a2.shape_class, cor_a2.params),
+        (StronglyStarlike(0.5), HypergeomParams(1, 1, 3)),
+        (spiral.shape_class, spiral.params),
+    ] + _sweep_draws(np.random.RandomState(1004), per_family=6)
+
+
+class TestOuterRingPath:
+    def test_inner_rings_never_read_below_the_outer_ring(self):
+        """The minimum principle on the outer path: no inner node of the grid
+        has a slack below the reported minimum (up to rounding)."""
+        for cls, params in _outer_ring_instances():
+            report = verify_on_disk(cls, params, SWEEP_GRID)
+            assert report.rings == "outer", (cls, params)
+            for r in SWEEP_GRID.radii()[:-1]:
+                ring = gauss_2f1_ring(params, r, SWEEP_GRID.n_angles)
+                assert ring.converged.all()
+                slack = membership_slack_array(cls, (1 + ring.zdf / ring.f).astype(np.complex128))
+                assert slack.min() >= report.min_slack - 1e-12, (cls, params, r)
+
+    def test_zero_free_instance_takes_the_outer_ring(self):
+        report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(2, 1, 2), FAST)
+        assert report.rings == "outer"
+        assert report.to_json()["rings"] == "outer"
+
+    def test_interior_zero_takes_every_ring(self):
+        report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(-1, 2, 1))
+        assert report.rings == "all"
+        assert report.n_f_zeros == 0
+        assert report.f_zeros_inside == 1
+
+    def test_violated_sector_takes_every_ring(self):
+        report = verify_on_disk(StronglyStarlike(0.05), HypergeomParams(1, 1, 3), FAST)
+        assert report.status == VIOLATED
+        assert report.rings == "all"
+
+    def test_unresolved_count_takes_every_ring(self):
+        coarse = DiskGridSettings(n_radii=2, r_max=0.995, n_angles=16)
+        report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(2, 1, 1), coarse)
+        assert report.f_zeros_inside is None
+        assert report.rings == "all"
+
+    def test_unconverged_outer_ring_takes_every_ring(self):
+        report = verify_on_disk(StarlikeOrder(0), HypergeomParams(2, 1, 2), settings=SeriesSettings(max_terms=100))
+        assert report.rings == "all"
