@@ -15,8 +15,9 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -318,16 +319,16 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         raise InvalidParams("'varying' must list between 1 and 3 axes")
     axes = []
     for entry in varying:
-        symbol = entry.get("symbol")
+        if not isinstance(entry, dict) or not {"symbol", "from", "to"} <= entry.keys():
+            raise InvalidParams("each 'varying' axis must be an object with 'symbol', 'from' and 'to'")
+        symbol = entry["symbol"]
         if symbol not in SCAN_SYMBOLS:
             raise InvalidParams(f"unknown scan symbol {symbol!r}; use one of {SCAN_SYMBOLS}")
         steps = int(entry.get("steps", 0))
         if steps < 2:
             raise InvalidParams("each axis needs steps >= 2")
         axes.append(ScanAxis(symbol, float(entry["from"]), float(entry["to"]), steps))
-    total = 1
-    for ax in axes:
-        total *= ax.steps
+    total = math.prod(ax.steps for ax in axes)
     if total > 10_000_000:
         raise InvalidParams(f"scan would produce {total} points; the limit is 10^7")
     fixed = data.get("fixed", {})
@@ -344,12 +345,10 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         not isinstance(class_spec, dict) or class_spec.get("kind") not in SHAPE_CLASSES
     ):
         raise InvalidParams(f"the {kind} certificate needs a 'class' whose 'kind' is one of {tuple(SHAPE_CLASSES)}")
-    grid = DiskGridSettings(**data.get("grid", {}))
-    series = SeriesSettings(**data.get("series", {}))
+    grid = _spec_settings(data, "grid", DiskGridSettings)
+    series = _spec_settings(data, "series", SeriesSettings)
     if grid.r_max > series.radius_cap:
         raise InvalidParams(f"grid r_max = {grid.r_max} exceeds the series radius_cap = {series.radius_cap}")
-    line_search = LineSearchSettings(**data.get("line_search", {}))
-    boundary = BoundaryGridSettings(**data.get("boundary", {}))
     return ScanSpec(
         axes=axes,
         fixed=dict(fixed),
@@ -358,9 +357,18 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         verify=bool(data.get("verify", False)),
         grid=grid,
         series=series,
-        line_search=line_search,
-        boundary=boundary,
+        line_search=_spec_settings(data, "line_search", LineSearchSettings),
+        boundary=_spec_settings(data, "boundary", BoundaryGridSettings),
     )
+
+
+def _spec_settings(data: dict, key: str, settings_cls):
+    """settings_cls built from the spec's optional `key` object, whose keys must be its fields."""
+    value = data.get(key, {})
+    names = {f.name for f in fields(settings_cls)}
+    if not isinstance(value, dict) or not value.keys() <= names:
+        raise InvalidParams(f"'{key}' must be a JSON object with keys among {sorted(names)}")
+    return settings_cls(**value)
 
 
 # rows checked together and written before the next chunk starts

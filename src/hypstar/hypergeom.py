@@ -311,17 +311,15 @@ def shifted_f(params: HypergeomParams, z: complex, settings: SeriesSettings = DE
     return complex(z) * gauss_2f1(params, z, settings)
 
 
-def log_derivative_q(
-    params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES, zero_tol: float = ZERO_TOL
-) -> complex:
+def log_derivative_q(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
     """q(z) = z f'(z) / f(z) = 1 + z F'(z)/F(z); exactly 1 at z = 0.
 
     F and zF' come from one pass, and q is formed in long double.  Raises
-    ZeroOfF when |F(z)| <= zero_tol.  A zero of F means f is not zero-free,
+    ZeroOfF when |F(z)| <= ZERO_TOL.  A zero of F means f is not zero-free,
     so callers must treat the point as a hard failure rather than skip it.
     """
     f, zdf, _ = _point(params, z, settings)
-    if abs(f) <= zero_tol:
+    if abs(f) <= ZERO_TOL:
         raise ZeroOfF(f"|F(z)| = {float(abs(f)):.3g} at z = {z}; q is undefined there")
     return complex(1 + zdf / f)
 

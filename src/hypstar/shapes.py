@@ -212,13 +212,3 @@ def class_to_json(cls: ShapeClass) -> dict:
         return {"kind": "strongly-starlike", "alpha": cls.alpha}
     return {"kind": "spirallike-order", "lambda": cls.lam, "alpha": cls.alpha}
 
-
-def class_from_json(data: dict) -> ShapeClass:
-    kind = data["kind"]
-    if kind == "starlike-order":
-        return StarlikeOrder(float(data.get("alpha", 0.0)))
-    if kind == "strongly-starlike":
-        return StronglyStarlike(float(data["alpha"]))
-    if kind == "spirallike-order":
-        return SpirallikeOrder(float(data.get("lambda", 0.0)), float(data.get("alpha", 0.0)))
-    raise ValueError(f"unknown class kind {kind!r}")

@@ -30,7 +30,7 @@ from .hypergeom import (  # noqa: F401
     gauss_2f1_grid,
     gauss_2f1_ring,
 )
-from .shapes import ShapeClass, StronglyStarlike, class_to_json, membership_slack_array
+from .shapes import ShapeClass, class_to_json, membership_slack_array
 
 CONSISTENT = "Consistent"
 VIOLATED = "Violated"
@@ -162,10 +162,10 @@ def _zeros_inside(
     return None
 
 
-def _ring_slack(cls: ShapeClass, ring: RingValues, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _ring_slack(cls: ShapeClass, ring: RingValues) -> tuple[np.ndarray, np.ndarray]:
     """(slack, zero): the slack of q at each node of a ring, inf where the
-    series did not settle or where |F| <= zero_tol (the mask `zero`)."""
-    zero = (np.abs(ring.f) <= zero_tol) & ring.converged
+    series did not settle or where |F| <= ZERO_TOL (the mask `zero`)."""
+    zero = (np.abs(ring.f) <= ZERO_TOL) & ring.converged
     valid = ring.converged & ~zero
     slack = np.full(len(ring.f), np.inf)
     if valid.any():
@@ -179,47 +179,41 @@ def verify_on_disk(
     params: HypergeomParams,
     grid: DiskGridSettings = DiskGridSettings(),
     settings: SeriesSettings = DEFAULT_SERIES,
-    zero_tol: float = ZERO_TOL,
-    violation_tol: float = VIOLATION_TOL,
 ) -> VerificationReport:
     """Evaluate the membership slack of q(z) = z f'(z)/f(z) over a polar grid.
 
     Each ring comes from one extended-precision series pass
     (`gauss_2f1_ring`), and q = 1 + zF'/F is rounded to complex128 only at
-    the end.  The origin is handled analytically (q(0) = 1).  The outer ring
-    comes first; its winding number counts the zeros of F inside.  When the
-    count is 0 and every outer node converged, q is analytic on the disk and
-    the slack harmonic, so by the minimum principle the report rests on the
-    origin and the outer ring alone (rings = "outer").  For strong
-    starlikeness the outer ring must also be violation-free: q then stays in
-    the sector |arg q| < pi/2, winds 0 times, and arg q is harmonic.
-    Otherwise every ring is evaluated (rings = "all").  Points where the
-    series did not converge are counted in n_unevaluated and keep the report
-    from being Consistent.  The reduction is deterministic: the reported
-    argmin is the first evaluated point (radius-major, then angle)
-    attaining the minimum slack.
+    the end.  The origin is handled analytically (q(0) = 1).  The outer
+    ring comes first; its winding number counts the zeros of F inside.  Once
+    the count is resolved and every outer node converged, the report rests
+    on the origin and the outer ring (rings = "outer"): a positive count is
+    Degenerate and a violated node Violated whatever lies inside, and with
+    neither, q is analytic on the disk and the minimum principle puts the
+    least slack on the circle.  Otherwise every ring is evaluated (rings =
+    "all"), since inner nodes can still turn Incomplete into Violated or
+    Degenerate.  Unconverged points are counted in n_unevaluated and keep
+    the report from being Consistent.  The argmin is the first evaluated
+    point (radius-major, then angle) attaining the minimum slack.
     """
     theta = 2 * math.pi * np.arange(grid.n_angles) / grid.n_angles
     unit = np.exp(1j * theta)
     radii = grid.radii()
     r_out = float(radii[-1])
     outer = gauss_2f1_ring(params, r_out, grid.n_angles, settings)
-    outer_slack, outer_zero = _ring_slack(cls, outer, zero_tol)
     f_zeros_inside = _zeros_inside(params, r_out, outer, settings)
-    sector_broken = isinstance(cls, StronglyStarlike) and np.any(outer_slack < -violation_tol)
-    outer_only = f_zeros_inside == 0 and bool(outer.converged.all()) and not sector_broken
+    outer_only = f_zeros_inside is not None and bool(outer.converged.all())
     inner = () if outer_only else ((r, gauss_2f1_ring(params, r, grid.n_angles, settings)) for r in radii[:-1])
 
     min_slack = float(membership_slack_array(cls, np.asarray(1.0 + 0.0j)))
     argmin_z = 0.0 + 0.0j
-    n_violations = 1 if min_slack < -violation_tol else 0
-    n_f_zeros = 0
-    n_unevaluated = 0
+    n_violations = 1 if min_slack < -VIOLATION_TOL else 0
+    n_f_zeros = n_unevaluated = 0
     notes: list[str] = []
 
     for r, ring in itertools.chain(inner, [(r_out, outer)]):
         z = r * unit
-        slack_row, zero = (outer_slack, outer_zero) if ring is outer else _ring_slack(cls, ring, zero_tol)
+        slack_row, zero = _ring_slack(cls, ring)
         bad = ~ring.converged
         if bad.any():
             n_unevaluated += int(bad.sum())
@@ -227,8 +221,8 @@ def verify_on_disk(
         if zero.any():
             n_f_zeros += int(zero.sum())
             j = int(np.argmax(zero))
-            notes.append(f"F vanishes at z = {complex(z[j]):.6g} (|F| <= {zero_tol:g})")
-        n_violations += int(np.count_nonzero(slack_row < -violation_tol))
+            notes.append(f"F vanishes at z = {complex(z[j]):.6g} (|F| <= {ZERO_TOL:g})")
+        n_violations += int(np.count_nonzero(slack_row < -VIOLATION_TOL))
         j = int(np.argmin(slack_row))
         v = float(slack_row[j])
         if v < min_slack:

@@ -300,6 +300,24 @@ class TestScan:
         assert code == 2
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [{key: {"bogus": 1}} for key in ("grid", "series", "line_search", "boundary")]
+        + [{key: [1]} for key in ("grid", "series", "line_search", "boundary")]
+        + [
+            {"varying": [{"symbol": "b_re", "to": 1.0, "steps": 2}]},
+            {"varying": ["b_re"]},
+        ],
+    )
+    def test_malformed_spec_exits_2_without_csv(self, tmp_path, capsys, malformed):
+        spec = dict(SCAN_SPEC, **malformed)
+        with pytest.raises(InvalidParams):
+            parse_scan_spec(spec)
+        out_csv = tmp_path / "bad.csv"
+        code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
+        assert code == 2
+        assert not out_csv.exists()
+
     def test_incomplete_rows_show_in_status(self, tmp_path, capsys):
         spec = {
             "varying": [{"symbol": "alpha", "from": 0.0, "to": 0.1, "steps": 2}],

@@ -7,6 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import draw_params
 
 from hypstar import (
     Certificate,
@@ -24,8 +25,9 @@ from hypstar import (
     gauss_2f1_ring,
     verify_on_disk,
 )
+from hypstar.hypergeom import ZERO_TOL
 from hypstar.shapes import membership_slack_array
-from hypstar.verifier import CONSISTENT, DEGENERATE, INCOMPLETE, INFO, SOUND, UNSOUND, VIOLATED
+from hypstar.verifier import CONSISTENT, DEGENERATE, INCOMPLETE, INFO, SOUND, UNSOUND, VIOLATED, VIOLATION_TOL
 
 FAST = DiskGridSettings(n_radii=10, r_max=0.99, n_angles=120)
 SWEEP_GRID = DiskGridSettings(n_radii=12, r_max=0.97, n_angles=120)
@@ -72,8 +74,9 @@ class TestVerifyOnDisk:
         assert 0 < max_arg <= math.pi / 4
 
     def test_degenerate_zero_of_f(self):
-        # F(-1, 2; 1; z) = 1 - 2z vanishes at z = 0.5; put a grid point there
-        grid = DiskGridSettings(n_radii=3, r_max=0.75, n_angles=8, radial_spacing="uniform")
+        # F(-1, 2; 1; z) = 1 - 2z vanishes at z = 0.5; put an outer-ring node
+        # there, so that the winding count is unresolved and every ring is summed
+        grid = DiskGridSettings(n_radii=3, r_max=0.5, n_angles=8, radial_spacing="uniform")
         report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(-1, 2, 1), grid)
         assert report.status == DEGENERATE
         assert report.n_f_zeros >= 1
@@ -295,16 +298,17 @@ class TestOuterRingPath:
         assert report.rings == "outer"
         assert report.to_json()["rings"] == "outer"
 
-    def test_interior_zero_takes_every_ring(self):
+    def test_interior_zero_takes_the_outer_ring(self):
         report = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(-1, 2, 1))
-        assert report.rings == "all"
+        assert report.status == DEGENERATE
+        assert report.rings == "outer"
         assert report.n_f_zeros == 0
         assert report.f_zeros_inside == 1
 
-    def test_violated_sector_takes_every_ring(self):
+    def test_violated_sector_takes_the_outer_ring(self):
         report = verify_on_disk(StronglyStarlike(0.05), HypergeomParams(1, 1, 3), FAST)
         assert report.status == VIOLATED
-        assert report.rings == "all"
+        assert report.rings == "outer"
 
     def test_unresolved_count_takes_every_ring(self):
         coarse = DiskGridSettings(n_radii=2, r_max=0.995, n_angles=16)
@@ -315,3 +319,37 @@ class TestOuterRingPath:
     def test_unconverged_outer_ring_takes_every_ring(self):
         report = verify_on_disk(StarlikeOrder(0), HypergeomParams(2, 1, 2), settings=SeriesSettings(max_terms=100))
         assert report.rings == "all"
+
+
+def _full_grid_status(cls, params, grid, f_zeros_inside):
+    """The status that the origin and every ring of the grid give together."""
+    violated = membership_slack_array(cls, np.asarray(1.0 + 0.0j)) < -VIOLATION_TOL
+    zero = unevaluated = False
+    for r in grid.radii():
+        ring = gauss_2f1_ring(params, r, grid.n_angles)
+        ok = ring.converged & (np.abs(ring.f) > ZERO_TOL)
+        unevaluated |= not ring.converged.all()
+        zero |= bool((ring.converged & ~ok).any())
+        if ok.any():
+            slack = membership_slack_array(cls, (1 + ring.zdf[ok] / ring.f[ok]).astype(np.complex128))
+            violated |= bool((slack < -VIOLATION_TOL).any())
+    if zero or (f_zeros_inside or 0) > 0:
+        return DEGENERATE
+    if violated:
+        return VIOLATED
+    return INCOMPLETE if unevaluated or f_zeros_inside is None else CONSISTENT
+
+
+def test_outer_ring_report_keeps_the_full_grid_status():
+    """A report from the outer ring alone has the status that every ring of
+    the grid gives, on random triples of each class."""
+    rng = np.random.RandomState(7)
+    seen = set()
+    for _ in range(20):
+        params = draw_params(rng, radius=3)
+        for cls in (StarlikeOrder(0.0), SpirallikeOrder(0.4, 0.1), StronglyStarlike(0.5)):
+            report = verify_on_disk(cls, params, SWEEP_GRID)
+            expected = _full_grid_status(cls, params, SWEEP_GRID, report.f_zeros_inside)
+            assert report.status == expected, (cls, params)
+            seen.add((report.status, report.rings))
+    assert {(CONSISTENT, "outer"), (DEGENERATE, "outer"), (VIOLATED, "outer"), (VIOLATED, "all")} <= seen
