@@ -324,9 +324,11 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         symbol = entry["symbol"]
         if symbol not in SCAN_SYMBOLS:
             raise InvalidParams(f"unknown scan symbol {symbol!r}; use one of {SCAN_SYMBOLS}")
-        steps = int(entry.get("steps", 0))
-        if steps < 2:
-            raise InvalidParams("each axis needs steps >= 2")
+        steps = entry.get("steps", 0)
+        if not _json_is(steps, "int") or steps < 2:
+            raise InvalidParams("each axis needs an integer 'steps' >= 2")
+        if not (_json_is(entry["from"], "float") and _json_is(entry["to"], "float")):
+            raise InvalidParams(f"axis {symbol!r}: 'from' and 'to' must be numbers")
         axes.append(ScanAxis(symbol, float(entry["from"]), float(entry["to"]), steps))
     total = math.prod(ax.steps for ax in axes)
     if total > 10_000_000:
@@ -334,9 +336,11 @@ def parse_scan_spec(data: dict) -> ScanSpec:
     fixed = data.get("fixed", {})
     if not isinstance(fixed, dict):
         raise InvalidParams("'fixed' must be a JSON object")
-    for key in fixed:
+    for key, value in fixed.items():
         if key not in SCAN_SYMBOLS and key != "s":
             raise InvalidParams(f"unknown fixed symbol {key!r}")
+        if not _json_is(value, "float"):
+            raise InvalidParams(f"fixed {key!r} must be a number")
     kind = data.get("certificate")
     if kind not in THEOREMS:
         raise InvalidParams(f"'certificate' must be one of {tuple(THEOREMS)}")
@@ -345,6 +349,11 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         not isinstance(class_spec, dict) or class_spec.get("kind") not in SHAPE_CLASSES
     ):
         raise InvalidParams(f"the {kind} certificate needs a 'class' whose 'kind' is one of {tuple(SHAPE_CLASSES)}")
+    if THEOREMS[kind].takes_class and not all(_json_is(class_spec.get(k, 0.0), "float") for k in ("alpha", "lambda")):
+        raise InvalidParams("the class's 'alpha' and 'lambda' must be numbers")
+    verify = data.get("verify", False)
+    if not isinstance(verify, bool):
+        raise InvalidParams("'verify' must be true or false")
     grid = _spec_settings(data, "grid", DiskGridSettings)
     series = _spec_settings(data, "series", SeriesSettings)
     if grid.r_max > series.radius_cap:
@@ -354,7 +363,7 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         fixed=dict(fixed),
         class_spec=class_spec,
         certificate_kind=kind,
-        verify=bool(data.get("verify", False)),
+        verify=verify,
         grid=grid,
         series=series,
         line_search=_spec_settings(data, "line_search", LineSearchSettings),
@@ -363,12 +372,25 @@ def parse_scan_spec(data: dict) -> ScanSpec:
 
 
 def _spec_settings(data: dict, key: str, settings_cls):
-    """settings_cls built from the spec's optional `key` object, whose keys must be its fields."""
+    """settings_cls built from the spec's optional `key` object, whose keys
+    must be its fields and whose values must have the JSON type of each field."""
     value = data.get(key, {})
-    names = {f.name for f in fields(settings_cls)}
-    if not isinstance(value, dict) or not value.keys() <= names:
-        raise InvalidParams(f"'{key}' must be a JSON object with keys among {sorted(names)}")
+    types = {f.name: f.type for f in fields(settings_cls)}
+    if not isinstance(value, dict) or not value.keys() <= types.keys():
+        raise InvalidParams(f"'{key}' must be a JSON object with keys among {sorted(types)}")
+    for name, v in value.items():
+        if not _json_is(v, types[name]):
+            raise InvalidParams(f"'{key}': {name} must be of type {types[name]}, got {v!r}")
     return settings_cls(**value)
+
+
+# JSON values that each annotated settings type accepts: an int is a float too
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _json_is(value, annotation: str) -> bool:
+    """True when a JSON value fits a field annotated int, float or str; true and false fit none."""
+    return isinstance(value, _JSON_TYPES[annotation]) and not isinstance(value, bool)
 
 
 # rows checked together and written before the next chunk starts

@@ -4,7 +4,9 @@ Everything here is direct summation of the defining series
 2F1(a,b;c;z) = sum (a)_n (b)_n / ((c)_n n!) z^n.  No continuation transforms
 are applied, so complex parameters never touch branch-cut ambiguities; the
 price is slow convergence near |z| = 1, which a generous term budget covers
-at desk scale.  All functions are pure and safe to call concurrently.
+at desk scale.  All functions are pure and safe to call concurrently.  The
+point functions share a one-entry memo of the last point pass, so F, F', f,
+q and the ODE residual at the same (params, z, settings) cost one pass.
 """
 
 from __future__ import annotations
@@ -200,12 +202,23 @@ def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings)
     return f, zdf, sums[2], bool(converged)
 
 
-def _point(params: HypergeomParams, z: complex, settings: SeriesSettings):
-    """(F, zF', z^2 F'') from `_point_series`; NoConvergence where the tail bound was not met."""
-    f, zdf, z2d2f, converged = _point_series(params, complex(z), settings)
+@functools.lru_cache(maxsize=1)
+def _last_point(params: HypergeomParams, z: complex, settings: SeriesSettings):
+    """(F, zF', z^2 F'') from `_point_series`; NoConvergence where the tail bound was not met.
+
+    Remembers the last (params, z, settings) only, so F, F' and q at one point
+    share one pass.  The entry is a tuple of immutable np.clongdouble scalars;
+    an exception is raised afresh on every call, never cached.
+    """
+    f, zdf, z2d2f, converged = _point_series(params, z, settings)
     if not converged:
         raise NoConvergence(f"series did not settle within {settings.max_terms} terms at z = {z}")
     return f, zdf, z2d2f
+
+
+def _point(params: HypergeomParams, z: complex, settings: SeriesSettings):
+    """`_last_point` at complex(z), the one key type for every caller's z."""
+    return _last_point(params, complex(z), settings)
 
 
 def gauss_2f1(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,7 +244,8 @@ class TestScan:
         assert "143 points" in out
         import csv
 
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
         assert rows[0].keys() == {"b_re", "c_re", "certificate_passed", "failed_condition", "min_slack", "status"}
         for row in rows:
             b, c = float(row["b_re"]), float(row["c_re"])
@@ -255,7 +257,7 @@ class TestScan:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert run_cli(capsys, "scan", "--spec", spec, "--out", out1)[0] == 0
         assert run_cli(capsys, "scan", "--spec", spec, "--out", out2, "--threads", "4")[0] == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_empty_varying_rejected(self, tmp_path, capsys):
         bad = dict(SCAN_SPEC, varying=[])
@@ -285,7 +287,8 @@ class TestScan:
         assert code == 0
         import csv
 
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
         assert all(row["status"] in ("Consistent", "Violated") for row in rows)
         # q = 1/(1-z) has min real part 1/(1+r): high orders must be flagged
         assert rows[-1]["status"] == "Violated"
@@ -332,7 +335,8 @@ class TestScan:
         assert code == 0
         import csv
 
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
         assert [row["status"] for row in rows] == ["Incomplete", "Incomplete"]
 
     def test_rows_with_failed_preconditions_stay_in_the_csv(self, tmp_path, capsys):
@@ -348,7 +352,8 @@ class TestScan:
         assert code == 0
         import csv
 
-        rows = list(csv.DictReader(open(out_csv)))
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 9
         for row in rows:
             alpha = float(row["alpha"])
@@ -376,8 +381,10 @@ class TestScan:
         spec_b = self.write_spec(tmp_path, dict(base, certificate="strong-starlike", fixed={"a_re": 1.0, "b_re": 1.0, "c_re": 3.0}))
         csv_b = str(tmp_path / "ss.csv")
         assert run_cli(capsys, "scan", "--spec", spec_b, "--out", csv_b)[0] == 0
-        rows_a = list(csv.DictReader(open(csv_a)))
-        rows_b = list(csv.DictReader(open(csv_b)))
+        with open(csv_a) as fh:
+            rows_a = list(csv.DictReader(fh))
+        with open(csv_b) as fh:
+            rows_b = list(csv.DictReader(fh))
         assert any(r["certificate_passed"] == "true" for r in rows_a)
         for ra, rb in zip(rows_a, rows_b):
             if ra["certificate_passed"] == "true":
@@ -397,7 +404,8 @@ class TestScan:
             spec = self.write_spec(tmp_path, dict(base, verify=verify, grid=grid))
             code, _, _ = run_cli(capsys, "scan", "--spec", spec, "--out", str(out_csv))
             assert code == 0
-            rows = list(csv.DictReader(open(out_csv)))
+            with open(out_csv) as fh:
+                rows = list(csv.DictReader(fh))
             assert len(rows) == 3
             assert rows[0]["certificate_passed"] == "true"
             for row in rows[1:]:

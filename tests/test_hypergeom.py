@@ -1,6 +1,7 @@
 """Series evaluator tests against closed forms, finite differences and the ODE."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from hypstar import (
     ode_residual,
     shifted_f,
 )
+from hypstar import hypergeom
+from hypstar.cli import main
 
 LN2 = math.log(2.0)
 
@@ -239,3 +242,108 @@ class TestOnePass:
         swapped = gauss_2f1_ring(params.swapped(), 0.995, 720)
         assert np.array_equal(ring.f, swapped.f)
         assert np.array_equal(ring.zdf, swapped.zdf)
+
+
+# the pass itself, kept apart from the counting stand-in of `passes`
+POINT_SERIES = hypergeom._point_series
+
+
+def _bits(v) -> bytes:
+    """The bytes of a complex128, so that -0.0 and 0.0 differ."""
+    return np.array(v, dtype=np.complex128).tobytes()
+
+
+def _direct(params, z):
+    """The five public point values built from one direct `_point_series` call."""
+    f, zdf, z2d2f, converged = POINT_SERIES(params, complex(z), SeriesSettings())
+    assert converged
+    a, b, c = params.a, params.b, params.c
+    return {
+        gauss_2f1: complex(f),
+        gauss_2f1_derivative: complex(zdf / z),
+        shifted_f: z * complex(f),
+        log_derivative_q: complex(1 + zdf / f),
+        ode_residual: complex(((1 - z) * z2d2f + (c - (a + b + 1) * z) * zdf) / z - a * b * f),
+    }
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The argument tuples of every `_point_series` call, starting from an empty memo."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return POINT_SERIES(*args)
+
+    hypergeom._last_point.cache_clear()
+    monkeypatch.setattr(hypergeom, "_point_series", counted)
+    yield calls
+    hypergeom._last_point.cache_clear()
+
+
+class TestPointMemo:
+    """F, F', f, q and the ODE residual at one (params, z, settings) share one pass."""
+
+    def test_bit_identical_to_a_direct_pass(self):
+        rng = np.random.RandomState(2025)
+        for i in range(300):
+            params, z = draw_corpus_point(rng)
+            want = _direct(params, z)
+            order = list(want)[i % 5:] + list(want)[:i % 5]
+            for fn in order + order:
+                assert _bits(fn(params, z)) == _bits(want[fn]), (fn.__name__, params, z)
+
+    def test_one_pass_per_op(self, passes):
+        rng = np.random.RandomState(2026)
+        for n in range(1, 21):
+            params, z = draw_corpus_point(rng)
+            gauss_2f1(params, z)
+            gauss_2f1_derivative(params, z)
+            log_derivative_q(params, z)
+            shifted_f(params, z)
+            ode_residual(params, z)
+            assert len(passes) == n
+
+    def test_one_pass_per_eval_command(self, passes, capsys):
+        assert main(["eval", "--a", "1.5,0.5", "--b", "2", "--c", "3,-1", "--z", "0.3,0.4", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"F", "F_prime", "f", "q"}
+        assert len(passes) == 1
+
+    def test_alternating_points_take_a_pass_each(self, passes):
+        points = [(HypergeomParams(1.5, -0.5j, 2), 0.4 + 0.2j), (HypergeomParams(1.5, -0.5j, 2), 0.4 - 0.2j)]
+        want = [_direct(params, z) for params, z in points]
+        for n in range(1, 9):
+            (params, z), expected = points[n % 2], want[n % 2]
+            assert _bits(gauss_2f1(params, z)) == _bits(expected[gauss_2f1])
+            assert _bits(log_derivative_q(params, z)) == _bits(expected[log_derivative_q])
+            assert len(passes) == n
+
+    def test_signed_zero_shares_the_pass(self, passes):
+        # 0.5+0j and 0.5-0j are one key; the pass gives the same bits at both
+        params = HypergeomParams(1 - 2j, 0.5, 2.5)
+        for z in (complex(0.5, 0.0), complex(0.5, -0.0), complex(-0.5, -0.0), complex(-0.5, 0.0)):
+            hypergeom._last_point.cache_clear()
+            want = _direct(params, z)
+            for fn, value in want.items():
+                assert _bits(fn(params, z)) == _bits(value)
+        assert len(passes) == 4
+        for z in (complex(0.5, 0.0), complex(0.5, -0.0)):
+            assert _bits(gauss_2f1(params, z)) == _bits(_direct(params, complex(0.5, 0.0))[gauss_2f1])
+        assert len(passes) == 5
+
+    def test_new_settings_take_a_new_pass(self, passes):
+        params, z = HypergeomParams(2, 1 + 1j, 3), 0.7j
+        loose = SeriesSettings(tol=1e-10)
+        gauss_2f1(params, z)
+        gauss_2f1(params, z, loose)
+        gauss_2f1(params, z, loose)
+        gauss_2f1(params, z, SeriesSettings())
+        assert [args[2] for args in passes] == [SeriesSettings(), loose, SeriesSettings()]
+
+    def test_no_convergence_is_never_remembered(self, passes):
+        params, short = HypergeomParams(1, 1, 2), SeriesSettings(max_terms=5)
+        for n, fn in enumerate((gauss_2f1, gauss_2f1, gauss_2f1_derivative, shifted_f, log_derivative_q), 1):
+            with pytest.raises(NoConvergence):
+                fn(params, 0.9, short)
+            assert len(passes) == n
