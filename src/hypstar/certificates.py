@@ -7,10 +7,10 @@ threshold and verdict, so a failed certificate shows exactly which margin
 broke.  A passing closed-form certificate is a proof-grade statement about
 membership; the grid checker is labelled grid-consistent evidence only.
 
-The starlike-order, spirallike and strong-starlikeness checkers (with the
-sst-cor-p0 and sst-cor-max corollaries) are written over arrays of
-parameter rows (`*_batch`, returning a CertificateBatch); each scalar
-`certify_*` of these kinds is the certificate of a one-row batch.
+Every checker is written over arrays of parameter rows (`*_batch`,
+returning a CertificateBatch), and each scalar `certify_*` is the
+certificate of a one-row batch, so a scan checks a whole chunk of rows in
+one call.  The boundary-grid checker samples each row's grid on its own.
 
 Numeric conventions are those of `tolerance`: "x is real" means
 |Im x| <= 1e-12 (1 + |x|); strict inequalities require a margin above
@@ -19,7 +19,6 @@ Numeric conventions are those of `tolerance`: "x is real" means
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -44,7 +43,9 @@ from .shapes import (
     StarlikeOrder,
     StronglyStarlike,
     class_to_json,
+    lam_of,
     mu_of,
+    shape_of,
     spiral_boundary_Q,
     spiral_boundary_zQprime,
     sst_boundary_Q,
@@ -52,28 +53,15 @@ from .shapes import (
 )
 from .tolerance import REAL_TOL, STRICT_TOL, is_real, nonneg, strict_pos
 
-KIND_GENERAL = "GeneralMain"
-KIND_STARLIKE_ORDER = "StarlikeOrderThm"
-KIND_COR_A2 = "CorA2"
-KIND_SPIRALLIKE = "SpirallikeThm"
-KIND_SPIRALLIKE_COR1 = "SpirallikeCor1"
-KIND_SPIRALLIKE_COR2 = "SpirallikeCor2"
-KIND_STRONG_STARLIKE = "StrongStarlikeThm"
-KIND_SST_COR_P0 = "StrongStarlikeCorP0"
-KIND_SST_COR_MAX = "StrongStarlikeCorMax"
-KIND_SST_COR_FINAL = "StrongStarlikeCorFinal"
-KIND_THEOREM_A = "TheoremA"
-KIND_CONVEXITY = "ConvexityWrapper"
-
-
 @dataclass(frozen=True)
 class Condition:
     """One inequality of a checker; in a CertificateBatch, `value` and
-    `passed` are arrays with one entry per row."""
+    `passed` are arrays with one entry per row, and `threshold` is one
+    string or a list of one string per row."""
 
     name: str
     value: Union[float, complex]
-    threshold: str
+    threshold: Union[str, list[str]]
     passed: bool
 
 
@@ -117,11 +105,6 @@ class Certificate:
             ],
             "notes": list(self.notes),
         }
-
-
-def _finish(kind, conditions, params, cls, notes=None) -> Certificate:
-    conditions = [Condition(c.name, c.value, c.threshold, bool(c.passed)) for c in conditions]
-    return Certificate(kind, all(c.passed for c in conditions), conditions, params, cls, notes or [])
 
 
 def _cond_real(name: str, value) -> Condition:
@@ -182,9 +165,14 @@ class CertificateBatch:
         """Row i as a Certificate; a refused row raises its error."""
         if i in self.errors:
             raise self.errors[i]
-        conditions = [Condition(c.name, c.value[i].item(), c.threshold, c.passed[i]) for c in self.conditions]
+        row = [
+            Condition(c.name, c.value[i].item(), c.threshold if isinstance(c.threshold, str) else c.threshold[i],
+                      bool(c.passed[i]))
+            for c in self.conditions
+        ]
         a, b, c = self.params
-        return _finish(self.kind, conditions, HypergeomParams(a[i], b[i], c[i]), self.shape_class(i), self.notes(i))
+        params = HypergeomParams(a[i], b[i], c[i])
+        return Certificate(self.kind, all(r.passed for r in row), row, params, self.shape_class(i), self.notes(i))
 
 
 def _rows(complex_values: tuple, real_values: tuple) -> list[np.ndarray]:
@@ -194,9 +182,24 @@ def _rows(complex_values: tuple, real_values: tuple) -> list[np.ndarray]:
     return [x.astype(complex) for x in arrays[:k]] + [x.astype(float) for x in arrays[k:]]
 
 
-def _refuse(errors: dict, mask: np.ndarray, error: Callable[[], Exception]) -> None:
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y over complex arrays, rounded as a Python complex product is (numpy's
+    own may fuse a multiply with an add and differ in the last bit)."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as Python computes it for a float (pow, not x * x; they differ in the last bit)."""
+    return np.float_power(x, 2)
+
+
+def _refuse(errors: dict, mask: np.ndarray, error: Callable[[int], Exception]) -> None:
+    """Refuse each row i of mask with error(i), unless an earlier check refused it."""
     for i in np.flatnonzero(mask):
-        errors.setdefault(int(i), error())
+        errors.setdefault(int(i), error(int(i)))
 
 
 def _refuse_nonpositive_c(errors: dict, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
@@ -205,12 +208,33 @@ def _refuse_nonpositive_c(errors: dict, a: np.ndarray, b: np.ndarray, c: np.ndar
     for i in np.flatnonzero(near):
         try:
             HypergeomParams(a[i], b[i], c[i])
-        except InvalidC as exc:
+        except (InvalidC, OverflowError) as exc:  # OverflowError: c at -inf
             errors.setdefault(int(i), exc)
 
 
 def _refuse_zero_ab(errors: dict, a: np.ndarray, b: np.ndarray) -> None:
-    _refuse(errors, np.abs(a * b) <= STRICT_TOL, lambda: InvalidParams("ab must be nonzero"))
+    _refuse(errors, np.abs(a * b) <= STRICT_TOL, lambda _: InvalidParams("ab must be nonzero"))
+
+
+def _refuse_nonpositive_real(errors: dict, name: str, value: np.ndarray) -> np.ndarray:
+    """The real parts of value; refuse the rows where it is not a positive real number."""
+    bad = ~(is_real(value) & strict_pos(value.real))
+    _refuse(errors, bad, lambda i: PrecondFailed(f"{name} must be a positive real number, got {complex(value[i])}"))
+    return value.real
+
+
+def _classes(family: type, alpha: np.ndarray, lam=None) -> Callable[[int], ShapeClass]:
+    """Row i's class of the family, for rows whose order (and angle) the checker accepted."""
+    return lambda i: shape_of(family, float(alpha[i]), 0.0 if lam is None else float(lam[i]))
+
+
+def _refuse_class(errors: dict, family: type, alpha: np.ndarray, lam: np.ndarray) -> None:
+    """Refuse the rows whose order or angle the family's class refuses, with the class's ValueError."""
+    for i, (order, angle) in enumerate(zip(alpha.tolist(), lam.tolist())):
+        try:
+            shape_of(family, order, angle)
+        except ValueError as exc:
+            errors.setdefault(i, exc)
 
 
 @dataclass(frozen=True)
@@ -267,7 +291,7 @@ def starlike_order_batch(a, b, c, alpha) -> CertificateBatch:
     errors: dict[int, Exception] = {}
     _refuse_nonpositive_c(errors, a, b, c)
     _refuse_zero_ab(errors, a, b)
-    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in [0, 1)"))
+    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
     p = a + b + 1 - c
     margin = (a * b).real - p.real * (1 - alpha)
     conditions = [
@@ -284,9 +308,7 @@ def starlike_order_batch(a, b, c, alpha) -> CertificateBatch:
             ]
         return []
 
-    return CertificateBatch(
-        KIND_STARLIKE_ORDER, conditions, (a, b, c), lambda i: StarlikeOrder(float(alpha[i])), errors, notes
-    )
+    return CertificateBatch("StarlikeOrderThm", conditions, (a, b, c), _classes(StarlikeOrder, alpha), errors, notes)
 
 
 def certify_starlike_order(params: HypergeomParams, alpha: float) -> Certificate:
@@ -298,23 +320,40 @@ def certify_starlike_order(params: HypergeomParams, alpha: float) -> Certificate
     return starlike_order_batch(params.a, params.b, params.c, alpha).certificate()
 
 
-def certify_cor_a2(a: float, b: float, c: float, s: float = 0.0) -> Certificate:
-    """Real-parameter family f(z) = z 2F1(a, b+is; c+is; z): starlike of order
-    1 - a/2 whenever 0 < a <= 2, b <= c and 3 <= b + c (the edge b + c = 3 is
-    accepted; a compactness/limit argument covers it)."""
-    a, b, c, s = float(a), float(b), float(c), float(s)
+@np.errstate(all="ignore")
+def cor_a2_batch(a, b, c, s) -> CertificateBatch:
+    """certify_cor_a2 over arrays of (a, b, c, s)."""
+    a, b, c, s = _rows((a, b, c), (s,))
+    errors: dict[int, Exception] = {}
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        _refuse(errors, ~is_real(v), lambda _, name=name: InvalidParams(f"{name} must be real for this checker"))
+    a, b, c = a.real, b.real, c.real
+    b_s, c_s = b.astype(complex), c.astype(complex)
+    b_s.imag = c_s.imag = s
+    _refuse_nonpositive_c(errors, a, b_s, c_s)
     conditions = [
-        Condition("a", a, "0 < a <= 2", STRICT_TOL < a <= 2 + STRICT_TOL),
+        Condition("a", a, "0 < a <= 2", (STRICT_TOL < a) & (a <= 2 + STRICT_TOL)),
         Condition("b + c", b + c, ">= 3", b + c >= 3 - STRICT_TOL),
         Condition("c - b", c - b, ">= 0", c - b >= -STRICT_TOL),
     ]
     order = 1 - a / 2
-    notes = [f"certified order 1 - a/2 = {order:.15g}"]
-    if abs(b + c - 3) <= STRICT_TOL:
-        notes.append("b + c = 3 boundary accepted via the limiting family")
-    params = HypergeomParams(a, complex(b, s), complex(c, s))
-    cls = StarlikeOrder(order) if 0 <= order < 1 else StarlikeOrder(0.0)
-    return _finish(KIND_COR_A2, conditions, params, cls, notes)
+    shape_class = _classes(StarlikeOrder, np.where((0 <= order) & (order < 1), order, 0.0))
+
+    def notes(i: int) -> list[str]:
+        out = [f"certified order 1 - a/2 = {order[i]:.15g}"]
+        if abs(b[i] + c[i] - 3) <= STRICT_TOL:
+            out.append("b + c = 3 boundary accepted via the limiting family")
+        return out
+
+    return CertificateBatch("CorA2", conditions, (a, b_s, c_s), shape_class, errors, notes)
+
+
+def certify_cor_a2(a: complex, b: complex, c: complex, s: float = 0.0) -> Certificate:
+    """Real-parameter family f(z) = z 2F1(a, b+is; c+is; z): starlike of order
+    1 - a/2 whenever 0 < a <= 2, b <= c and 3 <= b + c (the edge b + c = 3 is
+    accepted; a compactness/limit argument covers it).  a, b and c must be
+    real (up to the relative tolerance of `tolerance.is_real`)."""
+    return cor_a2_batch(a, b, c, s).certificate()
 
 
 @np.errstate(all="ignore")
@@ -323,8 +362,8 @@ def spirallike_batch(a, b, lam, alpha) -> CertificateBatch:
     a, b, lam, alpha = _rows((a, b), (lam, alpha))
     errors: dict[int, Exception] = {}
     _refuse_zero_ab(errors, a, b)
-    _refuse(errors, ~(np.abs(lam) < np.pi / 2), lambda: InvalidParams("lam must lie in (-pi/2, pi/2)"))
-    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in [0, 1)"))
+    _refuse(errors, ~(np.abs(lam) < np.pi / 2), lambda _: InvalidParams("lam must lie in (-pi/2, pi/2)"))
+    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
     c = a + b + 1
     _refuse_nonpositive_c(errors, a, b, c)  # a+b at -1, -2, ...
     m0 = (np.exp(-1j * lam) * a * b).real
@@ -341,9 +380,7 @@ def spirallike_batch(a, b, lam, alpha) -> CertificateBatch:
             ]
         return []
 
-    return CertificateBatch(
-        KIND_SPIRALLIKE, conditions, (a, b, c), lambda i: SpirallikeOrder(float(lam[i]), float(alpha[i])), errors, notes
-    )
+    return CertificateBatch("SpirallikeThm", conditions, (a, b, c), _classes(SpirallikeOrder, alpha, lam), errors, notes)
 
 
 def certify_spirallike(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
@@ -353,65 +390,60 @@ def certify_spirallike(a: complex, b: complex, lam: float, alpha: float) -> Cert
     return spirallike_batch(a, b, lam, alpha).certificate()
 
 
-def _positive_real(name: str, value: complex) -> float:
-    if not (is_real(value) and strict_pos(value.real)):
-        raise PrecondFailed(f"{name} must be a positive real number, got {value}")
-    return value.real
-
-
-def _real_sum(a: complex, b: complex) -> float:
-    if not is_real(a + b):
-        raise PrecondFailed("a + b must be real")
-    return (a + b).real
+@np.errstate(all="ignore")
+def spirallike_cor1_batch(a, b, lam, alpha) -> CertificateBatch:
+    """certify_spirallike_cor1 over arrays of (a, b, lam, alpha)."""
+    a, b, lam, alpha = _rows((a, b), (lam, alpha))
+    errors: dict[int, Exception] = {}
+    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
+    _refuse(errors, ~((STRICT_TOL < np.abs(lam)) & (np.abs(lam) < np.pi / 2)),
+            lambda _: PrecondFailed("requires 0 < |lam| < pi/2"))
+    m = _refuse_nonpositive_real(errors, "e^{-i lam} ab", _times(_times(np.exp(-1j * lam), a), b))
+    c = a + b + 1
+    _refuse_nonpositive_c(errors, a, b, c)
+    lhs = _square((a + b).imag - (1 - alpha) * np.sin(2 * lam))
+    rhs = (2 - alpha + (1 - alpha) * np.cos(2 * lam)) * (
+        2 * (a + b).real + alpha - (1 - alpha) * np.cos(2 * lam) - m / ((1 - alpha) * np.cos(lam))
+    )
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    conditions = [_cond_info("m = e^{-i lam} ab", m), _cond_nonneg("RHS - LHS", rhs - lhs, scale)]
+    return CertificateBatch("SpirallikeCor1", conditions, (a, b, c), _classes(SpirallikeOrder, alpha, lam), errors)
 
 
 def certify_spirallike_cor1(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
     """Spirallike checker for the special case m = e^{-i lam} ab positive real
     and lam nonzero; the quadratic test collapses to a single inequality."""
-    a, b = complex(a), complex(b)
-    if not 0 <= alpha < 1:
-        raise InvalidParams("alpha must lie in [0, 1)")
-    if not STRICT_TOL < abs(lam) < math.pi / 2:
-        raise PrecondFailed("requires 0 < |lam| < pi/2")
-    m = _positive_real("e^{-i lam} ab", cmath.exp(-1j * lam) * a * b)
-    params = HypergeomParams(a, b, a + b + 1)
-    lhs = ((a + b).imag - (1 - alpha) * math.sin(2 * lam)) ** 2
-    rhs = (2 - alpha + (1 - alpha) * math.cos(2 * lam)) * (
-        2 * (a + b).real + alpha - (1 - alpha) * math.cos(2 * lam) - m / ((1 - alpha) * math.cos(lam))
+    return spirallike_cor1_batch(a, b, lam, alpha).certificate()
+
+
+@np.errstate(all="ignore")
+def spirallike_cor2_batch(a, b, lam, alpha) -> CertificateBatch:
+    """certify_spirallike_cor2 over arrays of (a, b, lam, alpha)."""
+    a, b, lam, alpha = _rows((a, b), (lam, alpha))
+    errors: dict[int, Exception] = {}
+    _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
+    _refuse(errors, ~(np.abs(lam) < np.pi / 2), lambda _: InvalidParams("lam must lie in (-pi/2, pi/2)"))
+    m = _refuse_nonpositive_real(errors, "ab", _times(a, b))
+    cos2 = _square(np.cos(lam))
+    lower = (1 - 2 * alpha) / (4 * (1 - alpha))
+    _refuse(errors, ~((lower + STRICT_TOL < cos2) & (cos2 < 1 - STRICT_TOL)),
+            lambda i: PrecondFailed(f"requires {lower[i]:.6g} < cos^2(lam) < 1, got cos^2(lam) = {cos2[i]:.6g}"))
+    c = a + b + 1
+    _refuse_nonpositive_c(errors, a, b, c)
+    rot = _times(np.exp(1j * lam), a + b)
+    lhs = _square(rot.imag / np.cos(lam) - 2 * (1 - alpha) * np.sin(2 * lam))
+    rhs = (4 * (1 - alpha) * cos2 + 2 * alpha - 1) * (
+        2 * rot.real / np.cos(lam) - 4 * (1 - alpha) * cos2 + (3 - 2 * alpha) - m / ((1 - alpha) * cos2)
     )
-    scale = max(1.0, abs(lhs), abs(rhs))
-    conditions = [
-        _cond_info("m = e^{-i lam} ab", m),
-        _cond_nonneg("RHS - LHS", rhs - lhs, scale),
-    ]
-    return _finish(KIND_SPIRALLIKE_COR1, conditions, params, SpirallikeOrder(lam, alpha))
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    conditions = [_cond_info("m = ab", m), _cond_nonneg("RHS - LHS", rhs - lhs, scale)]
+    return CertificateBatch("SpirallikeCor2", conditions, (a, b, c), _classes(SpirallikeOrder, alpha, lam), errors)
 
 
 def certify_spirallike_cor2(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
     """Spirallike checker for m = ab positive real, valid when cos^2(lam)
     lies strictly between (1-2alpha)/(4(1-alpha)) and 1."""
-    a, b = complex(a), complex(b)
-    if not 0 <= alpha < 1:
-        raise InvalidParams("alpha must lie in [0, 1)")
-    if not abs(lam) < math.pi / 2:
-        raise InvalidParams("lam must lie in (-pi/2, pi/2)")
-    m = _positive_real("ab", a * b)
-    cos2 = math.cos(lam) ** 2
-    lower = (1 - 2 * alpha) / (4 * (1 - alpha))
-    if not lower + STRICT_TOL < cos2 < 1 - STRICT_TOL:
-        raise PrecondFailed(f"requires {lower:.6g} < cos^2(lam) < 1, got cos^2(lam) = {cos2:.6g}")
-    params = HypergeomParams(a, b, a + b + 1)
-    rot = cmath.exp(1j * lam) * (a + b)
-    lhs = (rot.imag / math.cos(lam) - 2 * (1 - alpha) * math.sin(2 * lam)) ** 2
-    rhs = (4 * (1 - alpha) * cos2 + 2 * alpha - 1) * (
-        2 * rot.real / math.cos(lam) - 4 * (1 - alpha) * cos2 + (3 - 2 * alpha) - m / ((1 - alpha) * cos2)
-    )
-    scale = max(1.0, abs(lhs), abs(rhs))
-    conditions = [
-        _cond_info("m = ab", m),
-        _cond_nonneg("RHS - LHS", rhs - lhs, scale),
-    ]
-    return _finish(KIND_SPIRALLIKE_COR2, conditions, params, SpirallikeOrder(lam, alpha))
+    return spirallike_cor2_batch(a, b, lam, alpha).certificate()
 
 
 @dataclass(frozen=True)
@@ -537,7 +569,7 @@ def strong_starlike_batch(a, b, c, alpha, line_search: LineSearchSettings = DEFA
     errors: dict[int, Exception] = {}
     _refuse_nonpositive_c(errors, a, b, c)
     _refuse_zero_ab(errors, a, b)
-    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in (0, 1)"))
+    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in (0, 1)"))
     p = a + b + 1 - c
     w = a * b - p.real
     sector = np.where(np.abs(w) > STRICT_TOL, np.pi * alpha / 2 - np.abs(np.angle(w)), -np.pi * alpha / 2)
@@ -560,9 +592,7 @@ def strong_starlike_batch(a, b, c, alpha, line_search: LineSearchSettings = DEFA
             *minima_notes(i),
         ]
 
-    return CertificateBatch(
-        KIND_STRONG_STARLIKE, conditions, (a, b, c), lambda i: StronglyStarlike(float(alpha[i])), errors, notes
-    )
+    return CertificateBatch("StrongStarlikeThm", conditions, (a, b, c), _classes(StronglyStarlike, alpha), errors, notes)
 
 
 def certify_strong_starlike(
@@ -584,7 +614,7 @@ def _pinned_c_rows(a, b, alpha) -> tuple[list[np.ndarray], dict[int, Exception]]
     a, b, alpha = _rows((a, b), (alpha,))
     errors: dict[int, Exception] = {}
     _refuse_zero_ab(errors, a, b)
-    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda: InvalidParams("alpha must lie in (0, 1)"))
+    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in (0, 1)"))
     c = a + b + 1
     _refuse_nonpositive_c(errors, a, b, c)
     return [a, b, c, alpha], errors
@@ -617,9 +647,7 @@ def sst_cor_p0_batch(a, b, alpha, line_search: LineSearchSettings = DEFAULT_LINE
         per_eps.append((K, A, B, C))
     minima, notes = _line_minima(alpha, 0.0, per_eps, line_search)
     conditions = [_sector_condition(a, b, alpha), *minima]
-    return CertificateBatch(
-        KIND_SST_COR_P0, conditions, (a, b, c), lambda i: StronglyStarlike(float(alpha[i])), errors, notes
-    )
+    return CertificateBatch("StrongStarlikeCorP0", conditions, (a, b, c), _classes(StronglyStarlike, alpha), errors, notes)
 
 
 def certify_sst_cor_p0(
@@ -642,7 +670,7 @@ def sst_cor_max_batch(a, b, alpha) -> CertificateBatch:
         scale = np.maximum(np.maximum(1.0, np.abs(half_b) + np.abs(biggest)), np.abs(rhs))
         conditions.append(_cond_nonneg(f"K - B/2 - max(A, C) (eps={eps:+d})", rhs - half_b - biggest, scale))
         conditions.append(_cond_nonneg(f"K - max(A, C) (eps={eps:+d})", rhs - biggest, scale))
-    return CertificateBatch(KIND_SST_COR_MAX, conditions, (a, b, c), lambda i: StronglyStarlike(float(alpha[i])), errors)
+    return CertificateBatch("StrongStarlikeCorMax", conditions, (a, b, c), _classes(StronglyStarlike, alpha), errors)
 
 
 def certify_sst_cor_max(a: complex, b: complex, alpha: float) -> Certificate:
@@ -658,29 +686,61 @@ def certify_sst_cor_max(a: complex, b: complex, alpha: float) -> Certificate:
     return sst_cor_max_batch(a, b, alpha).certificate()
 
 
+def _real_pair_rows(errors: dict, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Re(a + b), Re(ab), c = a + b + 1); refuses rows where a + b is not real, ab not positive or c refused."""
+    _refuse(errors, ~is_real(a + b), lambda _: PrecondFailed("a + b must be real"))
+    m = _refuse_nonpositive_real(errors, "ab", _times(a, b))
+    c = a + b + 1
+    _refuse_nonpositive_c(errors, a, b, c)
+    return (a + b).real, m, c
+
+
+@np.errstate(all="ignore")
+def sst_cor_final_batch(a, b, alpha) -> CertificateBatch:
+    """certify_sst_cor_final over arrays of (a, b, alpha); each condition holds one threshold per row."""
+    a, b, alpha = _rows((a, b), (alpha,))
+    errors: dict[int, Exception] = {}
+    _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in (0, 1)"))
+    lsum, m, c = _real_pair_rows(errors, a, b)
+    prod = m - 2 * lsum + 4  # (a-2)(b-2), real because a + b and ab are
+    half = np.pi * alpha / 2
+    cap1 = 4 * _square(np.cos(half))
+    cap2 = 2 - 2 * np.cos(np.pi * alpha) / np.cos(half) + alpha * np.tan(half)
+    conditions = [
+        Condition("(a-2)(b-2)", prod, [f"<= 4 cos^2(pi alpha/2) = {v:.15g}" for v in cap1.tolist()],
+                  prod <= cap1 + STRICT_TOL * np.maximum(1.0, np.abs(prod))),
+        Condition("a + b", lsum, [f"<= {v:.15g}" for v in cap2.tolist()],
+                  lsum <= cap2 + STRICT_TOL * np.maximum(1.0, np.abs(lsum))),
+    ]
+    lo = 2 * _square(np.sin(half))
+
+    def notes(i: int) -> list[str]:
+        window = f"{lo[i]:.6g} < ab/2 + {lo[i]:.6g} = {m[i] / 2 + lo[i]:.6g} <= l <= {cap2[i]:.6g}"
+        return [f"feasibility window for l = a + b: {window}"]
+
+    return CertificateBatch("StrongStarlikeCorFinal", conditions, (a, b, c), _classes(StronglyStarlike, alpha), errors, notes)
+
+
 def certify_sst_cor_final(a: complex, b: complex, alpha: float) -> Certificate:
     """Strong starlikeness of order alpha for c = a + b + 1 with a + b real and
     ab real positive, via two explicit scalar inequalities on (a-2)(b-2) and
     a + b."""
-    a, b = complex(a), complex(b)
-    if not 0 < alpha < 1:
-        raise InvalidParams("alpha must lie in (0, 1)")
-    lsum = _real_sum(a, b)
-    m = _positive_real("ab", a * b)
-    prod = m - 2 * lsum + 4  # (a-2)(b-2), real because a + b and ab are
-    params = HypergeomParams(a, b, a + b + 1)
-    half = math.pi * alpha / 2
-    cap1 = 4 * math.cos(half) ** 2
-    cap2 = 2 - 2 * math.cos(math.pi * alpha) / math.cos(half) + alpha * math.tan(half)
-    conditions = [
-        Condition("(a-2)(b-2)", prod, f"<= 4 cos^2(pi alpha/2) = {cap1:.15g}", prod <= cap1 + STRICT_TOL * max(1.0, abs(prod))),
-        Condition("a + b", lsum, f"<= {cap2:.15g}", lsum <= cap2 + STRICT_TOL * max(1.0, abs(lsum))),
-    ]
-    lo = 2 * math.sin(half) ** 2
-    notes = [
-        f"feasibility window for l = a + b: {lo:.6g} < ab/2 + {lo:.6g} = {m / 2 + lo:.6g} <= l <= {cap2:.6g}"
-    ]
-    return _finish(KIND_SST_COR_FINAL, conditions, params, StronglyStarlike(alpha), notes)
+    return sst_cor_final_batch(a, b, alpha).certificate()
+
+
+@np.errstate(all="ignore")
+def theorem_a_batch(a, b, alpha) -> CertificateBatch:
+    """certify_theorem_A over arrays of (a, b, alpha)."""
+    a, b, alpha = _rows((a, b), (alpha,))
+    errors: dict[int, Exception] = {}
+    _refuse(errors, ~((1 / 3 < alpha) & (alpha < 1)), lambda _: PrecondFailed("alpha must lie in (1/3, 1)"))
+    lsum, m, c = _real_pair_rows(errors, a, b)
+    # (a-b)^2 = (a+b)^2 - 4ab and a^2 + ab + b^2 = (a+b)^2 - ab, real because a + b and ab are
+    lhs = (lsum * lsum - 4 * m + 6 * lsum - 3) * _square(np.sin(np.pi * alpha / 2))
+    rhs = lsum * lsum - m
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    conditions = [_cond_nonneg("((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) - (a^2 + ab + b^2)", lhs - rhs, scale)]
+    return CertificateBatch("TheoremA", conditions, (a, b, c), _classes(StronglyStarlike, alpha), errors)
 
 
 def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
@@ -689,20 +749,7 @@ def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
 
         ((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) >= a^2 + ab + b^2.
     """
-    a, b = complex(a), complex(b)
-    if not 1 / 3 < alpha < 1:
-        raise PrecondFailed("alpha must lie in (1/3, 1)")
-    lsum = _real_sum(a, b)
-    m = _positive_real("ab", a * b)
-    params = HypergeomParams(a, b, a + b + 1)
-    # (a-b)^2 = (a+b)^2 - 4ab and a^2 + ab + b^2 = (a+b)^2 - ab, real because a + b and ab are
-    lhs = (lsum * lsum - 4 * m + 6 * lsum - 3) * math.sin(math.pi * alpha / 2) ** 2
-    rhs = lsum * lsum - m
-    scale = max(1.0, abs(lhs), abs(rhs))
-    conditions = [
-        _cond_nonneg("((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) - (a^2 + ab + b^2)", lhs - rhs, scale)
-    ]
-    return _finish(KIND_THEOREM_A, conditions, params, StronglyStarlike(alpha), notes=[])
+    return theorem_a_batch(a, b, alpha).certificate()
 
 
 @dataclass(frozen=True)
@@ -720,22 +767,8 @@ class BoundaryGridSettings:
             raise ValueError("theta_min must lie in (0, 0.1)")
 
 
-def certify_general(
-    cls: ShapeClass,
-    params: HypergeomParams,
-    grid: BoundaryGridSettings = BoundaryGridSettings(),
-    relaxed: bool = False,
-) -> Certificate:
-    """Boundary-grid check of the two master inequalities
-
-        D(zeta) = -2 Re[(p Q(zeta) + ab) conj(zeta Q'(zeta))] > 0   and
-        |B(zeta)|^2 - |A(zeta)|^2 <= D(zeta)
-
-    over sampled non-exceptional boundary points.  `relaxed` weakens the
-    first inequality to D >= 0 wherever A(zeta) != B(zeta).  The result is
-    grid-consistent sampled evidence, never a proof; only the closed-form
-    checkers are exact.
-    """
+def _boundary_grid_check(cls: ShapeClass, params: HypergeomParams, grid: BoundaryGridSettings, relaxed: bool):
+    """(min D, points failing D > 0, max excess, points failing the inequality, notes) of one row."""
     a, b, c = params.a, params.b, params.c
     p = params.p
     if isinstance(cls, StronglyStarlike):
@@ -763,20 +796,14 @@ def certify_general(
     tol_d = STRICT_TOL * (1 + np.abs(delta) * np.abs(zqp))
     if relaxed:
         main1_ok = (D > tol_d) | ((D >= -tol_d) & (np.abs(delta) > tol_d))
-        threshold1 = ">= 0 with A != B (relaxed)"
     else:
         main1_ok = D > tol_d
-        threshold1 = "> 0 at every sampled point (strict)"
     excess = gap - D
     tol_2 = 1e-9 * (1 + np.abs(gap) + np.abs(D))
     main2_ok = excess <= tol_2
 
     n1 = int(np.count_nonzero(~main1_ok))
     n2 = int(np.count_nonzero(~main2_ok))
-    conditions = [
-        Condition("min D over boundary grid", float(D.min()), threshold1, n1 == 0),
-        Condition("max (|B|^2 - |A|^2) - D", float(excess.max()), "<= 0 at every sampled point", n2 == 0),
-    ]
     notes = [f"grid-consistent evidence from {len(theta)} sampled boundary points; not a proof"]
     if n1:
         j = int(np.argmin(D))
@@ -796,7 +823,83 @@ def certify_general(
             )
     if not is_real(p):
         notes.append("Im p != 0 makes D change sign linearly in s; positivity must fail for large |s|")
-    return _finish(KIND_GENERAL, conditions, params, cls, notes)
+    return float(D.min()), n1, float(excess.max()), n2, notes
+
+
+@np.errstate(all="ignore")
+def general_batch(
+    family: type, alpha, lam, a, b, c, grid: BoundaryGridSettings = BoundaryGridSettings(), relaxed: bool = False
+) -> CertificateBatch:
+    """certify_general over arrays of (alpha, lam, a, b, c), row i in the family's class at
+    (alpha[i], lam[i]); each row's boundary grid is sampled on its own."""
+    a, b, c, alpha, lam = _rows((a, b, c), (alpha, lam))
+    errors: dict[int, Exception] = {}
+    _refuse_class(errors, family, alpha, lam)
+    _refuse_nonpositive_c(errors, a, b, c)
+    classes = _classes(family, alpha, lam)
+    refused = (np.nan, 1, np.nan, 1, [])
+    d_min, n1, excess, n2, notes = zip(*(
+        refused if i in errors else _boundary_grid_check(classes(i), HypergeomParams(a[i], b[i], c[i]), grid, relaxed)
+        for i in range(len(a))
+    ))
+    threshold1 = ">= 0 with A != B (relaxed)" if relaxed else "> 0 at every sampled point (strict)"
+    conditions = [
+        Condition("min D over boundary grid", np.array(d_min), threshold1, np.array(n1) == 0),
+        Condition("max (|B|^2 - |A|^2) - D", np.array(excess), "<= 0 at every sampled point", np.array(n2) == 0),
+    ]
+    return CertificateBatch("GeneralMain", conditions, (a, b, c), classes, errors, notes.__getitem__)
+
+
+def certify_general(
+    cls: ShapeClass,
+    params: HypergeomParams,
+    grid: BoundaryGridSettings = BoundaryGridSettings(),
+    relaxed: bool = False,
+) -> Certificate:
+    """Boundary-grid check of the two master inequalities
+
+        D(zeta) = -2 Re[(p Q(zeta) + ab) conj(zeta Q'(zeta))] > 0   and
+        |B(zeta)|^2 - |A(zeta)|^2 <= D(zeta)
+
+    over sampled non-exceptional boundary points.  `relaxed` weakens the
+    first inequality to D >= 0 wherever A(zeta) != B(zeta).  The result is
+    grid-consistent sampled evidence, never a proof; only the closed-form
+    checkers are exact.
+    """
+    return general_batch(type(cls), cls.alpha, lam_of(cls), params.a, params.b, params.c, grid, relaxed).certificate()
+
+
+@np.errstate(all="ignore")
+def convexity_batch(family: type, alpha, lam, a, b, c) -> CertificateBatch:
+    """certify_convexity over arrays of (alpha, lam, a, b, c), row i in the family's class at (alpha[i], lam[i])."""
+    a, b, c, alpha, lam = _rows((a, b, c), (alpha, lam))
+    errors: dict[int, Exception] = {}
+    _refuse_class(errors, family, alpha, lam)
+    _refuse_nonpositive_c(errors, a, b, c)
+    _refuse_zero_ab(errors, a, b)
+    a1, b1, c1 = a + 1, b + 1, c + 1
+    _refuse_nonpositive_c(errors, a1, b1, c1)
+    if family is StarlikeOrder:
+        inner = starlike_order_batch(a1, b1, c1, alpha)
+    elif family is StronglyStarlike:
+        inner = strong_starlike_batch(a1, b1, c1, alpha)
+    else:
+        target = a1 + b1 + 1
+        _refuse(errors, np.abs(c1 - target) > REAL_TOL * (1 + np.abs(target)),
+                lambda _: InvalidParams("spirallike delegate requires c = a + b + 2"))
+        inner = spirallike_batch(a1, b1, lam, alpha)
+    for i, exc in inner.errors.items():
+        errors.setdefault(i, exc)
+
+    def notes(i: int) -> list[str]:
+        return [
+            *inner.notes(i),
+            f"delegated from original (a, b, c) = ({complex(a[i])}, {complex(b[i])}, {complex(c[i])}); a passing "
+            "certificate places the shifted function in the starlike-type class and hence the original "
+            "g in the convexity-type class",
+        ]
+
+    return CertificateBatch("ConvexityWrapper", inner.conditions, inner.params, _classes(family, alpha, lam), errors, notes)
 
 
 def certify_convexity(cls: ShapeClass, params: HypergeomParams) -> Certificate:
@@ -804,22 +907,4 @@ def certify_convexity(cls: ShapeClass, params: HypergeomParams) -> Certificate:
     1 + z g''/g' subordinate to the class generator exactly when
     z 2F1(a+1,b+1;c+1;z) lies in the starlike-type class, so the check
     delegates to the matching checker at shifted parameters."""
-    if abs(params.a * params.b) <= STRICT_TOL:
-        raise InvalidParams("ab must be nonzero")
-    shifted = params.shifted(1)
-    if isinstance(cls, StarlikeOrder):
-        inner = certify_starlike_order(shifted, cls.alpha)
-    elif isinstance(cls, StronglyStarlike):
-        inner = certify_strong_starlike(shifted, cls.alpha)
-    else:
-        target = shifted.a + shifted.b + 1
-        if abs(shifted.c - target) > REAL_TOL * (1 + abs(target)):
-            raise InvalidParams("spirallike delegate requires c = a + b + 2")
-        inner = certify_spirallike(shifted.a, shifted.b, cls.lam, cls.alpha)
-    notes = list(inner.notes)
-    notes.append(
-        f"delegated from original (a, b, c) = ({params.a}, {params.b}, {params.c}); a passing "
-        "certificate places the shifted function in the starlike-type class and hence the original "
-        "g in the convexity-type class"
-    )
-    return Certificate(KIND_CONVEXITY, inner.passed, inner.conditions, inner.params, cls, notes)
+    return convexity_batch(type(cls), cls.alpha, lam_of(cls), params.a, params.b, params.c).certificate()

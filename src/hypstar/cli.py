@@ -37,14 +37,20 @@ from .certificates import (
     certify_starlike_order,
     certify_strong_starlike,
     certify_theorem_A,
+    convexity_batch,
+    cor_a2_batch,
+    general_batch,
     spirallike_batch,
+    spirallike_cor1_batch,
+    spirallike_cor2_batch,
+    sst_cor_final_batch,
     sst_cor_max_batch,
     sst_cor_p0_batch,
     starlike_order_batch,
     strong_starlike_batch,
+    theorem_a_batch,
 )
 from .errors import (
-    HypstarError,
     InvalidC,
     InvalidParams,
     NoConvergence,
@@ -62,8 +68,7 @@ from .hypergeom import (
     shifted_f,
 )
 from .oracles import LineSearchSettings
-from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike
-from .tolerance import is_real
+from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike, shape_of
 from .verifier import (
     CONSISTENT,
     INCOMPLETE,
@@ -109,90 +114,70 @@ def _grid_settings(args) -> DiskGridSettings:
     )
 
 
-def _line_search(args) -> LineSearchSettings:
-    return LineSearchSettings(
-        s_min=args.ls_s_min,
-        s_max=args.ls_s_max,
-        n_log_points=args.ls_points,
-        refine_iters=args.ls_refine_iters,
-        min_margin=args.ls_min_margin,
-    )
-
-
-def _boundary_settings(args) -> BoundaryGridSettings:
-    return BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
-
-
-# --class name -> the ShapeClass it builds from (alpha, lam)
-SHAPE_CLASSES = {
-    "starlike": lambda alpha, lam: StarlikeOrder(alpha),
-    "strongly-starlike": lambda alpha, lam: StronglyStarlike(alpha),
-    "spirallike": lambda alpha, lam: SpirallikeOrder(lam, alpha),
-}
+# --class name -> the family of its ShapeClass
+SHAPE_CLASSES = {"starlike": StarlikeOrder, "strongly-starlike": StronglyStarlike, "spirallike": SpirallikeOrder}
 
 
 def build_shape_class(kind: str, alpha: float, lam: float) -> ShapeClass:
     if kind not in SHAPE_CLASSES:
         raise InvalidParams(f"unknown class kind {kind!r}")
-    return SHAPE_CLASSES[kind](alpha, lam)
+    return shape_of(SHAPE_CLASSES[kind], alpha, lam)
 
 
-def _require_real(name: str, v: complex) -> float:
-    if not is_real(v):
-        raise InvalidParams(f"{name} must be real for this checker")
-    return v.real
+def _chunk_class(spec: ScanSpec, pts: _ChunkPoints) -> tuple:
+    """(family, alpha, lam) of a chunk's classes: the spec's class, at its own
+    alpha and lambda where it gives them and at each row's otherwise."""
+    cls = spec.class_spec
+    return SHAPE_CLASSES[cls["kind"]], cls.get("alpha", pts.alpha), cls.get("lambda", pts.lam)
 
 
 @dataclass(frozen=True)
 class Theorem:
     """One --theorem kind.
 
-    `check` takes the row's values by keyword (a, b, c, alpha, lam, s, cls,
-    line_search, boundary, relaxed) and returns its Certificate.
-    `check_chunk(points, spec)` checks a scan chunk at once and returns a
-    CertificateBatch; kinds without one run `check` row by row.  Both look
-    their checker up by name when called, so that a patched `cli.certify_*`
-    sees every call.
+    `check` takes one row's values by keyword (a, b, c, alpha, lam, s, cls,
+    line_search, boundary, relaxed) and returns its Certificate; it looks its
+    checker up by name when called, so that a patched `cli.certify_*` sees
+    every call.  `check_chunk(points, spec)` checks a whole scan chunk at once
+    and returns a CertificateBatch.
     """
 
     check: Callable[..., Certificate]
-    check_chunk: Optional[Callable] = None
+    check_chunk: Callable
     takes_class: bool = False
 
 
 THEOREMS = {
-    "starlike-order": Theorem(
-        lambda a, b, c, alpha, **_: certify_starlike_order(HypergeomParams(a, b, c), alpha),
-        lambda pts, spec: starlike_order_batch(pts.a, pts.b, pts.c, pts.alpha),
-    ),
-    "cor-a2": Theorem(
-        lambda a, b, c, s, **_: certify_cor_a2(_require_real("a", a), _require_real("b", b), _require_real("c", c), s)
-    ),
-    "spirallike": Theorem(
-        lambda a, b, lam, alpha, **_: certify_spirallike(a, b, lam, alpha),
-        lambda pts, spec: spirallike_batch(pts.a, pts.b, pts.lam, pts.alpha),
-    ),
-    "spirallike-cor1": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor1(a, b, lam, alpha)),
-    "spirallike-cor2": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor2(a, b, lam, alpha)),
+    "starlike-order": Theorem(lambda a, b, c, alpha, **_: certify_starlike_order(HypergeomParams(a, b, c), alpha),
+                              lambda pts, spec: starlike_order_batch(pts.a, pts.b, pts.c, pts.alpha)),
+    "cor-a2": Theorem(lambda a, b, c, s, **_: certify_cor_a2(a, b, c, s),
+                      lambda pts, spec: cor_a2_batch(pts.a, pts.b, pts.c, spec.fixed.get("s", 0.0))),
+    "spirallike": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike(a, b, lam, alpha),
+                          lambda pts, spec: spirallike_batch(pts.a, pts.b, pts.lam, pts.alpha)),
+    "spirallike-cor1": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor1(a, b, lam, alpha),
+                               lambda pts, spec: spirallike_cor1_batch(pts.a, pts.b, pts.lam, pts.alpha)),
+    "spirallike-cor2": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor2(a, b, lam, alpha),
+                               lambda pts, spec: spirallike_cor2_batch(pts.a, pts.b, pts.lam, pts.alpha)),
     "strong-starlike": Theorem(
         lambda a, b, c, alpha, line_search, **_: certify_strong_starlike(HypergeomParams(a, b, c), alpha, line_search),
         lambda pts, spec: strong_starlike_batch(pts.a, pts.b, pts.c, pts.alpha, spec.line_search),
     ),
-    "sst-cor-p0": Theorem(
-        lambda a, b, alpha, line_search, **_: certify_sst_cor_p0(a, b, alpha, line_search),
-        lambda pts, spec: sst_cor_p0_batch(pts.a, pts.b, pts.alpha, spec.line_search),
-    ),
-    "sst-cor-max": Theorem(
-        lambda a, b, alpha, **_: certify_sst_cor_max(a, b, alpha),
-        lambda pts, spec: sst_cor_max_batch(pts.a, pts.b, pts.alpha),
-    ),
-    "sst-cor-final": Theorem(lambda a, b, alpha, **_: certify_sst_cor_final(a, b, alpha)),
-    "theorem-a": Theorem(lambda a, b, alpha, **_: certify_theorem_A(a, b, alpha)),
+    "sst-cor-p0": Theorem(lambda a, b, alpha, line_search, **_: certify_sst_cor_p0(a, b, alpha, line_search),
+                          lambda pts, spec: sst_cor_p0_batch(pts.a, pts.b, pts.alpha, spec.line_search)),
+    "sst-cor-max": Theorem(lambda a, b, alpha, **_: certify_sst_cor_max(a, b, alpha),
+                           lambda pts, spec: sst_cor_max_batch(pts.a, pts.b, pts.alpha)),
+    "sst-cor-final": Theorem(lambda a, b, alpha, **_: certify_sst_cor_final(a, b, alpha),
+                             lambda pts, spec: sst_cor_final_batch(pts.a, pts.b, pts.alpha)),
+    "theorem-a": Theorem(lambda a, b, alpha, **_: certify_theorem_A(a, b, alpha),
+                         lambda pts, spec: theorem_a_batch(pts.a, pts.b, pts.alpha)),
     "general": Theorem(
         lambda a, b, c, cls, boundary, relaxed, **_: certify_general(cls, HypergeomParams(a, b, c), boundary, relaxed),
+        lambda pts, spec: general_batch(*_chunk_class(spec, pts), pts.a, pts.b, pts.c, spec.boundary),
         takes_class=True,
     ),
-    "convexity": Theorem(lambda a, b, c, cls, **_: certify_convexity(cls, HypergeomParams(a, b, c)), takes_class=True),
+    "convexity": Theorem(lambda a, b, c, cls, **_: certify_convexity(cls, HypergeomParams(a, b, c)),
+                         lambda pts, spec: convexity_batch(*_chunk_class(spec, pts), pts.a, pts.b, pts.c),
+                         takes_class=True),
 }
 
 
@@ -244,19 +229,11 @@ def cmd_eval(args) -> int:
 def _certificate(args) -> Certificate:
     """The certificate that `certify` and `crosscheck` both start from."""
     cls = None if args.cls is None else build_shape_class(args.cls, args.alpha, args.lam)
-    return certify_dispatch(
-        args.theorem,
-        args.a,
-        args.b,
-        args.c,
-        args.alpha,
-        args.lam,
-        args.s,
-        cls=cls,
-        line_search=_line_search(args),
-        boundary=_boundary_settings(args),
-        relaxed=args.relaxed,
-    )
+    line_search = LineSearchSettings(s_min=args.ls_s_min, s_max=args.ls_s_max, n_log_points=args.ls_points,
+                                     refine_iters=args.ls_refine_iters, min_margin=args.ls_min_margin)
+    boundary = BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
+    return certify_dispatch(args.theorem, args.a, args.b, args.c, args.alpha, args.lam, args.s, cls=cls,
+                            line_search=line_search, boundary=boundary, relaxed=args.relaxed)
 
 
 def cmd_certify(args) -> int:
@@ -328,7 +305,7 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         if not _json_is(steps, "int") or steps < 2:
             raise InvalidParams("each axis needs an integer 'steps' >= 2")
         if not (_json_is(entry["from"], "float") and _json_is(entry["to"], "float")):
-            raise InvalidParams(f"axis {symbol!r}: 'from' and 'to' must be numbers")
+            raise InvalidParams(f"axis {symbol!r}: 'from' and 'to' must be finite numbers")
         axes.append(ScanAxis(symbol, float(entry["from"]), float(entry["to"]), steps))
     total = math.prod(ax.steps for ax in axes)
     if total > 10_000_000:
@@ -340,7 +317,7 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         if key not in SCAN_SYMBOLS and key != "s":
             raise InvalidParams(f"unknown fixed symbol {key!r}")
         if not _json_is(value, "float"):
-            raise InvalidParams(f"fixed {key!r} must be a number")
+            raise InvalidParams(f"fixed {key!r} must be a finite number")
     kind = data.get("certificate")
     if kind not in THEOREMS:
         raise InvalidParams(f"'certificate' must be one of {tuple(THEOREMS)}")
@@ -350,7 +327,7 @@ def parse_scan_spec(data: dict) -> ScanSpec:
     ):
         raise InvalidParams(f"the {kind} certificate needs a 'class' whose 'kind' is one of {tuple(SHAPE_CLASSES)}")
     if THEOREMS[kind].takes_class and not all(_json_is(class_spec.get(k, 0.0), "float") for k in ("alpha", "lambda")):
-        raise InvalidParams("the class's 'alpha' and 'lambda' must be numbers")
+        raise InvalidParams("the class's 'alpha' and 'lambda' must be finite numbers")
     verify = data.get("verify", False)
     if not isinstance(verify, bool):
         raise InvalidParams("'verify' must be true or false")
@@ -373,7 +350,8 @@ def parse_scan_spec(data: dict) -> ScanSpec:
 
 def _spec_settings(data: dict, key: str, settings_cls):
     """settings_cls built from the spec's optional `key` object, whose keys
-    must be its fields and whose values must have the JSON type of each field."""
+    must be its fields and whose values must have the JSON type of each field
+    (a finite number, for a number)."""
     value = data.get(key, {})
     types = {f.name: f.type for f in fields(settings_cls)}
     if not isinstance(value, dict) or not value.keys() <= types.keys():
@@ -389,15 +367,15 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def _json_is(value, annotation: str) -> bool:
-    """True when a JSON value fits a field annotated int, float or str; true and false fit none."""
-    return isinstance(value, _JSON_TYPES[annotation]) and not isinstance(value, bool)
+    """True when a JSON value fits a field annotated int, float or str; true
+    and false fit none, and NaN and the infinities fit no number."""
+    if not isinstance(value, _JSON_TYPES[annotation]) or isinstance(value, bool):
+        return False
+    return annotation != "float" or math.isfinite(value)
 
 
 # rows checked together and written before the next chunk starts
 SCAN_CHUNK_ROWS = 4096
-
-# what a row's checker may raise; the row is written as refused and the scan goes on
-ROW_ERRORS = (HypstarError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -421,7 +399,6 @@ class _ScanGrid:
         self.strides = [int(np.prod([ax.steps for ax in spec.axes[k + 1:]])) for k in range(len(spec.axes))]
         self.size = int(np.prod([ax.steps for ax in spec.axes]))
         self.fixed = {sym: float(spec.fixed.get(sym, 0.0)) for sym in SCAN_SYMBOLS}
-        self.s = float(spec.fixed.get("s", 0.0))
 
     def _axis_indices(self, start: int, stop: int) -> list[np.ndarray]:
         rows = np.arange(start, stop)
@@ -450,66 +427,21 @@ class _ScanGrid:
         return list(zip(*columns))
 
 
-def _scan_class(spec: ScanSpec, alpha: float, lam: float) -> Optional[ShapeClass]:
-    if not THEOREMS[spec.certificate_kind].takes_class:
-        return None
-    cls = spec.class_spec
-    return build_shape_class(cls["kind"], float(cls.get("alpha", alpha)), float(cls.get("lambda", lam)))
-
-
-def _check_rows(spec: ScanSpec, grid: _ScanGrid, pts: _ChunkPoints):
-    """(passed, failed_condition, certificate_of) for the rows of a chunk;
-    certificate_of(i) is row i's Certificate, or None for a refused row."""
-    check_chunk = THEOREMS[spec.certificate_kind].check_chunk
-    if check_chunk is not None:
-        batch = check_chunk(pts, spec)
-        return (
-            batch.passed().tolist(),
-            batch.failed_conditions(),
-            lambda i: None if i in batch.errors else batch.certificate(i),
-        )
-    passed, failed, certs = [], [], []
-    for i in range(len(pts.a)):
-        alpha, lam = float(pts.alpha[i]), float(pts.lam[i])
-        try:
-            cert = certify_dispatch(
-                spec.certificate_kind,
-                complex(pts.a[i]),
-                complex(pts.b[i]),
-                complex(pts.c[i]),
-                alpha,
-                lam,
-                grid.s,
-                cls=_scan_class(spec, alpha, lam),
-                line_search=spec.line_search,
-                boundary=spec.boundary,
-            )
-        except ROW_ERRORS as exc:
-            passed.append(False)
-            failed.append(f"invalid: {exc}")
-            certs.append(None)
-        else:
-            passed.append(cert.passed)
-            failed.append(cert.failed_condition())
-            certs.append(cert)
-    return passed, failed, certs.__getitem__
-
-
 def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> list[list[str]]:
     """The CSV rows of scan rows start..stop-1."""
-    passed, failed, certificate_of = _check_rows(spec, grid, grid.points(start, stop))
+    batch = THEOREMS[spec.certificate_kind].check_chunk(grid.points(start, stop), spec)
+    passed, failed = batch.passed().tolist(), batch.failed_conditions()
     rows = []
     for i, labels in enumerate(grid.row_labels(start, stop)):
         min_slack = ""
         status = ""
-        if spec.verify:
-            cert = certificate_of(i)
-            if cert is None:
-                status = "Invalid"
-            else:
-                report = verify_on_disk(cert.shape_class, cert.params, spec.grid, spec.series)
-                min_slack = _fmt(report.min_slack)
-                status = report.status
+        if spec.verify and i in batch.errors:
+            status = "Invalid"
+        elif spec.verify:
+            cert = batch.certificate(i)
+            report = verify_on_disk(cert.shape_class, cert.params, spec.grid, spec.series)
+            min_slack = _fmt(report.min_slack)
+            status = report.status
         rows.append([*labels, "true" if passed[i] else "false", failed[i], min_slack, status])
     return rows
 
@@ -518,10 +450,10 @@ def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:
     """Check every grid point (row-major over the axes, first axis slowest)
     and stream the CSV.
 
-    Rows go in chunks of SCAN_CHUNK_ROWS: array-checked kinds check a whole
-    chunk at once, other kinds row by row, and each chunk's rows are written
-    before the next chunk's are held.  A row whose checker raises is written
-    as refused ("invalid: <message>", status Invalid when verifying).
+    Rows go in chunks of SCAN_CHUNK_ROWS: every kind checks a whole chunk in
+    one call of its array checker, and each chunk's rows are written before
+    the next chunk's are held.  A row the checker refuses is written as
+    refused ("invalid: <message>", status Invalid when verifying).
     `threads` is accepted for compatibility and has no effect.
     """
     grid = _ScanGrid(spec)

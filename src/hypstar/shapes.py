@@ -67,15 +67,20 @@ class SpirallikeOrder:
 ShapeClass = Union[StarlikeOrder, StronglyStarlike, SpirallikeOrder]
 
 
-def _lam(cls: ShapeClass) -> float:
+def lam_of(cls: ShapeClass) -> float:
     return cls.lam if isinstance(cls, SpirallikeOrder) else 0.0
+
+
+def shape_of(family: type, alpha: float, lam: float = 0.0) -> ShapeClass:
+    """The class of the family at order alpha; only SpirallikeOrder reads the angle lam."""
+    return family(lam, alpha) if family is SpirallikeOrder else family(alpha)
 
 
 def mu_of(cls: ShapeClass) -> complex:
     """mu = (1 - alpha) e^{i lam} cos(lam) for the Moebius-type families."""
     if isinstance(cls, StronglyStarlike):
         raise ValueError("mu is defined only for the Moebius-type families")
-    lam = _lam(cls)
+    lam = lam_of(cls)
     return (1 - cls.alpha) * cmath.exp(1j * lam) * math.cos(lam)
 
 
@@ -169,7 +174,7 @@ def membership_slack_array(cls: ShapeClass, w: np.ndarray) -> np.ndarray:
     if isinstance(cls, StronglyStarlike):
         half = math.pi * cls.alpha / 2
         return np.where(w == 0, -half, half - np.abs(np.angle(w)))
-    lam = _lam(cls)
+    lam = lam_of(cls)
     return np.real(np.exp(-1j * lam) * w) - cls.alpha * math.cos(lam)
 
 
@@ -199,7 +204,7 @@ def admissibility_vi(cls: ShapeClass) -> AdmissibilityResult:
         return AdmissibilityResult(
             True, None, f"opening exponent 1/alpha = {1 / cls.alpha:.6g} > 1; derivative test vacuous"
         )
-    lam = _lam(cls)
+    lam = lam_of(cls)
     value = -1 / ((1 - cls.alpha) * (1 + cmath.exp(2j * lam)))
     in_unit_interval = abs(value.imag) <= REAL_TOL and -REAL_TOL <= value.real <= 1 + REAL_TOL
     return AdmissibilityResult(not in_unit_interval, value)

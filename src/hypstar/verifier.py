@@ -44,7 +44,7 @@ VIOLATION_TOL = 1e-9
 # principal step of arg F lies within this much of the trapezoid prediction
 MAX_PHASE_STEP = math.pi / 2
 # outer-ring samplings tried for the winding number, in multiples of n_angles
-_WINDING_REFINEMENTS = (1, 2, 4, 8)
+_WINDING_REFINEMENTS = (1, 2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def _zeros_inside(
 ) -> Optional[int]:
     """Zeros of F in |z| < r by the argument principle on the outer ring.
 
-    The ring is sampled again at 2, 4 and 8 times as many angles while a
+    The ring is sampled again at 2, 4, 8 and 16 times as many angles while a
     phase step is too large; None when even the finest sampling does not
     resolve the count.
     """

@@ -17,6 +17,7 @@ from hypstar import (
     StarlikeOrder,
     StronglyStarlike,
     ab_gap_formula,
+    certificates,
     certify_convexity,
     certify_cor_a2,
     certify_general,
@@ -456,3 +457,42 @@ class TestSerialization:
                 continue
             assert cert.conditions
             assert cert.passed == all(c.passed for c in cert.conditions)
+
+
+ROT = cmath.exp(1j * math.pi / 12)
+# (batch over rows, scalar checker of one row, rows); orders and angles differ
+# from row to row, so a row read from another row's thresholds, notes or class fails
+BATCH_ROWS = {
+    "cor-a2": (certificates.cor_a2_batch, certify_cor_a2, [(2, 1, 2, 0.0), (1, 1, 2, 0.5), (1.5, 1.2, 2, 0.25)]),
+    "spirallike-cor1": (
+        certificates.spirallike_cor1_batch, certify_spirallike_cor1,
+        [(ROT, ROT, math.pi / 6, 0.1), (1.5 * ROT, ROT, math.pi / 6, 0.3)],
+    ),
+    "spirallike-cor2": (
+        certificates.spirallike_cor2_batch, certify_spirallike_cor2, [(1, 1.5, 0.5, 0.1), (1.2, 0.8, 0.3, 0.4)],
+    ),
+    "sst-cor-final": (certificates.sst_cor_final_batch, certify_sst_cor_final, [(1, 1, 0.5), (1.5, 0.8, 0.7)]),
+    "theorem-a": (certificates.theorem_a_batch, certify_theorem_A, [(1, 1.2, 0.6), (1.2, 0.9, 0.8)]),
+    "general": (
+        lambda alpha, lam, a, b, c: certificates.general_batch(
+            SpirallikeOrder, alpha, lam, a, b, c, certificates.BoundaryGridSettings(n_points=64)
+        ),
+        lambda alpha, lam, a, b, c: certify_general(
+            SpirallikeOrder(lam, alpha), HypergeomParams(a, b, c), certificates.BoundaryGridSettings(n_points=64)
+        ),
+        [(0.1, 0.3, 1, 1, 2.5), (0.2, -0.2, 1, 1, 3)],
+    ),
+    "convexity": (
+        lambda alpha, a, b, c: certificates.convexity_batch(StarlikeOrder, alpha, 0.0, a, b, c),
+        lambda alpha, a, b, c: certify_convexity(StarlikeOrder(alpha), HypergeomParams(a, b, c)),
+        [(0.0, 1, 1, 2), (0.2, 1.1, 0.9, 2.5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_ROWS))
+def test_batch_rows_are_the_scalar_certificates(kind):
+    batch, scalar, rows = BATCH_ROWS[kind]
+    checked = batch(*(np.array(column) for column in zip(*rows)))
+    for i, row in enumerate(rows):
+        assert checked.certificate(i).to_json() == scalar(*row).to_json(), (kind, row)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from hypstar import cli
-from hypstar.cli import ROW_ERRORS, certify_dispatch, main, parse_scan_spec
-from hypstar.errors import InvalidParams
+from hypstar.cli import certify_dispatch, main, parse_scan_spec
+from hypstar.errors import HypstarError, InvalidParams
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
 
@@ -310,6 +310,13 @@ class TestScan:
         + [
             {"varying": [{"symbol": "b_re", "to": 1.0, "steps": 2}]},
             {"varying": ["b_re"]},
+            {"varying": [{"symbol": "b_re", "from": math.nan, "to": 1.0, "steps": 2}]},
+            {"varying": [{"symbol": "b_re", "from": 0.5, "to": math.inf, "steps": 2}]},
+            {"fixed": {"a_re": -math.inf}},
+            {"line_search": {"min_margin": math.nan}},
+            {"series": {"tol": math.inf}},
+            {"certificate": "general", "class": {"kind": "starlike", "alpha": math.nan}},
+            {"certificate": "convexity", "class": {"kind": "spirallike", "lambda": math.inf}},
         ],
     )
     def test_malformed_spec_exits_2_without_csv(self, tmp_path, capsys, malformed):
@@ -414,10 +421,28 @@ class TestScan:
                 assert row["status"] == ("Invalid" if verify else "")
             assert rows[0]["status"] == ("Consistent" if verify else "")
 
+    def test_pinned_c_at_minus_infinity_is_a_refused_row(self, tmp_path, capsys):
+        # c = a + b + 1 overflows to -inf in the first row
+        spec = {
+            "varying": [{"symbol": "a_re", "from": -1e308, "to": 1, "steps": 3}],
+            "fixed": {"b_re": -1e308, "alpha": 0.2, "lambda": 0.3},
+            "certificate": "spirallike",
+        }
+        out_csv = tmp_path / "inf.csv"
+        code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
+        assert code == 0
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["failed_condition"] for row in rows] == [
+            "invalid: cannot convert float infinity to integer",
+            "invalid: c is a nonpositive integer",
+            "invalid: ab must be nonzero",
+        ]
 
-# scans per array-checked kind: axes straddle the conditions' boundaries and
-# cross refused inputs (ab = 0, alpha or lambda outside its range, c or
-# a + b + 1 at 0 and -1)
+
+# scans per kind: axes straddle the conditions' boundaries and cross refused
+# inputs (ab = 0, alpha or lambda outside its range, c or a + b + 1 at 0 and
+# -1, and each kind's own refusals noted above its specs)
 AGREEMENT_SPECS = {
     "starlike-order": [
         {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
@@ -469,7 +494,92 @@ AGREEMENT_SPECS = {
                      {"symbol": "alpha", "from": 0.1, "to": 0.9, "steps": 5}],
          "fixed": {"a_im": 0.2, "b_im": -0.2}},
     ],
+    # c + is at 0 and -1, a, b or c off the real axis
+    "cor-a2": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "b_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "c_re", "from": -1, "to": 3, "steps": 9}]},
+        {"varying": [{"symbol": "a_im", "from": -1, "to": 1, "steps": 3},
+                     {"symbol": "b_im", "from": -1, "to": 1, "steps": 3},
+                     {"symbol": "c_im", "from": -1, "to": 1, "steps": 3}],
+         "fixed": {"a_re": 1, "b_re": 1, "c_re": 2.5, "s": 0.5}},
+    ],
+    # b = e^{i pi/6} at lam = pi/6 makes e^{-i lam} ab = a; lam at 0 and beyond pi/2
+    "spirallike-cor1": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 0.8660254037844387, "b_im": 0.49999999999999994, "lambda": 0.5235987755982988}},
+        {"varying": [{"symbol": "lambda", "from": -2, "to": 2, "steps": 9},
+                     {"symbol": "a_im", "from": -0.5, "to": 0.5, "steps": 3},
+                     {"symbol": "alpha", "from": 0, "to": 0.9, "steps": 4}],
+         "fixed": {"a_re": 1, "b_re": 1}},
+    ],
+    # lam at 0 (cos^2 = 1) and beyond pi/2, ab <= 0, a + b + 1 at 0 and -1
+    "spirallike-cor2": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "lambda", "from": -2, "to": 2, "steps": 9},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 1.5}},
+        {"varying": [{"symbol": "a_re", "from": -1.5, "to": 2, "steps": 8},
+                     {"symbol": "b_re", "from": -1.5, "to": 2, "steps": 8},
+                     {"symbol": "lambda", "from": 0.1, "to": 1.4, "steps": 5}],
+         "fixed": {"alpha": 0.2}},
+    ],
+    # a + b off the real axis, ab <= 0, a + b + 1 at 0 and -1
+    "sst-cor-final": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "a_im", "from": -1, "to": 1, "steps": 5},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 1}},
+        {"varying": [{"symbol": "a_re", "from": -1.5, "to": 3, "steps": 10},
+                     {"symbol": "b_re", "from": -1.5, "to": 3, "steps": 10},
+                     {"symbol": "alpha", "from": 0.05, "to": 0.95, "steps": 5}]},
+    ],
+    # alpha <= 1/3, a + b off the real axis, ab <= 0, a + b + 1 at 0 and -1
+    "theorem-a": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "a_im", "from": -1, "to": 1, "steps": 5},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 1}},
+        {"varying": [{"symbol": "a_re", "from": -1.5, "to": 3, "steps": 10},
+                     {"symbol": "b_re", "from": -1.5, "to": 3, "steps": 10},
+                     {"symbol": "alpha", "from": 0.2, "to": 0.9, "steps": 8}]},
+    ],
+    # class orders and angles out of range, c at 0 and -1
+    "general": [
+        {"varying": [{"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7},
+                     {"symbol": "c_re", "from": -1, "to": 4, "steps": 11}],
+         "fixed": {"a_re": 1, "b_re": 1}, "class": {"kind": "starlike"}, "boundary": {"n_points": 64}},
+        {"varying": [{"symbol": "lambda", "from": -2, "to": 2, "steps": 9},
+                     {"symbol": "c_re", "from": 1, "to": 4, "steps": 7}],
+         "fixed": {"a_re": 1, "b_re": 1}, "class": {"kind": "spirallike", "alpha": 0.1},
+         "boundary": {"n_points": 64}},
+        {"varying": [{"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7},
+                     {"symbol": "a_im", "from": -0.5, "to": 0.5, "steps": 3}],
+         "fixed": {"a_re": 1, "b_re": 1, "c_re": 3}, "class": {"kind": "strongly-starlike"},
+         "boundary": {"n_points": 64}},
+    ],
+    # class orders and angles out of range, ab and (a+1)(b+1) at 0, c and c + 1 at 0 and -1,
+    # c != a + b + 2 for the spirallike delegate
+    "convexity": [
+        {"varying": [{"symbol": "a_re", "from": -1, "to": 3, "steps": 9},
+                     {"symbol": "c_re", "from": -2, "to": 3, "steps": 11},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7}],
+         "fixed": {"b_re": 1}, "class": {"kind": "starlike"}},
+        {"varying": [{"symbol": "c_re", "from": 2, "to": 5, "steps": 7},
+                     {"symbol": "lambda", "from": -2, "to": 2, "steps": 9},
+                     {"symbol": "a_im", "from": -0.5, "to": 0.5, "steps": 3}],
+         "fixed": {"a_re": 1, "b_re": 1, "alpha": 0.1}, "class": {"kind": "spirallike"}},
+        {"varying": [{"symbol": "b_re", "from": 0.5, "to": 2, "steps": 4},
+                     {"symbol": "c_re", "from": -1, "to": 4, "steps": 6},
+                     {"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 4}],
+         "fixed": {"a_re": 1}, "class": {"kind": "strongly-starlike"}},
+    ],
 }
+
+
+# what a one-row checker may raise for a refused row
+ROW_ERRORS = (HypstarError, ValueError, ArithmeticError)
 
 
 def _dispatch_outcome(spec, coords) -> list[str]:
@@ -478,20 +588,35 @@ def _dispatch_outcome(spec, coords) -> list[str]:
     point.update(spec.fixed)
     for ax, value in zip(spec.axes, coords):
         point[ax.symbol] = value
+    alpha, lam = float(point["alpha"]), float(point["lambda"])
     try:
+        cls = None
+        if cli.THEOREMS[spec.certificate_kind].takes_class:
+            kind = spec.class_spec["kind"]
+            cls = cli.build_shape_class(kind, spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam))
         cert = certify_dispatch(
             spec.certificate_kind,
             complex(point["a_re"], point["a_im"]),
             complex(point["b_re"], point["b_im"]),
             complex(point["c_re"], point["c_im"]),
-            float(point["alpha"]),
-            float(point["lambda"]),
-            0.0,
+            alpha,
+            lam,
+            float(point.get("s", 0.0)),
+            cls=cls,
             line_search=spec.line_search,
+            boundary=spec.boundary,
         )
     except ROW_ERRORS as exc:
         return ["false", f"invalid: {exc}"]
     return ["true" if cert.passed else "false", cert.failed_condition()]
+
+
+# kinds whose checker has one condition that can fail
+ONE_CONDITION_KINDS = {"spirallike-cor1", "spirallike-cor2", "theorem-a"}
+
+
+def test_every_kind_has_agreement_specs():
+    assert sorted(AGREEMENT_SPECS) == sorted(cli.THEOREMS)
 
 
 @pytest.mark.parametrize("kind", sorted(AGREEMENT_SPECS))
@@ -515,7 +640,8 @@ def test_array_checkers_agree_with_dispatch(kind, tmp_path, monkeypatch):
             assert row[k:k + 2] == _dispatch_outcome(spec, coords), (kind, coords)
             outcomes.add(row[k + 1].split(":")[0])
     # the specs reach passing rows, failed conditions and refused rows
-    assert "" in outcomes and "invalid" in outcomes and len(outcomes) >= 4
+    assert "" in outcomes and "invalid" in outcomes
+    assert len(outcomes) >= (3 if kind in ONE_CONDITION_KINDS else 4)
 
 
 class TestEntryPoint:

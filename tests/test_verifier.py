@@ -242,7 +242,7 @@ class TestEvidenceGaps:
     def test_koebe_winding_needs_refined_sampling(self):
         # F = (1-z)^-2, so f is the Koebe function, starlike with
         # q = (1+z)/(1-z).  arg F turns by about 2 pi within 0.01 rad of
-        # z = 0.995: the default 720 angles resolve it, but even 8 x 16
+        # z = 0.995: the default 720 angles resolve it, but even 16 x 16
         # samples of the outer ring cannot follow it
         params = HypergeomParams(2, 1, 1)
         report = verify_on_disk(StarlikeOrder(0.0), params)
@@ -263,6 +263,18 @@ class TestEvidenceGaps:
             report = verify_on_disk(StarlikeOrder(0), params, grid)
             assert report.status == DEGENERATE, grid
             assert report.f_zeros_inside == 2, grid
+
+    def test_winding_ladder_reaches_sixteen_times_the_angles(self):
+        # draw 34 of draw_params(RandomState(7), radius=3): at r = 0.995 its
+        # winding number is unresolved on 240 to 1,920 angles and 1 on 3,840
+        params = HypergeomParams(
+            0.6213573101729191 - 1.2745203472805986j,
+            1.0342153105757186 + 1.2722927206883687j,
+            0.938701719231612 - 2.118418105838739j,
+        )
+        report = verify_on_disk(StarlikeOrder(0.0), params, DiskGridSettings(n_radii=12, r_max=0.995, n_angles=240))
+        assert report.f_zeros_inside == 1
+        assert report.status == DEGENERATE
 
 
 def _outer_ring_instances():
@@ -342,14 +354,17 @@ def _full_grid_status(cls, params, grid, f_zeros_inside):
 
 def test_outer_ring_report_keeps_the_full_grid_status():
     """A report from the outer ring alone has the status that every ring of
-    the grid gives, on random triples of each class."""
+    the grid gives, on random triples of each class, and every ring is
+    summed where the zero count is unresolved."""
     rng = np.random.RandomState(7)
+    cases = [(draw_params(rng, radius=3), SWEEP_GRID) for _ in range(20)]
+    # 16 angles leave the Koebe function's zero count unresolved (see the Koebe test above)
+    cases.append((HypergeomParams(2, 1, 1), DiskGridSettings(n_radii=2, r_max=0.995, n_angles=16)))
     seen = set()
-    for _ in range(20):
-        params = draw_params(rng, radius=3)
+    for params, grid in cases:
         for cls in (StarlikeOrder(0.0), SpirallikeOrder(0.4, 0.1), StronglyStarlike(0.5)):
-            report = verify_on_disk(cls, params, SWEEP_GRID)
-            expected = _full_grid_status(cls, params, SWEEP_GRID, report.f_zeros_inside)
+            report = verify_on_disk(cls, params, grid)
+            expected = _full_grid_status(cls, params, grid, report.f_zeros_inside)
             assert report.status == expected, (cls, params)
             seen.add((report.status, report.rings))
     assert {(CONSISTENT, "outer"), (DEGENERATE, "outer"), (VIOLATED, "outer"), (VIOLATED, "all")} <= seen
