@@ -34,7 +34,6 @@ from .oracles import (
     ab_gap_formula,
     leading_coefficients,
     minimize_on_positive_line,
-    rows_per_block,
 )
 from .shapes import (
     THETA_MIN,
@@ -146,20 +145,16 @@ class CertificateBatch:
             for i in np.flatnonzero(~np.isfinite(cond.value)):
                 self.errors.setdefault(int(i), NonFinite(f"{cond.name} is not finite"))
 
-    def passed(self) -> np.ndarray:
-        mask = np.logical_and.reduce([cond.passed for cond in self.conditions])
-        mask[list(self.errors)] = False
-        return mask
-
-    def failed_conditions(self) -> list[str]:
-        """Per row: "" when it passed, the first failed condition's name, or "invalid: <message>"."""
+    def failed_conditions(self) -> tuple[np.ndarray, list[str]]:
+        """Per row, an index into the returned names: 0 ("") for a passed row, so that
+        `code == 0` is the pass mask, else its first failed condition or "invalid: <message>"."""
         ok = np.stack([cond.passed for cond in self.conditions])
-        first = np.argmax(~ok, axis=0).tolist()
-        names = [cond.name for cond in self.conditions]
-        out = ["" if all_ok else names[j] for j, all_ok in zip(first, ok.all(axis=0).tolist())]
+        names = ["", *(cond.name for cond in self.conditions)]
+        code = np.where(ok.all(axis=0), 0, np.argmax(~ok, axis=0) + 1)
+        refusals: dict[str, int] = {}
         for i, exc in self.errors.items():
-            out[i] = f"invalid: {exc}"
-        return out
+            code[i] = refusals.setdefault(f"invalid: {exc}", len(names) + len(refusals))
+        return code, names + list(refusals)
 
     def certificate(self, i: int = 0) -> Certificate:
         """Row i as a Certificate; a refused row raises its error."""
@@ -337,10 +332,12 @@ def cor_a2_batch(a, b, c, s) -> CertificateBatch:
         Condition("c - b", c - b, ">= 0", c - b >= -STRICT_TOL),
     ]
     order = 1 - a / 2
-    shape_class = _classes(StarlikeOrder, np.where((0 <= order) & (order < 1), order, 0.0))
+    in_range = (0 <= order) & (order < 1)
+    shape_class = _classes(StarlikeOrder, np.where(in_range, order, 0.0))
 
     def notes(i: int) -> list[str]:
-        out = [f"certified order 1 - a/2 = {order[i]:.15g}"]
+        certified = in_range[i] and all(cond.passed[i] for cond in conditions)
+        out = [f"certified order 1 - a/2 = {order[i]:.15g}"] if certified else []
         if abs(b[i] + c[i] - 3) <= STRICT_TOL:
             out.append("b + c = 3 boundary accepted via the limiting family")
         return out
@@ -514,27 +511,16 @@ def _line_minima(alpha: np.ndarray, S, per_eps: list[tuple], line_search: LineSe
     for eps = +1 and -1, and the notes of row i.
 
     per_eps holds (K, T, U, V) for each sign.  The residual of every row and
-    sign is minimized over s > 0 by the batched line minimizer, in row
-    blocks sized by `rows_per_block`; the tail coefficient is the net
-    coefficient of the highest power of s.
+    sign is minimized over s > 0 by one call of the batched line minimizer,
+    so that every row's refinement runs in one lockstep pass; the tail
+    coefficient is the net coefficient of the highest power of s.
     """
     n = len(alpha)
-    stacked = [
-        np.concatenate([np.broadcast_to(v, (n,)) for v in pair])
-        for pair in ((alpha, alpha), (S, S), *zip(*per_eps))
-    ]
-    alpha2, S2, K2, T2, U2, V2 = stacked
-    order = (alpha2, K2, S2, T2, U2, V2)
-    block = rows_per_block(line_search)
-    results = []
-    for start in range(0, 2 * n, block):
-        cols = [x[start:start + block] for x in order]
-        residual = _cubic_residual(*(x[:, None] for x in cols))
-        results.append(minimize_on_positive_line(residual, line_search, _cubic_terms(*cols)))
-    min_value = np.concatenate([r.min_value for r in results])
-    argmin_s = np.concatenate([r.argmin_s for r in results])
-    safe = np.concatenate([r.endpoint_verdict for r in results]) == SAFE_BOTH_ENDS
-    conclusive = np.concatenate([r.conclusive for r in results])
+    K, T, U, V = zip(*per_eps)
+    order = [np.concatenate([np.broadcast_to(v, (n,)) for v in pair]) for pair in ((alpha, alpha), K, (S, S), T, U, V)]
+    result = minimize_on_positive_line(_cubic_residual(*(x[:, None] for x in order)), line_search, _cubic_terms(*order))
+    min_value, argmin_s, conclusive = result.min_value, result.argmin_s, result.conclusive
+    safe = result.endpoint_verdict == SAFE_BOTH_ENDS
     tail, _ = leading_coefficients(_cubic_terms(*order))
     margin = line_search.min_margin
 

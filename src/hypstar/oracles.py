@@ -80,7 +80,8 @@ def golden_section(f: Callable, lo, hi, iters: int):
         hi = where(left, x2, hi)
         lo = where(left, lo, x1)
         x_kept, f_kept = where(left, x1, x2), where(left, f1, f2)
-        x_new = where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        step = _GOLDEN * (hi - lo)
+        x_new = where(left, hi - step, lo + step)
         f_new = f(x_new)
         x1, f1 = where(left, x_new, x_kept), where(left, f_new, f_kept)
         x2, f2 = where(left, x_kept, x_new), where(left, f_kept, f_new)
@@ -149,13 +150,8 @@ class MinimizerResult:
     conclusive: bool
 
 
-# float64 values per row block of a batched log scan (1 MB per array)
+# float64 values per call of a many-row residual in the log scan (1 MB per array)
 _SCAN_BLOCK_VALUES = 1 << 17
-
-
-def rows_per_block(settings: LineSearchSettings) -> int:
-    """Rows of a batched minimizer call whose log scan fits in one block."""
-    return max(1, _SCAN_BLOCK_VALUES // settings.n_log_points)
 
 
 def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,51 +227,62 @@ def minimize_on_positive_line(
     back on the signs at the extreme samples.  A minimum within +-min_margin
     of zero is flagged inconclusive rather than trusted either way.
 
-    Many rows at once: a residual that returns shape (rows, n) for the n
-    scan points s (shape (n,)) is later called with points of shape
-    (rows, 3), and all 3 * rows refinements run in lockstep.  `terms` then
-    holds per-row arrays, every result field has one entry per row, and a
-    row whose residual is not finite gets min_value NaN where a single
-    residual raises NonFinite.  `rows_per_block` sizes such calls.
+    Many rows at once: a residual that returns shape (rows, k) for k scan
+    points s (shape (k,)) is later called with points of shape (rows, 3), and
+    all 3 * rows refinements run in lockstep.  The scan takes the points in
+    runs short enough that one call's values fit in _SCAN_BLOCK_VALUES, and
+    keeps each row's three smallest samples.  `terms` then holds per-row
+    arrays, every result field has one entry per row, and a row whose
+    residual is not finite gets min_value NaN (and an argmin_s of no
+    meaning) where a single residual raises NonFinite.
     """
     s = np.logspace(math.log10(settings.s_min), math.log10(settings.s_max), settings.n_log_points)
-    vals = _values(residual, s)
+    vals = _values(residual, s[:2])
     single = vals.ndim == 1
     if single:
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("residual returned a non-finite value inside the search range")
         one_row = residual
-        residual = lambda x: _values(one_row, x[0])[None]  # noqa: E731
+        residual = lambda x: _values(one_row, np.ravel(x))[None]  # noqa: E731
         vals = vals[None]
-    rows = np.arange(len(vals))
-    bad = ~np.isfinite(vals).all(axis=1)
+    finite = np.isfinite(vals).all(axis=1)
+    rows = np.arange(len(vals))[:, None]
+    # each row's three smallest samples so far, by value and then by s (NaN last), and their indices
+    low_v, low_i = vals, np.arange(2) + 0 * rows
+    width = max(1, _SCAN_BLOCK_VALUES // len(vals))
+    for start in range(2, len(s), width):
+        vals = _values(residual, s[start:start + width])
+        finite &= np.isfinite(vals).all(axis=1)
+        both = np.concatenate([low_v, vals], axis=1)
+        keep = np.argsort(both, axis=1, kind="stable")[:, :3]
+        k = low_i.shape[1]  # entries of `both` before the block's own
+        low_v, low_i = both[rows, keep], np.where(keep < k, low_i[rows, np.minimum(keep, k - 1)], keep + (start - k))
+        del vals, both, keep  # so that the next residual call is the only block-sized work alive
+    if single and not finite[0]:
+        raise NonFinite("residual returned a non-finite value inside the search range")
 
-    best_i = np.argmin(vals, axis=1)
-    best_v = vals[rows, best_i]
-    best_s = s[best_i]
+    best_v, best_s = low_v[:, 0], s[low_i[:, 0]]
     log_s = np.log(s)
-    idx = np.argsort(vals, axis=1, kind="stable")[:, :3]
-    lo = log_s[np.maximum(idx - 1, 0)]
-    hi = log_s[np.minimum(idx + 1, len(s) - 1)]
+    lo = log_s[np.maximum(low_i - 1, 0)]
+    hi = log_s[np.minimum(low_i + 1, len(s) - 1)]
     t, v = golden_section(lambda x: residual(np.exp(x)), lo, hi, settings.refine_iters)
     refine_bad = ~np.isfinite(v).all(axis=1)
     if single and refine_bad[0]:
         raise NonFinite("residual returned a non-finite value during refinement")
-    for k in range(idx.shape[1]):
+    for k in range(low_i.shape[1]):
         si, vk = np.exp(t[:, k]), v[:, k]
         better = (vk < best_v) | ((vk == best_v) & (si < best_s))
         best_v = np.where(better, vk, best_v)
         best_s = np.where(better, si, best_s)
-    best_v = np.where(bad | refine_bad, np.nan, best_v)
+    best_v = np.where(~finite | refine_bad, np.nan, best_v)
 
     if terms is not None:
         verdict = _verdicts(*leading_coefficients(terms))
     else:
         margin = settings.min_margin
+        ends = _values(residual, s[[0, 1, -2, -1]])
         verdict = np.where(
-            (vals[:, -1] < -margin) & (vals[:, -1] <= vals[:, -2]),
+            (ends[:, 3] < -margin) & (ends[:, 3] <= ends[:, 2]),
             DIVERGES_AT_INFINITY,
-            np.where((vals[:, 0] < -margin) & (vals[:, 0] <= vals[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
+            np.where((ends[:, 0] < -margin) & (ends[:, 0] <= ends[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
         )
     conclusive = ~((-settings.min_margin <= best_v) & (best_v <= settings.min_margin))
     if single:

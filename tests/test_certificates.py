@@ -96,6 +96,16 @@ class TestCorA2:
         assert any("b + c = 3" in n for n in cert.notes)
         assert cert.shape_class == StarlikeOrder(0.5)
 
+    def test_order_note_only_on_passed_certificates(self):
+        assert "certified order 1 - a/2 = 0.5" in certify_cor_a2(1, 1, 2, 0).notes
+        # fails every condition; 1 - a/2 = 1.894... is no starlike order
+        cert = certify_cor_a2(-1.788555314823298, 2.095417941686607, 0.09946916474998035, -0.007775780331008342)
+        assert not cert.passed
+        assert not any("certified order" in n for n in cert.notes)
+        # a within the tolerance above 2 passes, but 1 - a/2 < 0 is no order either
+        edge = certify_cor_a2(2 + 1e-13, 1, 2, 0)
+        assert edge.passed and not any("certified order" in n for n in edge.notes)
+
 
 class TestSpirallike:
     def test_reduces_to_starlike_values(self):
@@ -496,3 +506,38 @@ def test_batch_rows_are_the_scalar_certificates(kind):
     checked = batch(*(np.array(column) for column in zip(*rows)))
     for i, row in enumerate(rows):
         assert checked.certificate(i).to_json() == scalar(*row).to_json(), (kind, row)
+
+
+def _minimizer_rows(batch) -> list[tuple]:
+    """Per row: the min residual values as bits, the notes (argmins to 6 digits), passed and refusal."""
+    mins = [cond.value for cond in batch.conditions if cond.name.startswith("min residual")]
+    passed = batch.failed_conditions()[0] == 0
+    return [
+        (tuple(m[i].tobytes() for m in mins), tuple(batch.notes(i)), bool(passed[i]), str(batch.errors.get(i)))
+        for i in range(len(passed))
+    ]
+
+
+def test_strong_starlike_row_does_not_depend_on_its_neighbours():
+    # the minimizer scans many rows in runs of log points whose width shrinks as
+    # rows are added (2000 points per call for one row, 163 for 400, 65 for
+    # 1000), then refines all rows in one lockstep pass
+    rng = np.random.RandomState(11)
+    n = 400
+    a = rng.uniform(0.5, 2, n) + 1j * rng.uniform(-0.3, 0.3, n)
+    b = rng.uniform(0.5, 2, n)
+    c = rng.uniform(2, 4, n) + 1j * a.imag
+    alpha = rng.uniform(0.2, 0.9, n)
+    alpha[::37] = 1.5  # refused rows among the others
+    chunk = _minimizer_rows(certificates.strong_starlike_batch(a, b, c, alpha))
+    assert {row[2] for row in chunk} == {True, False}
+    assert sum(row[3] != "None" for row in chunk) == len(alpha[::37])
+    wide = certificates.strong_starlike_batch(*(np.roll(np.tile(x, 3)[:1000], 600) for x in (a, b, c, alpha)))
+    assert _minimizer_rows(wide)[600:1000] == chunk
+    split = []
+    for start, stop in ((0, 65), (65, 66), (66, 197), (197, 400)):
+        split += _minimizer_rows(certificates.strong_starlike_batch(a[start:stop], b[start:stop], c[start:stop],
+                                                                   alpha[start:stop]))
+    assert split == chunk
+    for i in range(0, n, 9):
+        assert _minimizer_rows(certificates.strong_starlike_batch(a[i], b[i], c[i], alpha[i]))[0] == chunk[i]
