@@ -32,6 +32,7 @@ from .oracles import (
     SAFE_BOTH_ENDS,
     LineSearchSettings,
     ab_gap_formula,
+    endpoint_verdicts,
     leading_coefficients,
     minimize_on_positive_line,
 )
@@ -485,12 +486,45 @@ def strong_starlike_cubic(a: complex, b: complex, c: complex, alpha: float) -> C
 
 
 def _cubic_residual(alpha, K, S, T, U, V):
-    """RHS - LHS of the boundary inequality, as a function of s > 0."""
+    """RHS - LHS of the boundary inequality, as a function of s > 0: with
+    x = s^alpha, alpha (s + 1/s) x K - (((S x + T) x + U) x + V), one row per
+    entry of the coefficient arrays.
+
+    Points of shape (k,) are shared by every row, so x and alpha (s + 1/s) x
+    are computed once per distinct alpha and gathered per row; points of
+    shape (rows, m) get per-row powers.  Either way each value comes from the
+    same operations in the same order.  The arithmetic runs in place: Horner's
+    sum lives in one buffer that every call reuses, and the result takes the
+    buffer of the per-row x once x is spent, so a call makes one new array of
+    its size, the one it returns (fresh pages cost the log scan more than its
+    arithmetic).  One residual serves one caller at a time.
+    """
+    # distinct by bits, so that -0.0 and +0.0 (or two NaNs) keep their own powers
+    distinct, group = np.unique(alpha.view(np.int64), return_inverse=True)
+    distinct, every_row = distinct.view(float)[:, None], np.arange(len(alpha))
+    alpha, K, S, T, U, V = (v[:, None] for v in (alpha, K, S, T, U, V))
+    work = np.empty(0)
 
     def residual(s):
+        nonlocal work
         s = np.asarray(s, dtype=float)
-        x = s**alpha
-        return alpha * (s + 1 / s) * x * K - (((S * x + T) * x + U) * x + V)
+        a, rows = (distinct, group) if s.ndim == 1 else (alpha, every_row)
+        powers = s**a
+        scaled = a * (s + 1 / s) * powers
+        x = powers[rows]
+        if work.size < x.size:
+            work = np.empty(x.size)
+        horner = np.multiply(S, x, out=work[:x.size].reshape(x.shape))
+        horner += T
+        horner *= x
+        horner += U
+        horner *= x
+        horner += V
+        # x is spent, so the result takes its buffer ("clip" gathers without a temporary)
+        out = np.take(scaled, rows, axis=0, out=x, mode="clip")
+        out *= K
+        out -= horner
+        return out
 
     return residual
 
@@ -518,10 +552,10 @@ def _line_minima(alpha: np.ndarray, S, per_eps: list[tuple], line_search: LineSe
     n = len(alpha)
     K, T, U, V = zip(*per_eps)
     order = [np.concatenate([np.broadcast_to(v, (n,)) for v in pair]) for pair in ((alpha, alpha), K, (S, S), T, U, V)]
-    result = minimize_on_positive_line(_cubic_residual(*(x[:, None] for x in order)), line_search, _cubic_terms(*order))
+    tail, at_zero = leading_coefficients(_cubic_terms(*order))
+    result = minimize_on_positive_line(_cubic_residual(*order), line_search, endpoint_verdicts(tail, at_zero))
     min_value, argmin_s, conclusive = result.min_value, result.argmin_s, result.conclusive
     safe = result.endpoint_verdict == SAFE_BOTH_ENDS
-    tail, _ = leading_coefficients(_cubic_terms(*order))
     margin = line_search.min_margin
 
     labels = ("eps=+1", "eps=-1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -150,8 +150,9 @@ class MinimizerResult:
     conclusive: bool
 
 
-# float64 values per call of a many-row residual in the log scan (1 MB per array)
-_SCAN_BLOCK_VALUES = 1 << 17
+# float64 values per call of a many-row residual in the log scan (512 KB per
+# array); 2^17 scanned no faster and its buffers raised the peak resident size
+_SCAN_BLOCK_VALUES = 1 << 16
 
 
 def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +190,8 @@ def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray
     return at_infinity, at_zero
 
 
-def _verdicts(at_infinity, at_zero) -> np.ndarray:
+def endpoint_verdicts(at_infinity, at_zero) -> np.ndarray:
+    """Verdicts from the net leading coefficients that leading_coefficients returns."""
     return np.where(at_infinity < 0, DIVERGES_AT_INFINITY, np.where(at_zero < 0, DIVERGES_AT_ZERO, SAFE_BOTH_ENDS))
 
 
@@ -199,7 +201,7 @@ def endpoint_verdict_from_terms(terms: Sequence[tuple[float, float]]) -> str:
     The residual tends to the sign of the dominant net coefficient: highest
     exponent as s -> infinity, lowest as s -> 0+.
     """
-    return str(_verdicts(*leading_coefficients(terms))[0])
+    return str(endpoint_verdicts(*leading_coefficients(terms))[0])
 
 
 def _values(residual: Callable, s: np.ndarray) -> np.ndarray:
@@ -216,25 +218,28 @@ def _values(residual: Callable, s: np.ndarray) -> np.ndarray:
 def minimize_on_positive_line(
     residual: Callable,
     settings: LineSearchSettings = DEFAULT_LINE_SEARCH,
-    terms: Optional[Sequence[tuple]] = None,
+    verdict=None,
 ) -> MinimizerResult:
     """Minimum of residual(s) over s in [s_min, s_max].
 
     Log-spaced scan followed by golden-section refinement (in log s) around
-    the three smallest samples.  `terms`, when given, describes the residual
-    as a power sum [(exponent, coefficient), ...] and supplies the verdict
-    about behaviour beyond the scanned range; without it the verdict falls
-    back on the signs at the extreme samples.  A minimum within +-min_margin
-    of zero is flagged inconclusive rather than trusted either way.
+    the three smallest samples.  `verdict`, when given, is the verdict about
+    behaviour beyond the scanned range, for instance endpoint_verdict_from_terms
+    of the residual written as a power sum; without it the verdict falls back
+    on the signs at the extreme samples.  A minimum within +-min_margin of
+    zero is flagged inconclusive rather than trusted either way.
 
     Many rows at once: a residual that returns shape (rows, k) for k scan
     points s (shape (k,)) is later called with points of shape (rows, 3), and
     all 3 * rows refinements run in lockstep.  The scan takes the points in
-    runs short enough that one call's values fit in _SCAN_BLOCK_VALUES, and
-    keeps each row's three smallest samples.  `terms` then holds per-row
-    arrays, every result field has one entry per row, and a row whose
-    residual is not finite gets min_value NaN (and an argmin_s of no
-    meaning) where a single residual raises NonFinite.
+    runs short enough that one call's values fit in _SCAN_BLOCK_VALUES.  It
+    keeps each row's three smallest samples, ties going to the smaller s, by
+    three argmin passes over the kept samples and the run, each pass setting
+    its pick to +inf.  `verdict` then holds one entry per row, and so does
+    every result field.  A row whose residual is not finite somewhere gets
+    min_value NaN where a single residual raises NonFinite; its samples
+    count as +inf in the selection, so its argmin_s has no meaning, and every
+    checker refuses such a row as NonFinite before argmin_s is shown.
     """
     s = np.logspace(math.log10(settings.s_min), math.log10(settings.s_max), settings.n_log_points)
     vals = _values(residual, s[:2])
@@ -244,18 +249,27 @@ def minimize_on_positive_line(
         residual = lambda x: _values(one_row, np.ravel(x))[None]  # noqa: E731
         vals = vals[None]
     finite = np.isfinite(vals).all(axis=1)
-    rows = np.arange(len(vals))[:, None]
-    # each row's three smallest samples so far, by value and then by s (NaN last), and their indices
-    low_v, low_i = vals, np.arange(2) + 0 * rows
-    width = max(1, _SCAN_BLOCK_VALUES // len(vals))
+    n_rows = len(vals)
+    rows = np.arange(n_rows)
+    # each row's three smallest samples so far, by value and then by s, and their indices
+    low_v, low_i = vals, np.broadcast_to(np.arange(2), (n_rows, 2))
+    width = max(1, min(_SCAN_BLOCK_VALUES // n_rows, len(s) - 2))
+    merged = np.empty((n_rows, 3 + width))  # one buffer for every run, so that no run faults in fresh pages
     for start in range(2, len(s), width):
         vals = _values(residual, s[start:start + width])
         finite &= np.isfinite(vals).all(axis=1)
-        both = np.concatenate([low_v, vals], axis=1)
-        keep = np.argsort(both, axis=1, kind="stable")[:, :3]
-        k = low_i.shape[1]  # entries of `both` before the block's own
-        low_v, low_i = both[rows, keep], np.where(keep < k, low_i[rows, np.minimum(keep, k - 1)], keep + (start - k))
-        del vals, both, keep  # so that the next residual call is the only block-sized work alive
+        k = low_i.shape[1]  # entries of `both` before the run's own
+        both = merged[:, :k + vals.shape[1]]
+        both[:, :k], both[:, k:] = low_v, vals
+        del vals  # so that the next residual call is the only block-sized work alive
+        both[np.isnan(both)] = np.inf
+        keep, low_v = np.empty((n_rows, 3), dtype=np.intp), np.empty((n_rows, 3))
+        for j in range(3):
+            # argmin takes the first of equal values, as a stable sort would
+            pick = keep[:, j] = np.argmin(both, axis=1)
+            low_v[:, j] = both[rows, pick]
+            both[rows, pick] = np.inf
+        low_i = np.where(keep < k, low_i[rows[:, None], np.minimum(keep, k - 1)], keep + (start - k))
     if single and not finite[0]:
         raise NonFinite("residual returned a non-finite value inside the search range")
 
@@ -274,9 +288,7 @@ def minimize_on_positive_line(
         best_s = np.where(better, si, best_s)
     best_v = np.where(~finite | refine_bad, np.nan, best_v)
 
-    if terms is not None:
-        verdict = _verdicts(*leading_coefficients(terms))
-    else:
+    if verdict is None:
         margin = settings.min_margin
         ends = _values(residual, s[[0, 1, -2, -1]])
         verdict = np.where(
@@ -286,7 +298,7 @@ def minimize_on_positive_line(
         )
     conclusive = ~((-settings.min_margin <= best_v) & (best_v <= settings.min_margin))
     if single:
-        return MinimizerResult(float(best_v[0]), float(best_s[0]), str(verdict[0]), bool(conclusive[0]))
+        return MinimizerResult(float(best_v[0]), float(best_s[0]), str(np.ravel(verdict)[0]), bool(conclusive[0]))
     return MinimizerResult(best_v, best_s, verdict, conclusive)
 
 

@@ -30,10 +30,12 @@ from hypstar import (
     certify_starlike_order,
     certify_strong_starlike,
     certify_theorem_A,
+    oracles,
     spirallike_lmn,
     starlike_order_lmn,
     strong_starlike_cubic,
 )
+from hypstar.oracles import DEFAULT_LINE_SEARCH, minimize_on_positive_line
 
 
 def cond_value(cert, name):
@@ -520,7 +522,7 @@ def _minimizer_rows(batch) -> list[tuple]:
 
 def test_strong_starlike_row_does_not_depend_on_its_neighbours():
     # the minimizer scans many rows in runs of log points whose width shrinks as
-    # rows are added (2000 points per call for one row, 163 for 400, 65 for
+    # rows are added (1998 points per call for one row, 81 for 400, 32 for
     # 1000), then refines all rows in one lockstep pass
     rng = np.random.RandomState(11)
     n = 400
@@ -541,3 +543,68 @@ def test_strong_starlike_row_does_not_depend_on_its_neighbours():
     assert split == chunk
     for i in range(0, n, 9):
         assert _minimizer_rows(certificates.strong_starlike_batch(a[i], b[i], c[i], alpha[i]))[0] == chunk[i]
+
+
+def _reference_cubic_residual(alpha, K, S, T, U, V):
+    """The allocating residual, with one column of coefficients per row."""
+
+    def residual(s):
+        x = s**alpha
+        return alpha * (s + 1 / s) * x * K - (((S * x + T) * x + U) * x + V)
+
+    return residual
+
+
+def _cubic_rows(alpha):
+    rng = np.random.RandomState(5)
+    n = len(alpha)
+    K, S, T, U, V = rng.uniform(-3, 3, (5, n))
+    K[::7] = 1e308  # overflows to inf, and inf - inf is NaN
+    for coef in (S, T, U, V):
+        coef[alpha == 0] = 0.0  # the residual is then a signed zero at alpha = -0.0 and +0.0
+    return [np.asarray(alpha, dtype=float), K, S, T, U, V]
+
+
+CUBIC_ALPHAS = {
+    "repeated": np.repeat([0.3, 0.5, 0.0, -0.0, np.nan, 0.5, 0.9, 0.3], 5),
+    "one": np.full(40, 0.25),
+    "distinct": np.random.RandomState(6).uniform(0.05, 0.95, 40),
+}
+
+
+@pytest.mark.parametrize("alphas", sorted(CUBIC_ALPHAS))
+@np.errstate(all="ignore")
+def test_cubic_residual_matches_the_allocating_one(alphas):
+    rows = _cubic_rows(CUBIC_ALPHAS[alphas])
+    kept = [r.copy() for r in rows]
+    residual = certificates._cubic_residual(*rows)
+    reference = _reference_cubic_residual(*(r[:, None] for r in rows))
+    s = np.logspace(-8, 8, 2000)
+    shared = [s[:2], s[2:165], s[1900:], s[5:6]]
+    per_row = [np.exp(np.random.RandomState(7).uniform(-18, 18, (len(rows[0]), 3))), np.ones((len(rows[0]), 1))]
+    points = shared + per_row
+    kept_points = [p.copy() for p in points]
+    results = [residual(p) for p in points]
+    # earlier results stay intact after later calls, and no input is written
+    for p, got in zip(points, results):
+        assert got.tobytes() == reference(p).tobytes()
+    assert [r.tobytes() for r in rows] == [k.tobytes() for k in kept]
+    assert [p.tobytes() for p in points] == [k.tobytes() for k in kept_points]
+
+
+@pytest.mark.parametrize("block", [1 << 17, 80])
+@pytest.mark.parametrize("alphas", sorted(CUBIC_ALPHAS))
+@np.errstate(all="ignore")
+def test_minimizer_on_cubic_rows_matches_the_allocating_residual(monkeypatch, alphas, block):
+    # 80 values per call leave 2 points per run for 40 rows
+    monkeypatch.setattr(oracles, "_SCAN_BLOCK_VALUES", block)
+    rows = _cubic_rows(CUBIC_ALPHAS[alphas])
+    verdict = oracles.endpoint_verdicts(*oracles.leading_coefficients(certificates._cubic_terms(*rows)))
+    got = minimize_on_positive_line(certificates._cubic_residual(*rows), DEFAULT_LINE_SEARCH, verdict)
+    want = minimize_on_positive_line(_reference_cubic_residual(*(r[:, None] for r in rows)), DEFAULT_LINE_SEARCH, verdict)
+    finite = np.isfinite(want.min_value)
+    assert 0 < finite.sum() < len(finite)
+    assert got.min_value.tobytes() == want.min_value.tobytes()
+    assert got.argmin_s[finite].tobytes() == want.argmin_s[finite].tobytes()
+    assert got.endpoint_verdict.tolist() == verdict.tolist() == want.endpoint_verdict.tolist()
+    assert got.conclusive.tolist() == want.conclusive.tolist()

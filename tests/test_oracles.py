@@ -16,10 +16,12 @@ from hypstar import (
     ab_identity_residual,
     half_plane_bound_check,
     minimize_on_positive_line,
+    oracles,
     quadratic_nonneg_exact,
     quadratic_nonneg_sampled,
 )
 from hypstar.oracles import (
+    DEFAULT_LINE_SEARCH,
     DIVERGES_AT_INFINITY,
     DIVERGES_AT_ZERO,
     SAFE_BOTH_ENDS,
@@ -135,6 +137,81 @@ class TestMinimizer:
         assert endpoint_verdict_from_terms([(1.0, 1.0), (-1.0, 2.0), (0.0, -5.0)]) == SAFE_BOTH_ENDS
         # exact cancellation falls through to the next exponent
         assert endpoint_verdict_from_terms([(2.0, 1.0), (2.0, -1.0), (1.0, 1.0)]) == SAFE_BOTH_ENDS
+
+
+def _reference_minimize(residual, settings=DEFAULT_LINE_SEARCH):
+    """The many-row minimizer with the stable-argsort merge it had before the
+    three-argmin one, and the verdict from the end samples: (min_value,
+    argmin_s, endpoint_verdict, conclusive)."""
+    s = np.logspace(math.log10(settings.s_min), math.log10(settings.s_max), settings.n_log_points)
+    vals = residual(s[:2])
+    finite = np.isfinite(vals).all(axis=1)
+    rows = np.arange(len(vals))[:, None]
+    low_v, low_i = vals, np.arange(2) + 0 * rows
+    width = max(1, oracles._SCAN_BLOCK_VALUES // len(vals))
+    for start in range(2, len(s), width):
+        vals = residual(s[start:start + width])
+        finite &= np.isfinite(vals).all(axis=1)
+        both = np.concatenate([low_v, vals], axis=1)
+        keep = np.argsort(both, axis=1, kind="stable")[:, :3]
+        k = low_i.shape[1]
+        low_v, low_i = both[rows, keep], np.where(keep < k, low_i[rows, np.minimum(keep, k - 1)], keep + (start - k))
+    best_v, best_s = low_v[:, 0], s[low_i[:, 0]]
+    log_s = np.log(s)
+    lo, hi = log_s[np.maximum(low_i - 1, 0)], log_s[np.minimum(low_i + 1, len(s) - 1)]
+    t, v = golden_section(lambda x: residual(np.exp(x)), lo, hi, settings.refine_iters)
+    refine_bad = ~np.isfinite(v).all(axis=1)
+    for k in range(3):
+        si, vk = np.exp(t[:, k]), v[:, k]
+        better = (vk < best_v) | ((vk == best_v) & (si < best_s))
+        best_v, best_s = np.where(better, vk, best_v), np.where(better, si, best_s)
+    best_v = np.where(~finite | refine_bad, np.nan, best_v)
+    margin = settings.min_margin
+    ends = residual(s[[0, 1, -2, -1]])
+    verdict = np.where(
+        (ends[:, 3] < -margin) & (ends[:, 3] <= ends[:, 2]),
+        DIVERGES_AT_INFINITY,
+        np.where((ends[:, 0] < -margin) & (ends[:, 0] <= ends[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
+    )
+    return best_v, best_s, verdict, ~((-margin <= best_v) & (best_v <= margin))
+
+
+# one residual row each, as functions of L = log s
+_ROWS = (
+    lambda L: np.zeros_like(L),  # every sample ties
+    lambda L: np.full_like(L, 1.5),
+    lambda L: np.full_like(L, -0.0),
+    lambda L: np.copysign(0.0, np.sin(7 * L)),  # +0.0 and -0.0 everywhere, all tied
+    lambda L: np.where(L < 0, np.copysign(0.0, np.cos(5 * L)), 1 + L),  # signed-zero ties below s = 1
+    lambda L: (L - 2) ** 2 + 0.25,
+    lambda L: (L + 5) ** 2 - 3,
+    lambda L: np.round(np.cos(L), 1),  # equal minima at several s
+    lambda L: np.where(L > math.log(1e3), np.nan, L * L),
+    lambda L: np.where(L < math.log(1e-4), np.inf, (L - 1) ** 2),
+    lambda L: np.where(np.abs(L - 3) < 0.02, -np.inf, L * L + 1),
+)
+_FINITE = np.array([True] * 8 + [False] * 3)
+
+
+def _rows_residual(s):
+    L = np.log(np.asarray(s, dtype=float))
+    L = np.broadcast_to(L, (len(_ROWS), L.shape[-1]))
+    return np.stack([row(L[i]) for i, row in enumerate(_ROWS)])
+
+
+@pytest.mark.parametrize("block", [1 << 17, len(_ROWS), 2 * len(_ROWS), 3 * len(_ROWS)])
+def test_many_row_merge_matches_the_stable_sort(monkeypatch, block):
+    # 2^17 scans in one run; the others leave 1, 2 and 3 points per run
+    monkeypatch.setattr(oracles, "_SCAN_BLOCK_VALUES", block)
+    got = minimize_on_positive_line(_rows_residual)
+    want = _reference_minimize(_rows_residual)
+    assert got.min_value.tobytes() == want[0].tobytes()
+    assert got.argmin_s[_FINITE].tobytes() == want[1][_FINITE].tobytes()
+    assert got.endpoint_verdict.tolist() == want[2].tolist()
+    assert got.conclusive.tolist() == want[3].tolist()
+    assert np.isnan(got.min_value[~_FINITE]).all() and np.isfinite(got.min_value[_FINITE]).all()
+    assert got.argmin_s[0] == got.argmin_s[2] == got.argmin_s[3] == 1e-8
+    assert math.copysign(1, got.min_value[2]) == -1
 
 
 class TestHalfPlaneBound:
