@@ -28,6 +28,10 @@ ZERO_TOL = 1e-12
 _RADIUS_SLACK = 1e-12
 # fewest series terms per block of the ring evaluator
 _RING_BLOCK = 256
+# most series terms per numpy pass: an np.clongdouble array of them (32 B a
+# term) stays in L2 and below glibc's 128 KiB mmap threshold, so no pass
+# takes fresh pages from the kernel
+_SPAN_TERMS = 4095
 _PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
 
 
@@ -136,45 +140,67 @@ def _term_ratios(params: HypergeomParams, z: complex, n: np.ndarray) -> np.ndarr
 
     (a+n)(b+n) is formed first, so a swap of a and b gives bit-identical
     ratios; numpy adds Python complex to a complex array faster than to a real one.
+    The products and the quotient are taken in place, in the order that the
+    expression above rounds in, so a pass allocates four arrays, not eight.
     """
-    return z * ((n + params.a) * (n + params.b)) / ((n + params.c) * (n + 1))
+    ratio = n + params.a
+    ratio *= n + params.b
+    np.multiply(z, ratio, out=ratio)
+    below = n + params.c
+    below *= n + 1
+    ratio /= below
+    return ratio
 
 
-def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, width: int, add, values):
-    """The one series loop: hands u_start, ..., u_{stop-1} to add(start, u), block by block.
+def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, width: int, reach: int, add, values):
+    """The one series loop: hands u_start, ..., u_{stop-1} to add(start, u) in whole blocks.
 
-    u_0 = 1 is the caller's; blocks end at multiples of width.  K |u_K| rho /
-    (1 - rho), K = stop - 1 and rho from `_tail_ratio`, bounds the tails of
-    sum u_n and sum n u_n (zero for a terminating series).  Returns (F, zF',
-    converged, terms, tail), F and zF' from values(), once the bound is at
-    most tol |F| and tol |zF'| everywhere, or at max_terms.
+    u_0 = 1 is the caller's; blocks end at multiples of width.  One numpy pass
+    (a span) makes the terms of one block, or of every block up to the stop
+    `reach` if that is further, at most `_SPAN_TERMS` terms a pass; points
+    pass reach 0, one block per pass.  cumprod over a span chains the terms
+    as block by block would.  The stop is still decided at each block end:
+    K |u_K| rho / (1 - rho), K = stop - 1 and rho from `_tail_ratio`, bounds
+    the tails of sum u_n and sum n u_n (zero for a terminating series).
+    Returns (F, zF', converged, terms, tail), F and zF' from values(), once
+    the bound is at most tol |F| and tol |zF'| everywhere, or at max_terms.
+    add gets no term past the block where the loop stops, and may overwrite u.
     """
     r = abs(z)
-    last = np.clongdouble(1)  # u_{start-1}, the carry between blocks
+    last = np.clongdouble(1)  # u_{start-1}, the carry between spans
     goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
     start = 1
     while True:
-        stop = min(start - start % width + width, settings.max_terms + 1)
-        ratio = _term_ratios(params, z, np.arange(start - 1, stop - 1, dtype=np.clongdouble))
+        span_stop = start - start % width + width
+        if span_stop < reach:
+            span_stop = max(span_stop, min(reach, (start + _SPAN_TERMS) // width * width))
+        span_stop = min(span_stop, settings.max_terms + 1)
+        ratio = _term_ratios(params, z, np.arange(start - 1, span_stop - 1, dtype=np.clongdouble))
         ratio[0] *= last
         u = np.cumprod(ratio)
-        last = u[-1]
-        add(start, u)
-        k = stop - 1
-        if last == 0:
-            tail = 0.0
-        else:
-            rho = _tail_ratio(params, r, k)
-            tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
-        exhausted = stop > settings.max_terms or not np.isfinite(last)
-        if tail <= settings.tol * goal or exhausted:
-            f, zdf = values()
-            scale = np.minimum(abs(f), abs(zdf))
-            converged = tail <= settings.tol * scale
-            if converged.all() or exhausted:
-                return f, zdf, converged, stop, tail
-            goal = float(np.min(np.where(converged, np.inf, scale)))
-        start = stop
+        added = stop = start
+        while stop < span_stop:
+            stop = min(stop - stop % width + width, span_stop)
+            last = u[stop - start - 1]
+            k = stop - 1
+            if last == 0:
+                tail = 0.0
+            else:
+                rho = _tail_ratio(params, r, k)
+                tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
+            exhausted = stop > settings.max_terms or not np.isfinite(last)
+            if tail <= settings.tol * goal or exhausted:
+                add(added, u[added - start:stop - start])
+                added = stop
+                f, zdf = values()
+                scale = np.minimum(abs(f), abs(zdf))
+                converged = tail <= settings.tol * scale
+                if converged.all() or exhausted:
+                    return f, zdf, converged, stop, tail
+                goal = float(np.min(np.where(converged, np.inf, scale)))
+        if added < span_stop:
+            add(added, u[added - start:])
+        start = span_stop
 
 
 def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings):
@@ -198,7 +224,7 @@ def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings)
         sums[:] += rows.sum(axis=1)
 
     width = max(2, math.ceil(2 * math.log(settings.tol) / math.log(abs(z))))
-    f, zdf, converged, _, _ = _sum_series(params, z, settings, width, add, lambda: (sums[0], sums[1]))
+    f, zdf, converged, _, _ = _sum_series(params, z, settings, width, 0, add, lambda: (sums[0], sums[1]))
     return f, zdf, sums[2], bool(converged)
 
 
@@ -258,18 +284,6 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return w
 
 
-def _deflated_dft(fold: np.ndarray, r: np.longdouble) -> np.ndarray:
-    """(1 - z_k) sum_m fold_m w^{mk} at z_k = r w^k, w = e^{2 pi i/n}.
-
-    (1 - z) times a folded series folds to fold_m - r fold_{m-1}, cyclically.
-    The FFT's rounding error scales with the largest value on the ring, and
-    near z = 1 F and zF' can exceed their values elsewhere by orders of
-    magnitude; (1 - z) damps that peak, so the error stays near the size of
-    the values everywhere else.
-    """
-    return len(fold) * np.fft.ifft(fold - r * np.roll(fold, 1))
-
-
 def gauss_2f1_ring(
     params: HypergeomParams, r: float, n_angles: int, settings: SeriesSettings = DEFAULT_SERIES
 ) -> RingValues:
@@ -277,10 +291,17 @@ def gauss_2f1_ring(
 
     At the roots of unity, sum_n u_n w^{nk} with u_n = t_n r^n is the length-n
     DFT of the folded sequence b_m = sum_{n = m mod n_angles} u_n, and zF' is
-    the same with n u_n.  The terms come block by block from `_sum_series`
-    at z = r and are folded as they come, so memory stays O(n_angles).
-    Terms, folds and FFTs run in np.clongdouble, which carries 64-bit
-    mantissas on x86-64; each FFT transforms (1 - z) times the series.
+    the same with n u_n.  The terms come a span of blocks at a time from
+    `_sum_series` at z = r and are folded as they come, so memory stays
+    O(n_angles) plus one span.  Terms, folds and FFTs run in np.clongdouble,
+    which carries 64-bit mantissas on x86-64.
+
+    Each FFT transforms (1 - z) times the series: (1 - z_k) sum_m b_m w^{mk}
+    at z_k = r w^k folds to b_m - r b_{m-1}, cyclically.  The FFT's rounding
+    error scales with the largest value on the ring, and near z = 1 F and
+    zF' can exceed their values elsewhere by orders of magnitude; (1 - z)
+    damps that peak, so the error stays near the size of the values
+    everywhere else.
     """
     r = float(r)
     if r > settings.radius_cap + _RADIUS_SLACK:
@@ -294,20 +315,45 @@ def gauss_2f1_ring(
     rl = np.longdouble(r)
     one_minus_z = 1 - rl * _roots_of_unity(n_angles)
 
-    def add(start, u):  # pads the block to whole rows that start at n = 0 mod n_angles
+    def add(start, u):
+        """Folds the terms as whole rows that start at n = 0 mod n_angles, zero-padded.
+
+        Each fold adds its rows in order, seeded with its running value, so
+        it rounds as ((fold + row_0) + row_1) + ...  np.add.accumulate keeps
+        that order for every n_angles; np.add.reduce would sum pairwise
+        along the one column of n_angles = 1.
+        """
         offset = start % n_angles
-        rows = np.zeros(-(-(offset + len(u)) // n_angles) * n_angles, dtype=np.clongdouble)
-        rows[offset:offset + len(u)] = u
-        for row_start, row in zip(range(start - offset, start + len(u), n_angles), rows.reshape(-1, n_angles)):
-            fold[:] += row
-            wfold[:] += np.longdouble(row_start) * row
+        if offset or len(u) % n_angles:
+            padded = np.zeros(-(-(offset + len(u)) // n_angles) * n_angles, dtype=np.clongdouble)
+            padded[offset:offset + len(u)] = u
+            u = padded
+        rows = u.reshape(-1, n_angles)
+        row_starts = np.arange(start - offset, start - offset + len(u), n_angles, dtype=np.longdouble)
+        weighted = row_starts[:, None] * rows
+        weighted[0] += wfold
+        wfold[:] = np.add.accumulate(weighted)[-1]
+        rows[0] += fold
+        fold[:] = np.add.accumulate(rows)[-1]
 
     def values():
-        return (_deflated_dft(fold, rl) / one_minus_z,
-                _deflated_dft(m * fold + wfold, rl) / one_minus_z)
+        x = np.empty((2, n_angles), dtype=np.clongdouble)  # the folds of u_n and n u_n
+        x[0] = fold
+        np.multiply(m, fold, out=x[1])
+        x[1] += wfold
+        rx = rl * x
+        x[:, 1:] -= rx[:, :-1]
+        x[:, 0] -= rx[:, -1]
+        y = np.fft.ifft(x)
+        y *= n_angles
+        y /= one_minus_z
+        return y[0], y[1]
 
     width = n_angles * -(-_RING_BLOCK // n_angles)  # a multiple of n_angles
-    f, zdf, converged, terms, tail = _sum_series(params, r, settings, width, add, values)
+    # r^n falls to tol at n = log(tol)/log r: spans reach the block end past it
+    predicted = math.ceil(math.log(settings.tol) / math.log(r)) if 0 < r < 1 else 0
+    reach = -(-(predicted + 1) // width) * width
+    f, zdf, converged, terms, tail = _sum_series(params, r, settings, width, reach, add, values)
     return RingValues(f, zdf, converged, terms, tail)
 
 

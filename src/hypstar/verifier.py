@@ -11,6 +11,7 @@ not be counted).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -130,8 +131,8 @@ def _winding_number(ring: RingValues) -> Optional[int]:
     f = ring.f.astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = (ring.zdf / ring.f).real.astype(np.float64)
-        steps = np.angle(np.roll(f, -1) / f)
-    predicted = math.pi / len(f) * (v + np.roll(v, -1))
+        steps = np.angle(np.concatenate((f[1:], f[:1])) / f)
+    predicted = math.pi / len(f) * (v + np.concatenate((v[1:], v[:1])))
     if not np.all(np.abs(predicted) <= math.pi):
         return None
     steps += 2 * math.pi * np.round((predicted - steps) / (2 * math.pi))
@@ -160,6 +161,14 @@ def _zeros_inside(
             if count is not None:
                 return count
     return None
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n: int) -> np.ndarray:
+    """e^{2 pi i k/n}, k = 0, ..., n-1, in complex128; read-only, as it is shared."""
+    unit = np.exp(1j * (2 * math.pi * np.arange(n) / n))
+    unit.flags.writeable = False
+    return unit
 
 
 def _ring_slack(cls: ShapeClass, ring: RingValues) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +205,7 @@ def verify_on_disk(
     the report from being Consistent.  The argmin is the first evaluated
     point (radius-major, then angle) attaining the minimum slack.
     """
-    theta = 2 * math.pi * np.arange(grid.n_angles) / grid.n_angles
-    unit = np.exp(1j * theta)
+    unit = _unit_circle(grid.n_angles)
     radii = grid.radii()
     r_out = float(radii[-1])
     outer = gauss_2f1_ring(params, r_out, grid.n_angles, settings)

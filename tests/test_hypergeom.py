@@ -3,16 +3,18 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import draw_corpus_point
+from conftest import draw_corpus_point, draw_params
 
 from hypstar import (
     HypergeomParams,
     InvalidC,
     NoConvergence,
     RadiusExceeded,
+    RingValues,
     SeriesSettings,
     ZeroOfF,
     gauss_2f1,
@@ -347,3 +349,153 @@ class TestPointMemo:
             with pytest.raises(NoConvergence):
                 fn(params, 0.9, short)
             assert len(passes) == n
+
+
+def _reference_term_ratios(params, z, n):
+    """`hypergeom._term_ratios` as one allocating expression."""
+    return z * ((n + params.a) * (n + params.b)) / ((n + params.c) * (n + 1))
+
+
+def _reference_sum_series(params, z, settings, width, add, values):
+    """The block-by-block series loop that `_sum_series` must match: one numpy pass per block, added as it comes."""
+    r = abs(z)
+    last = np.clongdouble(1)
+    goal = 1.0
+    start = 1
+    while True:
+        stop = min(start - start % width + width, settings.max_terms + 1)
+        ratio = _reference_term_ratios(params, z, np.arange(start - 1, stop - 1, dtype=np.clongdouble))
+        ratio[0] *= last
+        u = np.cumprod(ratio)
+        last = u[-1]
+        add(start, u)
+        k = stop - 1
+        if last == 0:
+            tail = 0.0
+        else:
+            rho = hypergeom._tail_ratio(params, r, k)
+            tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
+        exhausted = stop > settings.max_terms or not np.isfinite(last)
+        if tail <= settings.tol * goal or exhausted:
+            f, zdf = values()
+            scale = np.minimum(abs(f), abs(zdf))
+            converged = tail <= settings.tol * scale
+            if converged.all() or exhausted:
+                return f, zdf, converged, stop, tail
+            goal = float(np.min(np.where(converged, np.inf, scale)))
+        start = stop
+
+
+def _reference_ring(params, r, n_angles, settings=SeriesSettings()):
+    """The block-by-block ring pass that `gauss_2f1_ring` must match: a Python loop over rows, np.roll."""
+    fold = np.zeros(n_angles, dtype=np.clongdouble)
+    fold[0] = 1
+    wfold = np.zeros(n_angles, dtype=np.clongdouble)
+    m = np.arange(n_angles, dtype=np.longdouble)
+    rl = np.longdouble(r)
+    one_minus_z = 1 - rl * hypergeom._roots_of_unity(n_angles)
+
+    def add(start, u):
+        offset = start % n_angles
+        rows = np.zeros(-(-(offset + len(u)) // n_angles) * n_angles, dtype=np.clongdouble)
+        rows[offset:offset + len(u)] = u
+        for row_start, row in zip(range(start - offset, start + len(u), n_angles), rows.reshape(-1, n_angles)):
+            fold[:] += row
+            wfold[:] += np.longdouble(row_start) * row
+
+    def deflated_dft(x):
+        return len(x) * np.fft.ifft(x - rl * np.roll(x, 1))
+
+    def values():
+        return deflated_dft(fold) / one_minus_z, deflated_dft(m * fold + wfold) / one_minus_z
+
+    width = n_angles * -(-hypergeom._RING_BLOCK // n_angles)
+    return RingValues(*_reference_sum_series(params, float(r), settings, width, add, values))
+
+
+def _same_bits(x, y) -> bool:
+    """Equal real and imaginary parts with equal sign bits; NaN matches NaN.
+
+    Not tobytes(): an np.clongdouble carries padding bytes that numpy leaves
+    uninitialised, so equal values can differ there.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and all(
+        np.array_equal(p, q, equal_nan=True) and np.array_equal(np.signbit(p), np.signbit(q))
+        for p, q in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+def _same_ring(got: RingValues, want: RingValues) -> bool:
+    return (_same_bits(got.f, want.f) and _same_bits(got.zdf, want.zdf)
+            and np.array_equal(got.converged, want.converged)
+            and got.terms == want.terms and _same_bits(got.tail, want.tail))
+
+
+# (a, b, c), r, n_angles, settings.  At r = 0.97 and n_angles = 120 a span
+# is four blocks of 360 terms; at r = 0.995 and 720, two spans of five
+# blocks of 720 come before single blocks.
+EDGE_RINGS = [
+    ((-3, 2, 1.5), 0.97, 120, SeriesSettings()),  # terminates: stops at the span's first block end
+    ((1, 1, 2), 0.97, 120, SeriesSettings(max_terms=100)),  # max_terms inside the first block
+    ((1, 1, 2), 0.97, 120, SeriesSettings(max_terms=361)),  # one term past a block end
+    ((1, 1, 2), 0.97, 120, SeriesSettings(max_terms=1441)),  # one term past the first span
+    ((1.5, 2 + 1j, 0.5), 0.995, 720, SeriesSettings(max_terms=5000)),  # inside the second span
+    ((2, 2, 1), 0.97, 120, SeriesSettings(max_terms=5000)),
+    ((1e150, 1e150, 1), 0.97, 120, SeriesSettings()),  # overflows in the first block
+    ((1e5, 1e5, 1), 0.97, 120, SeriesSettings()),  # overflows in the span's third block
+    ((2e4, 2e4, 1), 0.995, 720, SeriesSettings()),  # overflows in the span's third block
+    ((1, 2, 3), 0.0, 120, SeriesSettings()),
+    ((1 + 1j, 2, 3), 0.97, 120, SeriesSettings(tol=1e-8)),
+    ((1 + 1j, 2, 3), 0.97, 8, SeriesSettings()),
+    ((1 + 1j, 2, 3), 0.97, 257, SeriesSettings()),
+    ((1 + 1j, 2, 3), 0.97, 1, SeriesSettings()),  # one column: np.add.reduce would sum it pairwise
+    ((1 + 1j, 2, 3), 0.97, 2, SeriesSettings()),
+    ((0.5, 0.5, 1.5), 0.995, 5760, SeriesSettings()),  # one block wider than a span
+]
+
+
+def _recorded(fn, *args):
+    """fn(*args) and the (category, message) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestRingSpans:
+    """The span pass against the block-by-block pass it replaced, bit for bit."""
+
+    def test_random_triples(self):
+        rng = np.random.RandomState(7)
+        for i in range(300):
+            params = draw_params(rng, radius=3)
+            for r, n in ((0.97, 120), (0.995, 720), (0.5, 120), (0.9, 240)):
+                assert _same_ring(gauss_2f1_ring(params, r, n), _reference_ring(params, r, n)), (i, params, r, n)
+
+    @pytest.mark.parametrize("abc, r, n, settings", EDGE_RINGS)
+    def test_edge_rings_match_with_the_same_warnings(self, abc, r, n, settings):
+        """Terms a span makes past the stopping block are never added and raise
+        no warning that the block-by-block pass did not raise.
+
+        Warnings compare by category and message, not by count: numpy warns
+        once per call, and one stacked transform makes the calls of two.
+        """
+        params = HypergeomParams(*abc)
+        got, got_warnings = _recorded(gauss_2f1_ring, params, r, n, settings)
+        want, want_warnings = _recorded(_reference_ring, params, r, n, settings)
+        assert _same_ring(got, want)
+        assert set(got_warnings) == set(want_warnings)
+        if abs(abc[0]) >= 1e4:
+            assert not np.isfinite(want.f).all() and want_warnings
+
+    def test_points_match(self, monkeypatch):
+        rng = np.random.RandomState(2027)
+        points = [draw_corpus_point(rng) for _ in range(300)]
+        points += [(HypergeomParams(1, 1, 2), 0.995), (HypergeomParams(-3, 2, 1.5), 0.9j)]
+        got = [POINT_SERIES(params, complex(z), SeriesSettings()) for params, z in points]
+        monkeypatch.setattr(hypergeom, "_sum_series", lambda params, z, settings, width, reach, add, values:
+                            _reference_sum_series(params, z, settings, width, add, values))
+        for (params, z), values in zip(points, got):
+            want = POINT_SERIES(params, complex(z), SeriesSettings())
+            assert all(_same_bits(x, y) for x, y in zip(values, want)), (params, z)

@@ -27,7 +27,18 @@ from hypstar import (
 )
 from hypstar.hypergeom import ZERO_TOL
 from hypstar.shapes import membership_slack_array
-from hypstar.verifier import CONSISTENT, DEGENERATE, INCOMPLETE, INFO, SOUND, UNSOUND, VIOLATED, VIOLATION_TOL
+from hypstar.verifier import (
+    CONSISTENT,
+    DEGENERATE,
+    INCOMPLETE,
+    INFO,
+    MAX_PHASE_STEP,
+    SOUND,
+    UNSOUND,
+    VIOLATED,
+    VIOLATION_TOL,
+    _winding_number,
+)
 
 FAST = DiskGridSettings(n_radii=10, r_max=0.99, n_angles=120)
 SWEEP_GRID = DiskGridSettings(n_radii=12, r_max=0.97, n_angles=120)
@@ -275,6 +286,42 @@ class TestEvidenceGaps:
         report = verify_on_disk(StarlikeOrder(0.0), params, DiskGridSettings(n_radii=12, r_max=0.995, n_angles=240))
         assert report.f_zeros_inside == 1
         assert report.status == DEGENERATE
+
+
+
+def _reference_winding_number(ring):
+    """`_winding_number` as it was, with the cyclic neighbours from np.roll."""
+    f = ring.f.astype(np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (ring.zdf / ring.f).real.astype(np.float64)
+        steps = np.angle(np.roll(f, -1) / f)
+    predicted = math.pi / len(f) * (v + np.roll(v, -1))
+    if not np.all(np.abs(predicted) <= math.pi):
+        return None
+    steps += 2 * math.pi * np.round((predicted - steps) / (2 * math.pi))
+    if not np.all(np.abs(steps - predicted) <= MAX_PHASE_STEP):
+        return None
+    count = round(float(steps.sum()) / (2 * math.pi))
+    return count if count >= 0 else None
+
+
+def test_winding_number_matches_the_rolled_one():
+    rng = np.random.RandomState(7)
+    triples = [draw_params(rng, radius=3) for _ in range(300)]
+    rings = [gauss_2f1_ring(params, r, n) for params in triples for r, n in ((0.97, 120), (0.995, 720))]
+    # the ladder of test_winding_ladder_reaches_sixteen_times_the_angles
+    ladder = HypergeomParams(
+        0.6213573101729191 - 1.2745203472805986j,
+        1.0342153105757186 + 1.2722927206883687j,
+        0.938701719231612 - 2.118418105838739j,
+    )
+    rings += [gauss_2f1_ring(ladder, 0.995, n) for n in (240, 480, 960, 1920, 3840)]
+    with np.errstate(all="ignore"):
+        rings.append(gauss_2f1_ring(HypergeomParams(1e150, 1e150, 1), 0.97, 120))  # not finite
+    rings.append(gauss_2f1_ring(HypergeomParams(-1, 2, 1), 0.5, 8))  # F(0.5) = 0 is a node
+    counts = [_winding_number(ring) for ring in rings]
+    assert counts == [_reference_winding_number(ring) for ring in rings]
+    assert {None, 0, 1, 2} <= set(counts)
 
 
 def _outer_ring_instances():
