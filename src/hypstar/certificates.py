@@ -323,6 +323,8 @@ def cor_a2_batch(a, b, c, s) -> CertificateBatch:
     errors: dict[int, Exception] = {}
     for name, v in (("a", a), ("b", b), ("c", c)):
         _refuse(errors, ~is_real(v), lambda _, name=name: InvalidParams(f"{name} must be real for this checker"))
+    # no condition reads s, so a NaN or infinite shift would pass unseen
+    _refuse(errors, ~np.isfinite(s), lambda _: InvalidParams("s must be a finite number"))
     a, b, c = a.real, b.real, c.real
     b_s, c_s = b.astype(complex), c.astype(complex)
     b_s.imag = c_s.imag = s

@@ -24,18 +24,7 @@ import numpy as np
 from .certificates import (
     BoundaryGridSettings,
     Certificate,
-    certify_convexity,
-    certify_cor_a2,
-    certify_general,
-    certify_spirallike,
-    certify_spirallike_cor1,
-    certify_spirallike_cor2,
-    certify_sst_cor_final,
-    certify_sst_cor_max,
-    certify_sst_cor_p0,
-    certify_starlike_order,
-    certify_strong_starlike,
-    certify_theorem_A,
+    CertificateBatch,
     convexity_batch,
     cor_a2_batch,
     general_batch,
@@ -48,6 +37,23 @@ from .certificates import (
     starlike_order_batch,
     strong_starlike_batch,
     theorem_a_batch,
+)
+
+# the certify_* checkers are not called here; they stay importable from this
+# module because perfbench/tracing.py wraps cli.certify_*
+from .certificates import (  # noqa: F401
+    certify_convexity,
+    certify_cor_a2,
+    certify_general,
+    certify_spirallike,
+    certify_spirallike_cor1,
+    certify_spirallike_cor2,
+    certify_sst_cor_final,
+    certify_sst_cor_max,
+    certify_sst_cor_p0,
+    certify_starlike_order,
+    certify_strong_starlike,
+    certify_theorem_A,
 )
 from .errors import (
     InvalidC,
@@ -67,7 +73,7 @@ from .hypergeom import (
     shifted_f,
 )
 from .oracles import LineSearchSettings
-from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike, shape_of
+from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike, lam_of, shape_of
 from .verifier import (
     CONSISTENT,
     INCOMPLETE,
@@ -123,84 +129,49 @@ def build_shape_class(kind: str, alpha: float, lam: float) -> ShapeClass:
     return shape_of(SHAPE_CLASSES[kind], alpha, lam)
 
 
-def _chunk_class(spec: ScanSpec, pts: _ChunkPoints) -> tuple:
-    """(family, alpha, lam) of a chunk's classes: the spec's class, at its own
-    alpha and lambda where it gives them and at each row's otherwise."""
-    cls = spec.class_spec
-    return SHAPE_CLASSES[cls["kind"]], cls.get("alpha", pts.alpha), cls.get("lambda", pts.lam)
+@dataclass(frozen=True)
+class Rows:
+    """What one checker call checks: parameter values with one array entry
+    per row (a scan chunk, or the one row of `certify`), and what every row
+    shares.  `cls` is the (family, alpha, lam) of the rows' classes for the
+    kinds that take a class, alpha and lam each one number or one per row."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    alpha: np.ndarray
+    lam: np.ndarray
+    s: float
+    cls: Optional[tuple]
+    line_search: LineSearchSettings
+    boundary: BoundaryGridSettings
+    relaxed: bool
 
 
 @dataclass(frozen=True)
 class Theorem:
-    """One --theorem kind.
+    """One --theorem kind: `check(rows)` checks every row of a Rows in one
+    call and returns a CertificateBatch.  A scan checks a chunk per call;
+    `certify` and `crosscheck` check one row and take its certificate."""
 
-    `check` takes one row's values by keyword (a, b, c, alpha, lam, s, cls,
-    line_search, boundary, relaxed) and returns its Certificate; it looks its
-    checker up by name when called, so that a patched `cli.certify_*` sees
-    every call.  `check_chunk(points, spec)` checks a whole scan chunk at once
-    and returns a CertificateBatch.
-    """
-
-    check: Callable[..., Certificate]
-    check_chunk: Callable
+    check: Callable[[Rows], CertificateBatch]
     takes_class: bool = False
 
 
 THEOREMS = {
-    "starlike-order": Theorem(lambda a, b, c, alpha, **_: certify_starlike_order(HypergeomParams(a, b, c), alpha),
-                              lambda pts, spec: starlike_order_batch(pts.a, pts.b, pts.c, pts.alpha)),
-    "cor-a2": Theorem(lambda a, b, c, s, **_: certify_cor_a2(a, b, c, s),
-                      lambda pts, spec: cor_a2_batch(pts.a, pts.b, pts.c, spec.fixed.get("s", 0.0))),
-    "spirallike": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike(a, b, lam, alpha),
-                          lambda pts, spec: spirallike_batch(pts.a, pts.b, pts.lam, pts.alpha)),
-    "spirallike-cor1": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor1(a, b, lam, alpha),
-                               lambda pts, spec: spirallike_cor1_batch(pts.a, pts.b, pts.lam, pts.alpha)),
-    "spirallike-cor2": Theorem(lambda a, b, lam, alpha, **_: certify_spirallike_cor2(a, b, lam, alpha),
-                               lambda pts, spec: spirallike_cor2_batch(pts.a, pts.b, pts.lam, pts.alpha)),
-    "strong-starlike": Theorem(
-        lambda a, b, c, alpha, line_search, **_: certify_strong_starlike(HypergeomParams(a, b, c), alpha, line_search),
-        lambda pts, spec: strong_starlike_batch(pts.a, pts.b, pts.c, pts.alpha, spec.line_search),
-    ),
-    "sst-cor-p0": Theorem(lambda a, b, alpha, line_search, **_: certify_sst_cor_p0(a, b, alpha, line_search),
-                          lambda pts, spec: sst_cor_p0_batch(pts.a, pts.b, pts.alpha, spec.line_search)),
-    "sst-cor-max": Theorem(lambda a, b, alpha, **_: certify_sst_cor_max(a, b, alpha),
-                           lambda pts, spec: sst_cor_max_batch(pts.a, pts.b, pts.alpha)),
-    "sst-cor-final": Theorem(lambda a, b, alpha, **_: certify_sst_cor_final(a, b, alpha),
-                             lambda pts, spec: sst_cor_final_batch(pts.a, pts.b, pts.alpha)),
-    "theorem-a": Theorem(lambda a, b, alpha, **_: certify_theorem_A(a, b, alpha),
-                         lambda pts, spec: theorem_a_batch(pts.a, pts.b, pts.alpha)),
-    "general": Theorem(
-        lambda a, b, c, cls, boundary, relaxed, **_: certify_general(cls, HypergeomParams(a, b, c), boundary, relaxed),
-        lambda pts, spec: general_batch(*_chunk_class(spec, pts), pts.a, pts.b, pts.c, spec.boundary),
-        takes_class=True,
-    ),
-    "convexity": Theorem(lambda a, b, c, cls, **_: certify_convexity(cls, HypergeomParams(a, b, c)),
-                         lambda pts, spec: convexity_batch(*_chunk_class(spec, pts), pts.a, pts.b, pts.c),
-                         takes_class=True),
+    "starlike-order": Theorem(lambda r: starlike_order_batch(r.a, r.b, r.c, r.alpha)),
+    "cor-a2": Theorem(lambda r: cor_a2_batch(r.a, r.b, r.c, r.s)),
+    "spirallike": Theorem(lambda r: spirallike_batch(r.a, r.b, r.lam, r.alpha)),
+    "spirallike-cor1": Theorem(lambda r: spirallike_cor1_batch(r.a, r.b, r.lam, r.alpha)),
+    "spirallike-cor2": Theorem(lambda r: spirallike_cor2_batch(r.a, r.b, r.lam, r.alpha)),
+    "strong-starlike": Theorem(lambda r: strong_starlike_batch(r.a, r.b, r.c, r.alpha, r.line_search)),
+    "sst-cor-p0": Theorem(lambda r: sst_cor_p0_batch(r.a, r.b, r.alpha, r.line_search)),
+    "sst-cor-max": Theorem(lambda r: sst_cor_max_batch(r.a, r.b, r.alpha)),
+    "sst-cor-final": Theorem(lambda r: sst_cor_final_batch(r.a, r.b, r.alpha)),
+    "theorem-a": Theorem(lambda r: theorem_a_batch(r.a, r.b, r.alpha)),
+    "general": Theorem(lambda r: general_batch(*r.cls, r.a, r.b, r.c, r.boundary, r.relaxed), takes_class=True),
+    "convexity": Theorem(lambda r: convexity_batch(*r.cls, r.a, r.b, r.c), takes_class=True),
 }
-
-
-def certify_dispatch(
-    kind: str,
-    a: complex,
-    b: complex,
-    c: complex,
-    alpha: float,
-    lam: float,
-    s: float,
-    cls: Optional[ShapeClass] = None,
-    line_search: LineSearchSettings = LineSearchSettings(),
-    boundary: BoundaryGridSettings = BoundaryGridSettings(),
-    relaxed: bool = False,
-) -> Certificate:
-    theorem = THEOREMS.get(kind)
-    if theorem is None:
-        raise InvalidParams(f"unknown theorem kind {kind!r}")
-    if theorem.takes_class and cls is None:
-        raise InvalidParams(f"--class is required for the {kind} checker")
-    return theorem.check(
-        a=a, b=b, c=c, alpha=alpha, lam=lam, s=s, cls=cls, line_search=line_search, boundary=boundary, relaxed=relaxed
-    )
 
 
 def cmd_eval(args) -> int:
@@ -226,13 +197,18 @@ def cmd_eval(args) -> int:
 
 
 def _certificate(args) -> Certificate:
-    """The certificate that `certify` and `crosscheck` both start from."""
+    """The certificate that `certify` and `crosscheck` both start from: row 0
+    of the kind's checker on a one-row Rows."""
     cls = None if args.cls is None else build_shape_class(args.cls, args.alpha, args.lam)
     line_search = LineSearchSettings(s_min=args.ls_s_min, s_max=args.ls_s_max, n_log_points=args.ls_points,
                                      refine_iters=args.ls_refine_iters, min_margin=args.ls_min_margin)
     boundary = BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
-    return certify_dispatch(args.theorem, args.a, args.b, args.c, args.alpha, args.lam, args.s, cls=cls,
-                            line_search=line_search, boundary=boundary, relaxed=args.relaxed)
+    theorem = THEOREMS[args.theorem]
+    if theorem.takes_class and cls is None:
+        raise InvalidParams(f"--class is required for the {args.theorem} checker")
+    one_row = [np.array([v]) for v in (args.a, args.b, args.c, args.alpha, args.lam)]
+    triple = None if cls is None else (type(cls), cls.alpha, lam_of(cls))
+    return theorem.check(Rows(*one_row, args.s, triple, line_search, boundary, args.relaxed)).certificate(0)
 
 
 def cmd_certify(args) -> int:
@@ -377,21 +353,11 @@ def _json_is(value, annotation: str) -> bool:
 SCAN_CHUNK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class _ChunkPoints:
-    """Parameter values of a run of consecutive scan rows, one array entry per row."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    alpha: np.ndarray
-    lam: np.ndarray
-
-
 class _ScanGrid:
     """Row-major enumeration of the scan points (first axis slowest)."""
 
     def __init__(self, spec: ScanSpec):
+        self.spec = spec
         self.axes = spec.axes
         self.values = [np.array(ax.values()) for ax in spec.axes]
         self.labels = [np.array([_fmt(v) for v in ax.values()], dtype=object) for ax in spec.axes]
@@ -403,14 +369,21 @@ class _ScanGrid:
         rows = np.arange(start, stop)
         return [(rows // stride) % ax.steps for ax, stride in zip(self.axes, self.strides)]
 
-    def points(self, start: int, stop: int) -> _ChunkPoints:
+    def rows(self, start: int, stop: int) -> Rows:
+        """Rows start..stop-1; the spec's class, where the kind takes one, at its
+        own alpha and lambda where it gives them and at each row's otherwise."""
         point = {sym: np.full(stop - start, value) for sym, value in self.fixed.items()}
         for ax, values, idx in zip(self.axes, self.values, self._axis_indices(start, stop)):
             point[ax.symbol] = values[idx]
         a, b, c = (point[f"{name}_re"].astype(complex) for name in "abc")
         for z, name in zip((a, b, c), "abc"):
             z.imag = point[f"{name}_im"]
-        return _ChunkPoints(a, b, c, point["alpha"], point["lambda"])
+        spec, alpha, lam = self.spec, point["alpha"], point["lambda"]
+        cls = None
+        if THEOREMS[spec.certificate_kind].takes_class:
+            family = SHAPE_CLASSES[spec.class_spec["kind"]]
+            cls = family, spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
+        return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), cls, spec.line_search, spec.boundary, False)
 
     def label_columns(self, start: int, stop: int) -> list[list[str]]:
         """The axis labels of rows start..stop-1, one list per axis."""
@@ -441,7 +414,7 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple
     failed condition or refusal) is rendered once and every row picks its
     own by index; only a verifying scan runs the verifier row by row.
     """
-    batch = THEOREMS[spec.certificate_kind].check_chunk(grid.points(start, stop), spec)
+    batch = THEOREMS[spec.certificate_kind].check(grid.rows(start, stop))
     code, names = batch.failed_conditions()
     empty_verify_fields = "" if spec.verify else ",,"
     outcomes = np.array(["true,", *(f"false,{_csv_field(name)}" for name in names[1:])], dtype=object)

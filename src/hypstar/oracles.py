@@ -14,8 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFinite
-
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 SAFE_BOTH_ENDS = "SafeBothEnds"
@@ -60,37 +58,29 @@ def quadratic_nonneg_exact(L: float, M: float, N: float) -> bool:
 
 
 def golden_section(f: Callable, lo, hi, iters: int):
-    """Golden-section minimization of f on [lo, hi]; returns (argmin, min).
+    """Golden-section minimization of f on the brackets [lo, hi]; returns
+    (argmin, min), one entry per bracket.
 
-    lo and hi may be arrays of brackets: f is then called on arrays of that
-    shape, and all brackets shrink in lockstep with the same arithmetic a
-    single bracket gets.
+    lo and hi are arrays of brackets (0-d for one bracket): f is called on
+    arrays of that shape, and all brackets shrink in lockstep.
     """
-    if np.ndim(lo) or np.ndim(hi):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        where = np.where
-    else:
-        where = _choose
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
         left = f1 <= f2
         # left: the minimum lies in [lo, x2] and x1 becomes the new x2; else it lies in [x1, hi]
-        hi = where(left, x2, hi)
-        lo = where(left, lo, x1)
-        x_kept, f_kept = where(left, x1, x2), where(left, f1, f2)
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x_kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
         step = _GOLDEN * (hi - lo)
-        x_new = where(left, hi - step, lo + step)
+        x_new = np.where(left, hi - step, lo + step)
         f_new = f(x_new)
-        x1, f1 = where(left, x_new, x_kept), where(left, f_new, f_kept)
-        x2, f2 = where(left, x_kept, x_new), where(left, f_kept, f_new)
+        x1, f1 = np.where(left, x_new, x_kept), np.where(left, f_new, f_kept)
+        x2, f2 = np.where(left, x_kept, x_new), np.where(left, f_kept, f_new)
     first = f1 <= f2
-    return where(first, x1, x2), where(first, f1, f2)
-
-
-def _choose(cond: bool, a, b):
-    return a if cond else b
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def quadratic_nonneg_sampled(L: float, M: float, N: float, grid: int = 2001) -> bool:
@@ -114,7 +104,7 @@ def quadratic_nonneg_sampled(L: float, M: float, N: float, grid: int = 2001) -> 
 
     lo, hi = u[max(i - 1, 0)], u[min(i + 1, grid - 1)]
     _, refined = golden_section(trig, lo, hi, 80)
-    best = min(float(vals.min()), refined)
+    best = min(float(vals.min()), float(refined))
     scale = max(1.0, abs(L), abs(M), abs(N))
     return best >= -1e-9 * scale
 
@@ -132,8 +122,15 @@ class LineSearchSettings:
     def __post_init__(self):
         if not 0 < self.s_min < self.s_max:
             raise ValueError("need 0 < s_min < s_max")
+        if not math.isfinite(self.s_max):
+            raise ValueError("s_max must be finite")
         if self.n_log_points < 16:
             raise ValueError("n_log_points must be at least 16")
+        if self.refine_iters < 0:
+            raise ValueError("refine_iters must be at least 0")
+        # a negative margin would certify rows whose minimum residual is below zero
+        if not 0 <= self.min_margin < math.inf:
+            raise ValueError("min_margin must be a finite number >= 0")
 
 
 DEFAULT_LINE_SEARCH = LineSearchSettings()
@@ -142,12 +139,12 @@ DEFAULT_LINE_SEARCH = LineSearchSettings()
 @dataclass(frozen=True)
 class MinimizerResult:
     """Outcome of the positive-line minimizer; every field holds one entry
-    per row when the residual describes many rows at once."""
+    per row of the residual."""
 
-    min_value: float
-    argmin_s: float
-    endpoint_verdict: str
-    conclusive: bool
+    min_value: np.ndarray
+    argmin_s: np.ndarray
+    endpoint_verdict: np.ndarray
+    conclusive: np.ndarray
 
 
 # float64 values per call of a many-row residual in the log scan (512 KB per
@@ -195,59 +192,35 @@ def endpoint_verdicts(at_infinity, at_zero) -> np.ndarray:
     return np.where(at_infinity < 0, DIVERGES_AT_INFINITY, np.where(at_zero < 0, DIVERGES_AT_ZERO, SAFE_BOTH_ENDS))
 
 
-def endpoint_verdict_from_terms(terms: Sequence[tuple[float, float]]) -> str:
-    """Verdict for a residual of the form sum coef * s^expo at both ends.
-
-    The residual tends to the sign of the dominant net coefficient: highest
-    exponent as s -> infinity, lowest as s -> 0+.
-    """
-    return str(endpoint_verdicts(*leading_coefficients(terms))[0])
-
-
-def _values(residual: Callable, s: np.ndarray) -> np.ndarray:
-    """residual at the points s; a residual that only takes scalars is called point by point."""
-    try:
-        vals = np.asarray(residual(s), dtype=float)
-        if vals.shape[-1:] != s.shape or vals.ndim > 2:
-            raise TypeError
-    except (TypeError, ValueError):  # scalar-only callable
-        vals = np.array([float(residual(float(si))) for si in s])
-    return vals
-
-
 def minimize_on_positive_line(
     residual: Callable,
     settings: LineSearchSettings = DEFAULT_LINE_SEARCH,
     verdict=None,
 ) -> MinimizerResult:
-    """Minimum of residual(s) over s in [s_min, s_max].
+    """Minimum of each row of residual(s) over s in [s_min, s_max].
 
-    Log-spaced scan followed by golden-section refinement (in log s) around
-    the three smallest samples.  `verdict`, when given, is the verdict about
-    behaviour beyond the scanned range, for instance endpoint_verdict_from_terms
-    of the residual written as a power sum; without it the verdict falls back
-    on the signs at the extreme samples.  A minimum within +-min_margin of
-    zero is flagged inconclusive rather than trusted either way.
+    The residual describes many rows at once: for scan points s of shape
+    (k,), shared by every row, it returns shape (rows, k), and for points of
+    shape (rows, 3) it returns shape (rows, 3).  A log-spaced scan is
+    followed by golden-section refinement (in log s) around each row's three
+    smallest samples, all 3 * rows refinements in lockstep.  `verdict`, when
+    given, holds each row's verdict about behaviour beyond the scanned range,
+    for instance endpoint_verdicts of the residual's leading_coefficients
+    when it is a power sum; without it the verdict falls back on the signs at
+    the extreme samples.  A minimum within +-min_margin of zero is flagged
+    inconclusive rather than trusted either way.  Every result field holds
+    one entry per row.
 
-    Many rows at once: a residual that returns shape (rows, k) for k scan
-    points s (shape (k,)) is later called with points of shape (rows, 3), and
-    all 3 * rows refinements run in lockstep.  The scan takes the points in
-    runs short enough that one call's values fit in _SCAN_BLOCK_VALUES.  It
-    keeps each row's three smallest samples, ties going to the smaller s, by
-    three argmin passes over the kept samples and the run, each pass setting
-    its pick to +inf.  `verdict` then holds one entry per row, and so does
-    every result field.  A row whose residual is not finite somewhere gets
-    min_value NaN where a single residual raises NonFinite; its samples
-    count as +inf in the selection, so its argmin_s has no meaning, and every
-    checker refuses such a row as NonFinite before argmin_s is shown.
+    The scan takes the points in runs short enough that one call's values fit
+    in _SCAN_BLOCK_VALUES.  It keeps each row's three smallest samples, ties
+    going to the smaller s, by three argmin passes over the kept samples and
+    the run, each pass setting its pick to +inf.  A row whose residual is not
+    finite somewhere gets min_value NaN; its samples count as +inf in the
+    selection, so its argmin_s has no meaning, and every checker refuses
+    such a row as NonFinite before argmin_s is shown.
     """
     s = np.logspace(math.log10(settings.s_min), math.log10(settings.s_max), settings.n_log_points)
-    vals = _values(residual, s[:2])
-    single = vals.ndim == 1
-    if single:
-        one_row = residual
-        residual = lambda x: _values(one_row, np.ravel(x))[None]  # noqa: E731
-        vals = vals[None]
+    vals = residual(s[:2])
     finite = np.isfinite(vals).all(axis=1)
     n_rows = len(vals)
     rows = np.arange(n_rows)
@@ -256,7 +229,7 @@ def minimize_on_positive_line(
     width = max(1, min(_SCAN_BLOCK_VALUES // n_rows, len(s) - 2))
     merged = np.empty((n_rows, 3 + width))  # one buffer for every run, so that no run faults in fresh pages
     for start in range(2, len(s), width):
-        vals = _values(residual, s[start:start + width])
+        vals = residual(s[start:start + width])
         finite &= np.isfinite(vals).all(axis=1)
         k = low_i.shape[1]  # entries of `both` before the run's own
         both = merged[:, :k + vals.shape[1]]
@@ -270,8 +243,6 @@ def minimize_on_positive_line(
             low_v[:, j] = both[rows, pick]
             both[rows, pick] = np.inf
         low_i = np.where(keep < k, low_i[rows[:, None], np.minimum(keep, k - 1)], keep + (start - k))
-    if single and not finite[0]:
-        raise NonFinite("residual returned a non-finite value inside the search range")
 
     best_v, best_s = low_v[:, 0], s[low_i[:, 0]]
     log_s = np.log(s)
@@ -279,8 +250,6 @@ def minimize_on_positive_line(
     hi = log_s[np.minimum(low_i + 1, len(s) - 1)]
     t, v = golden_section(lambda x: residual(np.exp(x)), lo, hi, settings.refine_iters)
     refine_bad = ~np.isfinite(v).all(axis=1)
-    if single and refine_bad[0]:
-        raise NonFinite("residual returned a non-finite value during refinement")
     for k in range(low_i.shape[1]):
         si, vk = np.exp(t[:, k]), v[:, k]
         better = (vk < best_v) | ((vk == best_v) & (si < best_s))
@@ -290,15 +259,13 @@ def minimize_on_positive_line(
 
     if verdict is None:
         margin = settings.min_margin
-        ends = _values(residual, s[[0, 1, -2, -1]])
+        ends = residual(s[[0, 1, -2, -1]])
         verdict = np.where(
             (ends[:, 3] < -margin) & (ends[:, 3] <= ends[:, 2]),
             DIVERGES_AT_INFINITY,
             np.where((ends[:, 0] < -margin) & (ends[:, 0] <= ends[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
         )
     conclusive = ~((-settings.min_margin <= best_v) & (best_v <= settings.min_margin))
-    if single:
-        return MinimizerResult(float(best_v[0]), float(best_s[0]), str(np.ravel(verdict)[0]), bool(conclusive[0]))
     return MinimizerResult(best_v, best_s, verdict, conclusive)
 
 

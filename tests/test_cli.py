@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hypstar import cli
-from hypstar.cli import certify_dispatch, main, parse_scan_spec
+from hypstar.cli import main, parse_scan_spec
 from hypstar.errors import HypstarError, InvalidParams
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
@@ -95,6 +95,39 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+    def test_cor_a2_refuses_a_shift_that_is_not_finite(self, capsys, caplog, s):
+        code, out, _ = run_cli(
+            capsys, "certify", "--theorem", "cor-a2", "--a", "2,0", "--b", "2,0", "--c", "3,0", f"--s={s}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "s must be a finite number" in caplog.text
+
+    # this row's min residual (eps=+1) is -0.312: only a margin below that passes it
+    NEGATIVE_MIN_ROW = [
+        "--a", "0.45376671117263867,0.2666234339903601", "--b", "1.5051465105936463,-0.005724714829459743",
+        "--c", "3.231498593792962,0.26089871916090035", "--alpha", "0.3907673613277947",
+    ]
+
+    @pytest.mark.parametrize("flags", [
+        ["--ls-min-margin", "-1"],
+        ["--ls-min-margin", "nan"],
+        ["--ls-min-margin", "inf"],
+        ["--ls-refine-iters", "-1"],
+        ["--ls-s-max", "inf"],
+        ["--ls-s-min", "nan"],
+    ])
+    def test_line_search_flags_are_checked(self, capsys, caplog, flags):
+        code, out, _ = run_cli(capsys, "certify", "--theorem", "strong-starlike", *self.NEGATIVE_MIN_ROW, *flags)
+        assert code == 2
+        assert out == ""
+        code, out, _ = run_cli(capsys, "certify", "--theorem", "strong-starlike", *self.NEGATIVE_MIN_ROW)
+        assert code == 1
+        data = json.loads(out)
+        value = next(c["value"] for c in data["conditions"] if c["name"] == "min residual (eps=+1)")
+        assert float(value) == pytest.approx(-0.312, abs=1e-3)
+
     def test_overflowing_parameters_exit_three(self, capsys, caplog):
         code, _, _ = run_cli(
             capsys, "certify", "--theorem", "strong-starlike", "--a", "1,0", "--b", "1e155,0", "--c", "3,0",
@@ -102,7 +135,7 @@ class TestCertify:
         )
         assert code == 3
         assert "not finite" in caplog.text
-        # a scalar-only checker whose float arithmetic raises OverflowError
+        # m = ab is finite, but (a + b)^2 overflows in RHS - LHS
         code, _, _ = run_cli(
             capsys, "certify", "--theorem", "spirallike-cor2", "--a", "1e160,0", "--b", "1e-160,0",
             "--lambda", "0.3", "--alpha", "0.2",
@@ -324,6 +357,16 @@ class TestScan:
         with pytest.raises(InvalidParams):
             parse_scan_spec(spec)
         out_csv = tmp_path / "bad.csv"
+        code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
+        assert code == 2
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("line_search", [{"min_margin": -1}, {"min_margin": -1e-300}, {"refine_iters": -1}])
+    def test_line_search_settings_are_checked(self, tmp_path, capsys, line_search):
+        spec = dict(SCAN_SPEC, certificate="strong-starlike", line_search=line_search)
+        with pytest.raises(ValueError):
+            parse_scan_spec(spec)
+        out_csv = tmp_path / "ls.csv"
         code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
         assert code == 2
         assert not out_csv.exists()
@@ -582,33 +625,35 @@ AGREEMENT_SPECS = {
 ROW_ERRORS = (HypstarError, ValueError, ArithmeticError)
 
 
-def _dispatch_outcome(spec, coords) -> list[str]:
-    """passed and failed_condition of one scan point, straight from certify_dispatch."""
+def _certify_outcome(spec, coords) -> list[str]:
+    """passed and failed_condition of one scan point, from the one-row path of
+    `hypstar certify` with the spec's settings as flags."""
     point = {sym: 0.0 for sym in cli.SCAN_SYMBOLS}
     point.update(spec.fixed)
     for ax, value in zip(spec.axes, coords):
         point[ax.symbol] = value
-    alpha, lam = float(point["alpha"]), float(point["lambda"])
+    alpha, lam, class_flags = point["alpha"], point["lambda"], []
+    if cli.THEOREMS[spec.certificate_kind].takes_class:
+        # these kinds read alpha and lambda only through their class
+        alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
+        class_flags = [f"--class={spec.class_spec['kind']}"]
+    ls, boundary = spec.line_search, spec.boundary
+    args = _CERTIFY_PARSER.parse_args([
+        "certify", "--theorem", spec.certificate_kind, *class_flags,
+        *(f"--{name}={point[f'{name}_re']!r},{point[f'{name}_im']!r}" for name in "abc"),
+        f"--alpha={alpha!r}", f"--lambda={lam!r}", f"--s={point.get('s', 0.0)!r}",
+        f"--ls-s-min={ls.s_min!r}", f"--ls-s-max={ls.s_max!r}", f"--ls-points={ls.n_log_points}",
+        f"--ls-refine-iters={ls.refine_iters}", f"--ls-min-margin={ls.min_margin!r}",
+        f"--boundary-points={boundary.n_points}", f"--theta-min={boundary.theta_min!r}",
+    ])
     try:
-        cls = None
-        if cli.THEOREMS[spec.certificate_kind].takes_class:
-            kind = spec.class_spec["kind"]
-            cls = cli.build_shape_class(kind, spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam))
-        cert = certify_dispatch(
-            spec.certificate_kind,
-            complex(point["a_re"], point["a_im"]),
-            complex(point["b_re"], point["b_im"]),
-            complex(point["c_re"], point["c_im"]),
-            alpha,
-            lam,
-            float(point.get("s", 0.0)),
-            cls=cls,
-            line_search=spec.line_search,
-            boundary=spec.boundary,
-        )
+        cert = cli._certificate(args)
     except ROW_ERRORS as exc:
         return ["false", f"invalid: {exc}"]
     return ["true" if cert.passed else "false", cert.failed_condition()]
+
+
+_CERTIFY_PARSER = cli.build_parser()
 
 
 # kinds whose checker has one condition that can fail
@@ -621,6 +666,7 @@ def test_every_kind_has_agreement_specs():
 
 @pytest.mark.parametrize("kind", sorted(AGREEMENT_SPECS))
 def test_array_checkers_agree_with_dispatch(kind, tmp_path, monkeypatch):
+    # each scan row against the same point checked alone, as `hypstar certify` checks it
     # small chunks, so that rows cross chunk boundaries and the pool takes several chunks
     monkeypatch.setattr(cli, "SCAN_CHUNK_ROWS", 17)
     outcomes = set()
@@ -637,7 +683,7 @@ def test_array_checkers_agree_with_dispatch(kind, tmp_path, monkeypatch):
         assert len(rows) == len(points)
         k = len(spec.axes)
         for row, coords in zip(rows, points):
-            assert row[k:k + 2] == _dispatch_outcome(spec, coords), (kind, coords)
+            assert row[k:k + 2] == _certify_outcome(spec, coords), (kind, coords)
             outcomes.add(row[k + 1].split(":")[0])
     # the specs reach passing rows, failed conditions and refused rows
     assert "" in outcomes and "invalid" in outcomes

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hypstar import (
     LineSearchSettings,
-    NonFinite,
     ab_gap_direct,
     ab_gap_formula,
     ab_identity_residual,
@@ -25,8 +24,9 @@ from hypstar.oracles import (
     DIVERGES_AT_INFINITY,
     DIVERGES_AT_ZERO,
     SAFE_BOTH_ENDS,
-    endpoint_verdict_from_terms,
+    endpoint_verdicts,
     golden_section,
+    leading_coefficients,
 )
 
 finite_complex = st.builds(
@@ -95,48 +95,69 @@ class TestGoldenSection:
         assert v == pytest.approx(0.0, abs=1e-15)
 
 
+def _one_row(f):
+    """f(s) as a residual of one row: shape (1, k) at k shared points, (1, 3) at a row's own."""
+    return lambda s: np.atleast_2d(f(s))
+
+
+def _endpoint_verdict(terms) -> str:
+    """Verdict for the power sum sum coef * s^expo of one row."""
+    return str(endpoint_verdicts(*leading_coefficients(terms))[0])
+
+
 class TestMinimizer:
     def test_shifted_parabola(self):
-        res = minimize_on_positive_line(lambda s: (s - 2.0) ** 2)
-        assert res.argmin_s == pytest.approx(2.0, rel=1e-6)
-        assert abs(res.min_value) < 1e-12
-        assert not res.conclusive  # min within the +-margin band around zero
+        res = minimize_on_positive_line(_one_row(lambda s: (s - 2.0) ** 2))
+        assert res.argmin_s[0] == pytest.approx(2.0, rel=1e-6)
+        assert abs(res.min_value[0]) < 1e-12
+        assert not res.conclusive[0]  # min within the +-margin band around zero
 
     def test_am_gm(self):
-        res = minimize_on_positive_line(lambda s: 1 / s + s - 2)
-        assert res.argmin_s == pytest.approx(1.0, rel=1e-6)
-        assert abs(res.min_value) < 1e-12
+        res = minimize_on_positive_line(_one_row(lambda s: 1 / s + s - 2))
+        assert res.argmin_s[0] == pytest.approx(1.0, rel=1e-6)
+        assert abs(res.min_value[0]) < 1e-12
 
     def test_strictly_positive_is_conclusive(self):
-        res = minimize_on_positive_line(lambda s: 1 / s + s)
-        assert res.conclusive and res.min_value == pytest.approx(2.0, rel=1e-9)
-        assert res.endpoint_verdict == SAFE_BOTH_ENDS
-
-    def test_scalar_only_callable(self):
-        def f(s):
-            if isinstance(s, np.ndarray):
-                raise TypeError("scalar only")
-            return (math.log(s)) ** 2 + 1
-
-        res = minimize_on_positive_line(f, LineSearchSettings(n_log_points=64, refine_iters=40))
-        assert res.min_value == pytest.approx(1.0, rel=1e-9)
-
-    def test_non_finite(self):
-        with pytest.raises(NonFinite):
-            minimize_on_positive_line(lambda s: np.where(s > 1, np.nan, s))
+        res = minimize_on_positive_line(_one_row(lambda s: 1 / s + s))
+        assert res.conclusive[0] and res.min_value[0] == pytest.approx(2.0, rel=1e-9)
+        assert res.endpoint_verdict[0] == SAFE_BOTH_ENDS
 
     def test_ties_prefer_smaller_s(self):
-        res = minimize_on_positive_line(lambda s: np.zeros_like(np.asarray(s, dtype=float)))
-        assert res.argmin_s == pytest.approx(1e-8)
+        res = minimize_on_positive_line(_one_row(lambda s: np.zeros_like(s)))
+        assert res.argmin_s[0] == pytest.approx(1e-8)
 
     def test_endpoint_verdicts_from_terms(self):
-        assert endpoint_verdict_from_terms([(2.0, -1.0)]) == DIVERGES_AT_INFINITY
-        assert endpoint_verdict_from_terms([(-0.5, -1.0), (1.0, 2.0)]) == DIVERGES_AT_ZERO
+        assert _endpoint_verdict([(2.0, -1.0)]) == DIVERGES_AT_INFINITY
+        assert _endpoint_verdict([(-0.5, -1.0), (1.0, 2.0)]) == DIVERGES_AT_ZERO
         # s - 5 stays negative below the scanned range
-        assert endpoint_verdict_from_terms([(1.0, 1.0), (0.0, -5.0)]) == DIVERGES_AT_ZERO
-        assert endpoint_verdict_from_terms([(1.0, 1.0), (-1.0, 2.0), (0.0, -5.0)]) == SAFE_BOTH_ENDS
+        assert _endpoint_verdict([(1.0, 1.0), (0.0, -5.0)]) == DIVERGES_AT_ZERO
+        assert _endpoint_verdict([(1.0, 1.0), (-1.0, 2.0), (0.0, -5.0)]) == SAFE_BOTH_ENDS
         # exact cancellation falls through to the next exponent
-        assert endpoint_verdict_from_terms([(2.0, 1.0), (2.0, -1.0), (1.0, 1.0)]) == SAFE_BOTH_ENDS
+        assert _endpoint_verdict([(2.0, 1.0), (2.0, -1.0), (1.0, 1.0)]) == SAFE_BOTH_ENDS
+
+
+class TestLineSearchSettings:
+    @pytest.mark.parametrize("bad", [
+        {"min_margin": -1.0},
+        {"min_margin": -1e-300},
+        {"min_margin": math.nan},
+        {"min_margin": math.inf},
+        {"refine_iters": -1},
+        {"s_min": math.nan},
+        {"s_min": -math.inf},
+        {"s_max": math.inf},
+        {"s_max": math.nan},
+        {"s_min": 0.0},
+        {"n_log_points": 15},
+    ])
+    def test_refused(self, bad):
+        with pytest.raises(ValueError):
+            LineSearchSettings(**bad)
+
+    @pytest.mark.parametrize("edge", [{"min_margin": 0.0}, {"refine_iters": 0}, {"s_min": 1e-300, "s_max": 1e300}])
+    def test_edges_accepted(self, edge):
+        res = minimize_on_positive_line(_one_row(lambda s: 1 / s + s), LineSearchSettings(**edge))
+        assert res.min_value[0] == pytest.approx(2.0, rel=1e-3)
 
 
 def _reference_minimize(residual, settings=DEFAULT_LINE_SEARCH):

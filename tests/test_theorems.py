@@ -1,5 +1,5 @@
 """The THEOREMS table: every --theorem kind wired to its checker, with the
-right arguments, and looked up by name when called."""
+right arguments."""
 
 import cmath
 import json
@@ -11,7 +11,7 @@ import pytest
 
 from hypstar import HypergeomParams, SpirallikeOrder, StarlikeOrder, StronglyStarlike, certificates, cli
 from hypstar.certificates import BoundaryGridSettings
-from hypstar.cli import THEOREMS, certify_dispatch, main, parse_scan_spec
+from hypstar.cli import THEOREMS, main, parse_scan_spec
 from hypstar.errors import InvalidParams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -90,21 +90,6 @@ def test_certify_prints_the_direct_certificate(kind, capsys):
     cert = direct()
     assert out == json.dumps(cert.to_json(), indent=2) + "\n"
     assert code == (0 if cert.passed else 1)
-
-
-def test_checkers_are_looked_up_when_called(monkeypatch):
-    # perfbench/tracing.py replaces cli.certify_* with timing wrappers
-    calls = []
-    original = cli.certify_cor_a2
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "certify_cor_a2", counted)
-    cert = certify_dispatch("cor-a2", 2, 1, 2, 0.0, 0.0, 0.0)
-    assert cert.passed
-    assert calls == [(2.0, 1.0, 2.0, 0.0)]
 
 
 def test_class_kinds_build_their_class():
