@@ -29,10 +29,8 @@ from .errors import InvalidC, InvalidParams, NonFinite, PrecondFailed
 from .hypergeom import NONPOS_INT_TOL, HypergeomParams
 from .oracles import (
     DEFAULT_LINE_SEARCH,
-    SAFE_BOTH_ENDS,
     LineSearchSettings,
     ab_gap_formula,
-    endpoint_verdicts,
     leading_coefficients,
     minimize_on_positive_line,
 )
@@ -547,18 +545,23 @@ def _line_minima(alpha: np.ndarray, S, per_eps: list[tuple], line_search: LineSe
     for eps = +1 and -1, and the notes of row i.
 
     per_eps holds (K, T, U, V) for each sign.  The residual of every row and
-    sign is minimized over s > 0 by one call of the batched line minimizer,
-    so that every row's refinement runs in one lockstep pass; the tail
-    coefficient is the net coefficient of the highest power of s.
+    sign is minimized over [s_min, s_max] by one call of the batched line
+    minimizer, so that every row's refinement runs in one lockstep pass.  The
+    net leading coefficients of the residual decide s -> 0+ and s -> infinity:
+    a row passes only when neither is negative and its minimum exceeds
+    min_margin, and a minimum within +-min_margin of zero is noted as
+    inconclusive.  The tail coefficient is the net coefficient of the highest
+    power of s.
     """
     n = len(alpha)
     K, T, U, V = zip(*per_eps)
     order = [np.concatenate([np.broadcast_to(v, (n,)) for v in pair]) for pair in ((alpha, alpha), K, (S, S), T, U, V)]
     tail, at_zero = leading_coefficients(_cubic_terms(*order))
-    result = minimize_on_positive_line(_cubic_residual(*order), line_search, endpoint_verdicts(tail, at_zero))
-    min_value, argmin_s, conclusive = result.min_value, result.argmin_s, result.conclusive
-    safe = result.endpoint_verdict == SAFE_BOTH_ENDS
+    result = minimize_on_positive_line(_cubic_residual(*order), line_search)
+    min_value, argmin_s = result.min_value, result.argmin_s
+    safe = ~((tail < 0) | (at_zero < 0))  # a NaN coefficient is not negative
     margin = line_search.min_margin
+    conclusive = ~((-margin <= min_value) & (min_value <= margin))
 
     labels = ("eps=+1", "eps=-1")
     conditions = []

@@ -73,7 +73,7 @@ from .hypergeom import (
     shifted_f,
 )
 from .oracles import LineSearchSettings
-from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike, lam_of, shape_of
+from .shapes import ShapeClass, SpirallikeOrder, StarlikeOrder, StronglyStarlike, shape_of
 from .verifier import (
     CONSISTENT,
     INCOMPLETE,
@@ -92,13 +92,13 @@ SCAN_SYMBOLS = ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "alpha", "lambda
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            re_im = [float(part) for part in parts]
+            if all(map(math.isfinite, re_im)):
+                return complex(*re_im)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected 're,im' with finite parts, got {text!r}")
 
 
 def _fmt(x: float) -> str:
@@ -198,16 +198,18 @@ def cmd_eval(args) -> int:
 
 def _certificate(args) -> Certificate:
     """The certificate that `certify` and `crosscheck` both start from: row 0
-    of the kind's checker on a one-row Rows."""
-    cls = None if args.cls is None else build_shape_class(args.cls, args.alpha, args.lam)
+    of the kind's checker on a one-row Rows.  As in a scan, only the kinds
+    that take a class read --class, and their checker refuses a bad one."""
     line_search = LineSearchSettings(s_min=args.ls_s_min, s_max=args.ls_s_max, n_log_points=args.ls_points,
                                      refine_iters=args.ls_refine_iters, min_margin=args.ls_min_margin)
     boundary = BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
     theorem = THEOREMS[args.theorem]
-    if theorem.takes_class and cls is None:
-        raise InvalidParams(f"--class is required for the {args.theorem} checker")
+    triple = None
+    if theorem.takes_class:
+        if args.cls is None:
+            raise InvalidParams(f"--class is required for the {args.theorem} checker")
+        triple = SHAPE_CLASSES[args.cls], args.alpha, args.lam
     one_row = [np.array([v]) for v in (args.a, args.b, args.c, args.alpha, args.lam)]
-    triple = None if cls is None else (type(cls), cls.alpha, lam_of(cls))
     return theorem.check(Rows(*one_row, args.s, triple, line_search, boundary, args.relaxed)).certificate(0)
 
 

@@ -90,8 +90,8 @@ class SeriesSettings:
     radius_cap: float = 0.995
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be a finite number > 0")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
         if not 0 < self.radius_cap < 1:

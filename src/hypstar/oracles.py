@@ -16,10 +16,6 @@ import numpy as np
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
-SAFE_BOTH_ENDS = "SafeBothEnds"
-DIVERGES_AT_ZERO = "DivergesAtZero"
-DIVERGES_AT_INFINITY = "DivergesAtInfinity"
-
 
 def ab_gap_direct(w, a, b, c):
     """|B|^2 - |A|^2 straight from A = w(w + c - 1), B = (w + a)(w + b)."""
@@ -111,7 +107,8 @@ def quadratic_nonneg_sampled(L: float, M: float, N: float, grid: int = 2001) -> 
 
 @dataclass(frozen=True)
 class LineSearchSettings:
-    """Controls for the positive-line minimizer."""
+    """Controls for the positive-line minimizer, and min_margin: how far from
+    zero the checkers that use it want a minimum before they trust its sign."""
 
     s_min: float = 1e-8
     s_max: float = 1e8
@@ -143,8 +140,6 @@ class MinimizerResult:
 
     min_value: np.ndarray
     argmin_s: np.ndarray
-    endpoint_verdict: np.ndarray
-    conclusive: np.ndarray
 
 
 # float64 values per call of a many-row residual in the log scan (512 KB per
@@ -187,15 +182,9 @@ def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray
     return at_infinity, at_zero
 
 
-def endpoint_verdicts(at_infinity, at_zero) -> np.ndarray:
-    """Verdicts from the net leading coefficients that leading_coefficients returns."""
-    return np.where(at_infinity < 0, DIVERGES_AT_INFINITY, np.where(at_zero < 0, DIVERGES_AT_ZERO, SAFE_BOTH_ENDS))
-
-
 def minimize_on_positive_line(
     residual: Callable,
     settings: LineSearchSettings = DEFAULT_LINE_SEARCH,
-    verdict=None,
 ) -> MinimizerResult:
     """Minimum of each row of residual(s) over s in [s_min, s_max].
 
@@ -203,13 +192,9 @@ def minimize_on_positive_line(
     (k,), shared by every row, it returns shape (rows, k), and for points of
     shape (rows, 3) it returns shape (rows, 3).  A log-spaced scan is
     followed by golden-section refinement (in log s) around each row's three
-    smallest samples, all 3 * rows refinements in lockstep.  `verdict`, when
-    given, holds each row's verdict about behaviour beyond the scanned range,
-    for instance endpoint_verdicts of the residual's leading_coefficients
-    when it is a power sum; without it the verdict falls back on the signs at
-    the extreme samples.  A minimum within +-min_margin of zero is flagged
-    inconclusive rather than trusted either way.  Every result field holds
-    one entry per row.
+    smallest samples, all 3 * rows refinements in lockstep.  Both result
+    fields hold one entry per row.  What lies beyond [s_min, s_max], and how
+    close to zero a minimum may come, is the caller's to judge.
 
     The scan takes the points in runs short enough that one call's values fit
     in _SCAN_BLOCK_VALUES.  It keeps each row's three smallest samples, ties
@@ -256,17 +241,7 @@ def minimize_on_positive_line(
         best_v = np.where(better, vk, best_v)
         best_s = np.where(better, si, best_s)
     best_v = np.where(~finite | refine_bad, np.nan, best_v)
-
-    if verdict is None:
-        margin = settings.min_margin
-        ends = residual(s[[0, 1, -2, -1]])
-        verdict = np.where(
-            (ends[:, 3] < -margin) & (ends[:, 3] <= ends[:, 2]),
-            DIVERGES_AT_INFINITY,
-            np.where((ends[:, 0] < -margin) & (ends[:, 0] <= ends[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
-        )
-    conclusive = ~((-settings.min_margin <= best_v) & (best_v <= settings.min_margin))
-    return MinimizerResult(best_v, best_s, verdict, conclusive)
+    return MinimizerResult(best_v, best_s)
 
 
 def half_plane_bound_check(A: float, B: float, C: float, K: float, alpha: float) -> bool:

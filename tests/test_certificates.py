@@ -191,6 +191,32 @@ class TestStrongStarlike:
         tail_plus = cond_value(cert, "tail coefficient (eps=+1)")
         assert tail_plus < 0 and not cert.passed
 
+    def test_endpoint_verdict_fails_a_minimum_above_the_margin(self):
+        # the scanned minimum is positive, at the scan's first point, but the
+        # residual falls to -infinity as s -> 0+, so the condition fails; the
+        # sector condition fails too, so the certificate is not decided here
+        a = -1.0053869822541126 - 0.9077501863410804j
+        b = 2.00022321371058 - 0.6911262624234751j
+        c = 4.371442828926712 - 1.5988764487645555j
+        cert = certify_strong_starlike(HypergeomParams(a, b, c), 0.9284706840119258)
+        (minimum,) = [x for x in cert.conditions if x.name == "min residual (eps=+1)"]
+        (tail,) = [x for x in cert.conditions if x.name == "tail coefficient (eps=+1)"]
+        assert minimum.value == pytest.approx(0.551721746513351, rel=1e-9)
+        assert minimum.value > DEFAULT_LINE_SEARCH.min_margin and not minimum.passed
+        assert "eps=+1: min residual 0.551722 at s = 1e-08" in cert.notes
+        assert tail.passed
+
+    @pytest.mark.parametrize("gap, margin, conclusive", [(1e-3, 1e-9, True), (0.0, 1e-9, False), (1e-3, 1e-2, False)])
+    def test_inconclusive_band_around_zero(self, gap, margin, conclusive):
+        # residual (s^1.5 + s^-0.5)/2 - V, least at s = 3^-0.5, where it is (2/3) 3^0.25 - V
+        V = 2 / 3 * 3**0.25 - gap
+        line_search = oracles.LineSearchSettings(min_margin=margin)
+        conditions, notes = certificates._line_minima(np.array([0.5]), 0.0, [(1.0, 0.0, 0.0, V)] * 2, line_search)
+        (minimum,) = [x for x in conditions if x.name == "min residual (eps=+1)"]
+        assert minimum.value[0] == pytest.approx(gap, abs=1e-12)
+        assert minimum.passed[0] == conclusive
+        assert ("inconclusive" in notes(0)[0]) != conclusive
+
 
 class TestSstCorollaries:
     def test_p0_matches_full_checker(self):
@@ -599,12 +625,9 @@ def test_minimizer_on_cubic_rows_matches_the_allocating_residual(monkeypatch, al
     # 80 values per call leave 2 points per run for 40 rows
     monkeypatch.setattr(oracles, "_SCAN_BLOCK_VALUES", block)
     rows = _cubic_rows(CUBIC_ALPHAS[alphas])
-    verdict = oracles.endpoint_verdicts(*oracles.leading_coefficients(certificates._cubic_terms(*rows)))
-    got = minimize_on_positive_line(certificates._cubic_residual(*rows), DEFAULT_LINE_SEARCH, verdict)
-    want = minimize_on_positive_line(_reference_cubic_residual(*(r[:, None] for r in rows)), DEFAULT_LINE_SEARCH, verdict)
+    got = minimize_on_positive_line(certificates._cubic_residual(*rows), DEFAULT_LINE_SEARCH)
+    want = minimize_on_positive_line(_reference_cubic_residual(*(r[:, None] for r in rows)), DEFAULT_LINE_SEARCH)
     finite = np.isfinite(want.min_value)
     assert 0 < finite.sum() < len(finite)
     assert got.min_value.tobytes() == want.min_value.tobytes()
     assert got.argmin_s[finite].tobytes() == want.argmin_s[finite].tobytes()
-    assert got.endpoint_verdict.tolist() == verdict.tolist() == want.endpoint_verdict.tolist()
-    assert got.conclusive.tolist() == want.conclusive.tolist()

@@ -50,6 +50,12 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "--a", "1,0", "--b", "1,0", "--c", "2,0", "--z", "0.999,0")
         assert code == 3
 
+    def test_point_that_is_not_finite_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--a", "1,0", "--b", "1,0", "--c", "2,0", "--z", "nan,0"])
+        assert exc.value.code == 2
+        assert "argument --z: expected 're,im' with finite parts, got 'nan,0'" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_starlike_order_json(self, capsys):
@@ -147,6 +153,26 @@ class TestCertify:
             main(["certify", "--theorem", "cor-a2", "--a", "2,0", "--b", "2,0", "--c", "3,0", "--threads", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "nan,0"), ("--a", "inf,0"), ("--b", "2,-inf"), ("--c", "nan"), ("--c", "3,nan"),
+    ])
+    def test_parameters_that_are_not_finite_exit_two(self, capsys, flag, value):
+        argv = {"--a": "2,0", "--b": "2,5", "--c": "3,5", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--theorem", "starlike-order", *itertools.chain(*argv.items())])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument {flag}: expected 're,im' with finite parts, got '{value}'\n")
+
+    def test_class_is_read_only_by_kinds_that_take_one(self, capsys, caplog):
+        bad_class = ["--class", "strongly-starlike", "--alpha", "0", "--a", "2,0", "--b", "2,5", "--c", "3,5"]
+        code, out, _ = run_cli(capsys, "certify", "--theorem", "starlike-order", *bad_class)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        code, out, _ = run_cli(capsys, "certify", "--theorem", "general", *bad_class)
+        assert code == 2
+        assert out == ""
+        assert "strong starlikeness order alpha must lie in (0, 1)" in caplog.text
+
     def test_general_needs_class(self, capsys):
         code, _, _ = run_cli(capsys, "certify", "--theorem", "general", "--a", "1,0", "--b", "1,0", "--c", "3,0")
         assert code == 2
@@ -221,6 +247,15 @@ class TestVerify:
             "--a", "1,0", "--b", "1,0", "--c", "3,0", *FAST_GRID,
         )
         assert code == 2
+
+    def test_series_tol_that_is_not_finite_exits_two(self, capsys, caplog):
+        code, out, _ = run_cli(
+            capsys, "verify", "--class", "starlike", "--alpha", "0", "--a", "2,0", "--b", "1,0", "--c", "2,0",
+            "--series-tol", "inf", *FAST_GRID,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol must be a finite number > 0" in caplog.text
 
 
 class TestCrossCheckCommand:

@@ -53,6 +53,9 @@ class TestParams:
             SeriesSettings(radius_cap=1.0)
         with pytest.raises(ValueError):
             SeriesSettings(max_terms=0)
+        for tol in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+                SeriesSettings(tol=tol)
 
 
 class TestGauss2F1:
@@ -68,6 +71,22 @@ class TestGauss2F1:
         # 2F1(1, 1; 2; z) = -log(1 - z)/z
         got = gauss_2f1(HypergeomParams(1, 1, 2), 0.5)
         assert got == pytest.approx(2 * LN2, rel=1e-14)
+
+    def test_tail_bound_is_infinite_below_minus_re_c(self):
+        # 2F1(a, b; a; z) = (1 - z)^(-b); with Re c = -300.5 the tail bound is
+        # infinite for the first 300 terms, so the series must run past them
+        a = c = -300.5 + 0.25j
+        b = 1.5 - 0.5j
+        params = HypergeomParams(a, b, c)
+        assert hypergeom._tail_ratio(params, 0.9, 300) == math.inf
+        assert hypergeom._tail_ratio(params, 0.9, 301) < 1
+        for z in (0.5, 0.6j, -0.9 + 0.1j):
+            assert gauss_2f1(params, z) == pytest.approx((1 - z) ** -b, rel=1e-13)
+        ring = gauss_2f1_ring(params, 0.9, 120)
+        z = 0.9 * np.exp(2j * np.pi * np.arange(120) / 120)
+        assert ring.converged.all()
+        np.testing.assert_allclose(ring.f.astype(complex), (1 - z) ** -b, rtol=1e-13)
+        np.testing.assert_allclose(ring.zdf.astype(complex), b * z * (1 - z) ** (-b - 1), rtol=1e-13)
 
     def test_radius_exceeded(self):
         with pytest.raises(RadiusExceeded):

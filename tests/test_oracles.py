@@ -21,10 +21,6 @@ from hypstar import (
 )
 from hypstar.oracles import (
     DEFAULT_LINE_SEARCH,
-    DIVERGES_AT_INFINITY,
-    DIVERGES_AT_ZERO,
-    SAFE_BOTH_ENDS,
-    endpoint_verdicts,
     golden_section,
     leading_coefficients,
 )
@@ -100,9 +96,10 @@ def _one_row(f):
     return lambda s: np.atleast_2d(f(s))
 
 
-def _endpoint_verdict(terms) -> str:
-    """Verdict for the power sum sum coef * s^expo of one row."""
-    return str(endpoint_verdicts(*leading_coefficients(terms))[0])
+def _leading(terms) -> tuple[float, float]:
+    """Net leading coefficients (at infinity, at zero) of the power sum sum coef * s^expo of one row."""
+    at_infinity, at_zero = leading_coefficients(terms)
+    return float(at_infinity[0]), float(at_zero[0])
 
 
 class TestMinimizer:
@@ -110,30 +107,32 @@ class TestMinimizer:
         res = minimize_on_positive_line(_one_row(lambda s: (s - 2.0) ** 2))
         assert res.argmin_s[0] == pytest.approx(2.0, rel=1e-6)
         assert abs(res.min_value[0]) < 1e-12
-        assert not res.conclusive[0]  # min within the +-margin band around zero
 
     def test_am_gm(self):
         res = minimize_on_positive_line(_one_row(lambda s: 1 / s + s - 2))
         assert res.argmin_s[0] == pytest.approx(1.0, rel=1e-6)
         assert abs(res.min_value[0]) < 1e-12
 
-    def test_strictly_positive_is_conclusive(self):
+    def test_strictly_positive_minimum(self):
         res = minimize_on_positive_line(_one_row(lambda s: 1 / s + s))
-        assert res.conclusive[0] and res.min_value[0] == pytest.approx(2.0, rel=1e-9)
-        assert res.endpoint_verdict[0] == SAFE_BOTH_ENDS
+        assert res.min_value[0] == pytest.approx(2.0, rel=1e-9)
+        assert res.argmin_s[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_ties_prefer_smaller_s(self):
         res = minimize_on_positive_line(_one_row(lambda s: np.zeros_like(s)))
         assert res.argmin_s[0] == pytest.approx(1e-8)
 
     def test_endpoint_verdicts_from_terms(self):
-        assert _endpoint_verdict([(2.0, -1.0)]) == DIVERGES_AT_INFINITY
-        assert _endpoint_verdict([(-0.5, -1.0), (1.0, 2.0)]) == DIVERGES_AT_ZERO
+        # -s^2 falls to -infinity as s -> infinity
+        assert _leading([(2.0, -1.0)]) == (-1.0, -1.0)
+        # -s^-0.5 falls to -infinity as s -> 0+, while 2s wins at infinity
+        assert _leading([(-0.5, -1.0), (1.0, 2.0)]) == (2.0, -1.0)
         # s - 5 stays negative below the scanned range
-        assert _endpoint_verdict([(1.0, 1.0), (0.0, -5.0)]) == DIVERGES_AT_ZERO
-        assert _endpoint_verdict([(1.0, 1.0), (-1.0, 2.0), (0.0, -5.0)]) == SAFE_BOTH_ENDS
+        assert _leading([(1.0, 1.0), (0.0, -5.0)]) == (1.0, -5.0)
+        # 2/s dominates -5 as s -> 0+, so both ends are safe
+        assert _leading([(1.0, 1.0), (-1.0, 2.0), (0.0, -5.0)]) == (1.0, 2.0)
         # exact cancellation falls through to the next exponent
-        assert _endpoint_verdict([(2.0, 1.0), (2.0, -1.0), (1.0, 1.0)]) == SAFE_BOTH_ENDS
+        assert _leading([(2.0, 1.0), (2.0, -1.0), (1.0, 1.0)]) == (1.0, 1.0)
 
 
 class TestLineSearchSettings:
@@ -162,8 +161,7 @@ class TestLineSearchSettings:
 
 def _reference_minimize(residual, settings=DEFAULT_LINE_SEARCH):
     """The many-row minimizer with the stable-argsort merge it had before the
-    three-argmin one, and the verdict from the end samples: (min_value,
-    argmin_s, endpoint_verdict, conclusive)."""
+    three-argmin one: (min_value, argmin_s)."""
     s = np.logspace(math.log10(settings.s_min), math.log10(settings.s_max), settings.n_log_points)
     vals = residual(s[:2])
     finite = np.isfinite(vals).all(axis=1)
@@ -186,15 +184,7 @@ def _reference_minimize(residual, settings=DEFAULT_LINE_SEARCH):
         si, vk = np.exp(t[:, k]), v[:, k]
         better = (vk < best_v) | ((vk == best_v) & (si < best_s))
         best_v, best_s = np.where(better, vk, best_v), np.where(better, si, best_s)
-    best_v = np.where(~finite | refine_bad, np.nan, best_v)
-    margin = settings.min_margin
-    ends = residual(s[[0, 1, -2, -1]])
-    verdict = np.where(
-        (ends[:, 3] < -margin) & (ends[:, 3] <= ends[:, 2]),
-        DIVERGES_AT_INFINITY,
-        np.where((ends[:, 0] < -margin) & (ends[:, 0] <= ends[:, 1]), DIVERGES_AT_ZERO, SAFE_BOTH_ENDS),
-    )
-    return best_v, best_s, verdict, ~((-margin <= best_v) & (best_v <= margin))
+    return np.where(~finite | refine_bad, np.nan, best_v), best_s
 
 
 # one residual row each, as functions of L = log s
@@ -228,8 +218,6 @@ def test_many_row_merge_matches_the_stable_sort(monkeypatch, block):
     want = _reference_minimize(_rows_residual)
     assert got.min_value.tobytes() == want[0].tobytes()
     assert got.argmin_s[_FINITE].tobytes() == want[1][_FINITE].tobytes()
-    assert got.endpoint_verdict.tolist() == want[2].tolist()
-    assert got.conclusive.tolist() == want[3].tolist()
     assert np.isnan(got.min_value[~_FINITE]).all() and np.isfinite(got.min_value[_FINITE]).all()
     assert got.argmin_s[0] == got.argmin_s[2] == got.argmin_s[3] == 1e-8
     assert math.copysign(1, got.min_value[2]) == -1
