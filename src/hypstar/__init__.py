@@ -42,34 +42,19 @@ from .hypergeom import (
     gauss_2f1_grid,
     gauss_2f1_ring,
     log_derivative_q,
-    ode_residual,
     shifted_f,
 )
 from .oracles import (
     LineSearchSettings,
     MinimizerResult,
-    ab_gap_direct,
     ab_gap_formula,
-    ab_identity_residual,
-    half_plane_bound_check,
     minimize_on_positive_line,
-    quadratic_nonneg_exact,
-    quadratic_nonneg_sampled,
 )
 from .shapes import (
-    AdmissibilityResult,
-    BoundaryPoint,
     ShapeClass,
     SpirallikeOrder,
     StarlikeOrder,
     StronglyStarlike,
-    admissibility_vi,
-    boundary_point,
-    boundary_Q,
-    boundary_zQprime,
-    membership_predicate,
-    phi,
-    q_class,
 )
 from .verifier import (
     CrossCheckResult,

@@ -40,14 +40,11 @@ from .shapes import (
     SpirallikeOrder,
     StarlikeOrder,
     StronglyStarlike,
+    boundary_values,
     class_to_json,
     lam_of,
     mu_of,
     shape_of,
-    spiral_boundary_Q,
-    spiral_boundary_zQprime,
-    sst_boundary_Q,
-    sst_boundary_zQprime,
 )
 from .tolerance import REAL_TOL, STRICT_TOL, is_real, nonneg, strict_pos
 
@@ -197,12 +194,12 @@ def _refuse(errors: dict, mask: np.ndarray, error: Callable[[int], Exception]) -
 
 
 def _refuse_nonpositive_c(errors: dict, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """Refuse the rows HypergeomParams refuses: c at a nonpositive integer."""
+    """Refuse the rows HypergeomParams refuses: a non-finite a, b or c, or c at a nonpositive integer."""
     near = (np.abs(c.imag) <= NONPOS_INT_TOL) & (c.real <= NONPOS_INT_TOL)
-    for i in np.flatnonzero(near):
+    for i in np.flatnonzero(near | ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))):
         try:
             HypergeomParams(a[i], b[i], c[i])
-        except (InvalidC, OverflowError) as exc:  # OverflowError: c at -inf
+        except (InvalidC, InvalidParams) as exc:
             errors.setdefault(int(i), exc)
 
 
@@ -705,9 +702,11 @@ def certify_sst_cor_max(a: complex, b: complex, alpha: float) -> Certificate:
     B = 2 Re[eta ab (conj(a)+conj(b)-2)],
     C = |ab|^2 - 2 Re[ab (conj(a)+conj(b)-1)] and
     K = alpha Re[e^{i eps pi (1-alpha)/2} ab], the bound holds for every s > 0
-    once B/2 + max(A, C) <= K and max(A, C) <= K (the second clause guards a
-    region where the one-line estimate is invalid; see half_plane_bound_check).
-    Strictly stronger than the minimizer-based checker."""
+    once B/2 + max(A, C) <= K and max(A, C) <= K, because
+    2 <= s^alpha + s^{-alpha} <= s + 1/s.  The second clause is not redundant:
+    with B < 0 the first alone admits max(A, C) > K, and then A s^alpha can
+    outrun K s over a mid range of s.  Strictly stronger than the
+    minimizer-based checker."""
     return sst_cor_max_batch(a, b, alpha).certificate()
 
 
@@ -797,22 +796,11 @@ def _boundary_grid_check(cls: ShapeClass, params: HypergeomParams, grid: Boundar
     a, b, c = params.a, params.b, params.c
     p = params.p
     if isinstance(cls, StronglyStarlike):
-        half = max(grid.n_points // 2, 8)
-        th = np.linspace(grid.theta_min, math.pi - grid.theta_min, half)
-        s = np.concatenate([1 / np.tan(th / 2)] * 2)
-        eps = np.concatenate([np.ones(half), -np.ones(half)])
+        th = np.linspace(grid.theta_min, math.pi - grid.theta_min, max(grid.n_points // 2, 8))
         theta = np.concatenate([th, -th])
-        w = sst_boundary_Q(cls.alpha, s, eps)
-        zqp = sst_boundary_zQprime(cls.alpha, s, eps)
-        s_signed = s * eps
     else:
-        th = np.linspace(grid.theta_min, 2 * math.pi - grid.theta_min, grid.n_points)
-        theta = th
-        s = 1 / np.tan(th / 2)
-        mu = mu_of(cls)
-        w = spiral_boundary_Q(mu, s)
-        zqp = spiral_boundary_zQprime(mu, s)
-        s_signed = s
+        theta = np.linspace(grid.theta_min, 2 * math.pi - grid.theta_min, grid.n_points)
+    s_signed, w, zqp = boundary_values(cls, theta)
 
     delta = p * w + a * b  # equals B - A on the boundary
     D = -2 * np.real(delta * np.conjugate(zqp))

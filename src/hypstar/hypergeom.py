@@ -5,19 +5,20 @@ Everything here is direct summation of the defining series
 are applied, so complex parameters never touch branch-cut ambiguities; the
 price is slow convergence near |z| = 1, which a generous term budget covers
 at desk scale.  All functions are pure and safe to call concurrently.  The
-point functions share a one-entry memo of the last point pass, so F, F', f,
-q and the ODE residual at the same (params, z, settings) cost one pass.
+point functions share a one-entry memo of the last point pass, so F, F', f
+and q at the same (params, z, settings) cost one pass.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidC, NoConvergence, RadiusExceeded, ZeroOfF
+from .errors import InvalidC, InvalidParams, NoConvergence, RadiusExceeded, ZeroOfF
 
 # tolerance for rejecting c at a nonpositive integer
 NONPOS_INT_TOL = 1e-12
@@ -44,7 +45,7 @@ def _is_nonpositive_integer(w: complex, tol: float = NONPOS_INT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class HypergeomParams:
-    """Parameter triple (a, b, c); c must stay away from 0, -1, -2, ...
+    """Parameter triple (a, b, c) of finite numbers; c must stay away from 0, -1, -2, ...
 
     The roles of a and b are interchangeable: every operation in this module
     returns bit-identical results under a swap.
@@ -55,9 +56,11 @@ class HypergeomParams:
     c: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
+        for name in ("a", "b", "c"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if _is_nonpositive_integer(self.c):
             raise InvalidC("c is a nonpositive integer")
 
@@ -204,42 +207,41 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
 
 
 def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings):
-    """(F, zF', z^2 F'', converged) at z: the long double sums of u_n, n u_n and n(n-1) u_n.
+    """(F, zF', converged) at z: the long double sums of u_n and n u_n.
 
     The first block holds 2 log(tol)/log|z| terms: on the test corpus the
     count needed exceeds log(tol)/log|z| at 2 points in 3, and twice it at 1 in 50.
     """
     if abs(z) > settings.radius_cap + _RADIUS_SLACK:
         raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
-    sums = np.array([1, 0, 0], dtype=np.clongdouble)  # u_0
+    sums = np.array([1, 0], dtype=np.clongdouble)  # u_0
     if z == 0:
-        return sums[0], sums[1], sums[2], True
+        return sums[0], sums[1], True
 
     def add(start, u):
         n = np.arange(start, start + len(u), dtype=np.clongdouble)
-        rows = np.empty((3, len(u)), dtype=np.clongdouble)
+        rows = np.empty((2, len(u)), dtype=np.clongdouble)
         rows[0] = u
         np.multiply(n, u, out=rows[1])
-        np.multiply(n - 1, rows[1], out=rows[2])
         sums[:] += rows.sum(axis=1)
 
     width = max(2, math.ceil(2 * math.log(settings.tol) / math.log(abs(z))))
     f, zdf, converged, _, _ = _sum_series(params, z, settings, width, 0, add, lambda: (sums[0], sums[1]))
-    return f, zdf, sums[2], bool(converged)
+    return f, zdf, bool(converged)
 
 
 @functools.lru_cache(maxsize=1)
 def _last_point(params: HypergeomParams, z: complex, settings: SeriesSettings):
-    """(F, zF', z^2 F'') from `_point_series`; NoConvergence where the tail bound was not met.
+    """(F, zF') from `_point_series`; NoConvergence where the tail bound was not met.
 
     Remembers the last (params, z, settings) only, so F, F' and q at one point
     share one pass.  The entry is a tuple of immutable np.clongdouble scalars;
     an exception is raised afresh on every call, never cached.
     """
-    f, zdf, z2d2f, converged = _point_series(params, z, settings)
+    f, zdf, converged = _point_series(params, z, settings)
     if not converged:
         raise NoConvergence(f"series did not settle within {settings.max_terms} terms at z = {z}")
-    return f, zdf, z2d2f
+    return f, zdf
 
 
 def _point(params: HypergeomParams, z: complex, settings: SeriesSettings):
@@ -271,7 +273,7 @@ def gauss_2f1_grid(
     values = np.empty(z.shape, dtype=np.complex128)
     converged = np.empty(z.shape, dtype=bool)
     for i, zi in np.ndenumerate(z):
-        f, _, _, converged[i] = _point_series(params, complex(zi), settings)
+        f, _, converged[i] = _point_series(params, complex(zi), settings)
         values[i] = complex(f)
     return values, converged
 
@@ -377,25 +379,7 @@ def log_derivative_q(params: HypergeomParams, z: complex, settings: SeriesSettin
     ZeroOfF when |F(z)| <= ZERO_TOL.  A zero of F means f is not zero-free,
     so callers must treat the point as a hard failure rather than skip it.
     """
-    f, zdf, _ = _point(params, z, settings)
+    f, zdf = _point(params, z, settings)
     if abs(f) <= ZERO_TOL:
         raise ZeroOfF(f"|F(z)| = {float(abs(f)):.3g} at z = {z}; q is undefined there")
     return complex(1 + zdf / f)
-
-
-def ode_residual(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:
-    """(1-z) z F'' + [c - (a+b+1) z] F' - a b F, which should vanish.
-
-    zF' and z^2 F'' are the sums of n u_n and n(n-1) u_n from the pass that
-    sums F, not finite differences, so the residual isolates truncation and
-    rounding.  The tail bound covers F and zF'; the tail of z^2 F'' is larger
-    by about the number of terms.
-    """
-    z = complex(z)
-    if abs(z) > 0.9 * settings.radius_cap + _RADIUS_SLACK:
-        raise RadiusExceeded("ode_residual requires |z| <= 0.9 * radius_cap")
-    a, b, c = params.a, params.b, params.c
-    if z == 0:
-        return c * (a * b / c) - a * b
-    f, zdf, z2d2f = _point(params, z, settings)
-    return complex(((1 - z) * z2d2f + (c - (a + b + 1) * z) * zdf) / z - a * b * f)

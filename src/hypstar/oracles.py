@@ -1,9 +1,7 @@
-"""Independent brute-force validators backing the closed-form checkers.
+"""The algebra behind the checkers: the expanded squared-modulus gap and a
+log-grid line minimizer for inequalities quantified over s in (0, infinity).
 
-Nothing in this module knows about hypergeometric functions: it deals in the
-raw algebra (a squared-modulus identity, quadratic nonnegativity on the real
-line, a power-sum bound) plus a log-grid line minimizer for inequalities
-quantified over s in (0, infinity).
+Nothing in this module knows about hypergeometric functions.
 """
 
 from __future__ import annotations
@@ -17,40 +15,19 @@ import numpy as np
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def ab_gap_direct(w, a, b, c):
-    """|B|^2 - |A|^2 straight from A = w(w + c - 1), B = (w + a)(w + b)."""
-    B = (w + a) * (w + b)
-    A = w * (w + c - 1)
-    return np.abs(B) ** 2 - np.abs(A) ** 2
-
-
 def ab_gap_formula(w, a, b, c):
     """The expanded form of |B|^2 - |A|^2 used by the boundary checkers:
 
     |w|^2 (2 Re[p conj(w)] + |a|^2 + |b|^2 - |c-1|^2)
       + (2 Re[a conj(w)] + |a|^2)(2 Re[b conj(w)] + |b|^2),
 
-    with p = a + b + 1 - c.  Identical to ab_gap_direct for every input.
+    with p = a + b + 1 - c.
     """
     p = a + b + 1 - c
     wc = np.conjugate(w)
     t1 = np.abs(w) ** 2 * (2 * np.real(p * wc) + abs(a) ** 2 + abs(b) ** 2 - abs(c - 1) ** 2)
     t2 = (2 * np.real(a * wc) + abs(a) ** 2) * (2 * np.real(b * wc) + abs(b) ** 2)
     return t1 + t2
-
-
-def ab_identity_residual(w, a, b, c):
-    """|direct - expanded| for the squared-modulus identity; ~0 always."""
-    return np.abs(ab_gap_direct(w, a, b, c) - ab_gap_formula(w, a, b, c))
-
-
-def quadratic_nonneg_exact(L: float, M: float, N: float) -> bool:
-    """Whether L s^2 - 2 M s + N >= 0 for every real s.
-
-    Exact characterization: L >= 0, N >= 0 and L N - M^2 >= 0 (the L = 0 edge
-    forces M = 0 through the discriminant condition).
-    """
-    return L >= 0 and N >= 0 and L * N - M * M >= 0
 
 
 def golden_section(f: Callable, lo, hi, iters: int):
@@ -77,32 +54,6 @@ def golden_section(f: Callable, lo, hi, iters: int):
         x2, f2 = np.where(left, x_kept, x_new), np.where(left, f_kept, f_new)
     first = f1 <= f2
     return np.where(first, x1, x2), np.where(first, f1, f2)
-
-
-def quadratic_nonneg_sampled(L: float, M: float, N: float, grid: int = 2001) -> bool:
-    """Sampled counterpart of quadratic_nonneg_exact.
-
-    Substituting s = tan(u) and normalizing by 1 + s^2 turns the quadratic
-    into L sin^2(u) - 2 M sin(u) cos(u) + N cos^2(u) on the closed interval
-    [-pi/2, pi/2], whose endpoints carry the s -> +-infinity behaviour (the
-    leading coefficient L) for free.  The grid minimum is sharpened by a
-    golden-section pass so disagreements with the exact test only occur
-    within rounding distance of the discriminant boundary.
-    """
-    u = np.linspace(-math.pi / 2, math.pi / 2, grid)
-    su, cu = np.sin(u), np.cos(u)
-    vals = L * su * su - 2 * M * su * cu + N * cu * cu
-    i = int(np.argmin(vals))
-
-    def trig(t: float) -> float:
-        st, ct = math.sin(t), math.cos(t)
-        return L * st * st - 2 * M * st * ct + N * ct * ct
-
-    lo, hi = u[max(i - 1, 0)], u[min(i + 1, grid - 1)]
-    _, refined = golden_section(trig, lo, hi, 80)
-    best = min(float(vals.min()), float(refined))
-    scale = max(1.0, abs(L), abs(M), abs(N))
-    return best >= -1e-9 * scale
 
 
 @dataclass(frozen=True)
@@ -242,21 +193,3 @@ def minimize_on_positive_line(
         best_s = np.where(better, si, best_s)
     best_v = np.where(~finite | refine_bad, np.nan, best_v)
     return MinimizerResult(best_v, best_s)
-
-
-def half_plane_bound_check(A: float, B: float, C: float, K: float, alpha: float) -> bool:
-    """Whether B/2 + max(A, C) <= K together with max(A, C) <= K.
-
-    Because 2 <= s^alpha + s^{-alpha} <= s + 1/s on (0, infinity) for
-    0 < alpha < 1, a True answer guarantees
-    A s^alpha + B + C s^{-alpha} <= K (s + 1/s) for every positive s.
-    The second clause is not redundant: with B < 0 the first alone admits
-    max(A, C) > K, and then A s^alpha can outrun K s over a mid range of s
-    (A = 3, B = -10, C = 0, K = 1, alpha = 0.95, s = 1e6 violates the bound).
-    When B >= 0 the first clause already forces the second.
-    """
-    if not K > 0:
-        raise ValueError("K must be positive")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return B / 2 + max(A, C) <= K and max(A, C) <= K

@@ -1,4 +1,4 @@
-"""Starlike-type target classes: generators, boundary closed forms, predicates.
+"""Starlike-type target classes: boundary closed forms and the membership margin.
 
 Three families are supported, each given by a generator phi with phi(0) = 1
 whose image describes where z f'(z)/f(z) must live:
@@ -18,11 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
-
-from .tolerance import REAL_TOL
 
 # boundary grids stay this far away (in radians) from singular boundary points
 THETA_MIN = 1e-4
@@ -84,88 +82,27 @@ def mu_of(cls: ShapeClass) -> complex:
     return (1 - cls.alpha) * cmath.exp(1j * lam) * math.cos(lam)
 
 
-def q_class(cls: ShapeClass, z: complex) -> complex:
-    """Q(z) = phi(z) - 1 for the class generator phi."""
-    z = complex(z)
-    if isinstance(cls, StronglyStarlike):
-        return ((1 + z) / (1 - z)) ** cls.alpha - 1
-    return 2 * mu_of(cls) * z / (1 - z)
+def boundary_values(cls: ShapeClass, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, Q(zeta), zeta Q'(zeta)) at zeta = e^{i theta}, one entry per theta, for Q = phi - 1.
 
-
-def phi(cls: ShapeClass, z: complex) -> complex:
-    """Class generator: Moebius map for the half-plane families, principal
-    power of (1+z)/(1-z) for strong starlikeness."""
-    return 1 + q_class(cls, z)
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A non-exceptional boundary point zeta = e^{i theta} with its cotangent.
-
-    For the Moebius-type families s = cot(theta/2) with theta in (0, 2pi);
-    for strong starlikeness s = cot(|theta|/2) > 0 with the sign eps = sgn(theta)
-    and theta in (-pi, pi) minus 0.
+    s = cot(theta/2).  For the Moebius-type families theta lies in (0, 2 pi)
+    and Q = mu(-1 + i s), zeta Q' = -mu(1 + s^2)/2.  For strong starlikeness
+    theta lies in (-pi, pi) minus 0; with eps = sgn(theta),
+    Q = e^{i eps pi alpha/2} |s|^alpha - 1 and
+    zeta Q' = -(alpha/2) e^{-i eps pi (1-alpha)/2} |s|^alpha (|s| + 1/|s|).
     """
-
-    theta: float
-    zeta: complex
-    s: float
-    eps: int = 1
-
-
-def boundary_point(cls: ShapeClass, theta: float) -> BoundaryPoint:
-    theta = float(theta)
+    theta = np.asarray(theta, dtype=float)
+    eps = np.sign(theta)
+    s = 1 / np.tan(np.abs(theta) / 2)
     if isinstance(cls, StronglyStarlike):
-        if not (-math.pi < theta < math.pi) or theta == 0:
-            raise ValueError("theta must lie in (-pi, pi) and differ from 0")
-        eps = 1 if theta > 0 else -1
-        s = 1.0 / math.tan(abs(theta) / 2)
-        return BoundaryPoint(theta, cmath.exp(1j * theta), s, eps)
-    if not 0 < theta < 2 * math.pi:
-        raise ValueError("theta must lie in (0, 2 pi)")
-    return BoundaryPoint(theta, cmath.exp(1j * theta), 1.0 / math.tan(theta / 2), 1)
-
-
-# Closed boundary forms, written against plain s (and eps) so both the scalar
-# API below and the vectorized grid checker share one formula source.
-
-def spiral_boundary_Q(mu: complex, s):
-    return mu * (-1 + 1j * np.asarray(s, dtype=float))
-
-
-def spiral_boundary_zQprime(mu: complex, s):
-    s = np.asarray(s, dtype=float)
-    return -mu * (1 + s * s) / 2
-
-
-def sst_boundary_Q(alpha: float, s, eps):
-    s = np.asarray(s, dtype=float)
-    return np.exp(1j * np.asarray(eps) * (np.pi * alpha / 2)) * s**alpha - 1
-
-
-def sst_boundary_zQprime(alpha: float, s, eps):
-    s = np.asarray(s, dtype=float)
-    return -(alpha / 2) * np.exp(-1j * np.asarray(eps) * (np.pi * (1 - alpha) / 2)) * s**alpha * (s + 1 / s)
-
-
-def boundary_Q(cls: ShapeClass, point: BoundaryPoint) -> complex:
-    """Q(zeta) in closed form: mu(-1 + i s), or e^{i eps pi alpha/2} s^alpha - 1."""
-    if isinstance(cls, StronglyStarlike):
-        return complex(sst_boundary_Q(cls.alpha, point.s, point.eps))
-    return complex(spiral_boundary_Q(mu_of(cls), point.s))
-
-
-def boundary_zQprime(cls: ShapeClass, point: BoundaryPoint) -> complex:
-    """zeta Q'(zeta) in closed form: -mu(1+s^2)/2, or the s^alpha (s + 1/s) form.
-
-    For strong starlikeness s must be nonzero (theta = +-pi is a branch point
-    of the generator and is excluded from grids).
-    """
-    if isinstance(cls, StronglyStarlike):
-        if point.s == 0:
-            raise ValueError("s must be nonzero for the strongly starlike boundary derivative")
-        return complex(sst_boundary_zQprime(cls.alpha, point.s, point.eps))
-    return complex(spiral_boundary_zQprime(mu_of(cls), point.s))
+        power = s**cls.alpha
+        q = np.exp(1j * eps * (np.pi * cls.alpha / 2)) * power - 1
+        zqp = -(cls.alpha / 2) * np.exp(-1j * eps * (np.pi * (1 - cls.alpha) / 2)) * power * (s + 1 / s)
+    else:
+        mu = mu_of(cls)
+        q = mu * (-1 + 1j * s)
+        zqp = -mu * (1 + s * s) / 2
+    return eps * s, q, zqp
 
 
 def membership_slack_array(cls: ShapeClass, w: np.ndarray) -> np.ndarray:
@@ -178,42 +115,9 @@ def membership_slack_array(cls: ShapeClass, w: np.ndarray) -> np.ndarray:
     return np.real(np.exp(-1j * lam) * w) - cls.alpha * math.cos(lam)
 
 
-def membership_predicate(cls: ShapeClass, w: complex) -> tuple[bool, float]:
-    """(passes, slack) for a single value w = z f'(z)/f(z)."""
-    slack = float(membership_slack_array(cls, np.asarray(complex(w))))
-    return slack > 0, slack
-
-
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    ok: bool
-    value: Optional[complex]
-    note: str = ""
-
-
-def admissibility_vi(cls: ShapeClass) -> AdmissibilityResult:
-    """Derivative test at the unbounded boundary point of the generator.
-
-    Each family has a single boundary point (zeta = 1) where Q blows up.  For
-    the Moebius-type families the reciprocal P = 1/Q is conformal there and
-    the test requires zeta P'(zeta) = -1/[(1-alpha)(1 + e^{2 i lam})] to avoid
-    the real interval [0, 1].  For strong starlikeness the opening exponent at
-    that point exceeds 1, so the test holds vacuously.
-    """
-    if isinstance(cls, StronglyStarlike):
-        return AdmissibilityResult(
-            True, None, f"opening exponent 1/alpha = {1 / cls.alpha:.6g} > 1; derivative test vacuous"
-        )
-    lam = lam_of(cls)
-    value = -1 / ((1 - cls.alpha) * (1 + cmath.exp(2j * lam)))
-    in_unit_interval = abs(value.imag) <= REAL_TOL and -REAL_TOL <= value.real <= 1 + REAL_TOL
-    return AdmissibilityResult(not in_unit_interval, value)
-
-
 def class_to_json(cls: ShapeClass) -> dict:
     if isinstance(cls, StarlikeOrder):
         return {"kind": "starlike-order", "alpha": cls.alpha}
     if isinstance(cls, StronglyStarlike):
         return {"kind": "strongly-starlike", "alpha": cls.alpha}
     return {"kind": "spirallike-order", "lambda": cls.lam, "alpha": cls.alpha}
-

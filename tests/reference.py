@@ -1,0 +1,84 @@
+"""Reference forms that the tests compare hypstar against.
+
+None of these is on a path that a hypstar command runs: each is a second,
+independent route to a quantity that the package computes another way.
+"""
+
+import math
+
+import numpy as np
+
+from hypstar import StronglyStarlike, gauss_2f1, gauss_2f1_derivative
+from hypstar.oracles import golden_section
+from hypstar.shapes import mu_of
+
+# rows per lockstep pass of quadratic_nonneg_sampled: 500 x 2001 float64 is 8 MB an array
+_CHUNK_ROWS = 500
+
+
+def ab_gap_direct(w, a, b, c):
+    """|B|^2 - |A|^2 straight from A = w(w + c - 1), B = (w + a)(w + b)."""
+    B = (w + a) * (w + b)
+    A = w * (w + c - 1)
+    return np.abs(B) ** 2 - np.abs(A) ** 2
+
+
+def quadratic_nonneg_exact(L, M, N):
+    """Whether L s^2 - 2 M s + N >= 0 for every real s, elementwise: exactly when
+    L >= 0, N >= 0 and L N - M^2 >= 0 (at L = 0 the last forces M = 0)."""
+    return (L >= 0) & (N >= 0) & (L * N - M * M >= 0)
+
+
+def quadratic_nonneg_sampled(L, M, N, grid: int = 2001):
+    """Sampled counterpart of quadratic_nonneg_exact, one answer per entry of L, M, N.
+
+    s = tan(u) and division by 1 + s^2 turn the quadratic into
+    L sin^2 u - 2 M sin u cos u + N cos^2 u on [-pi/2, pi/2], whose ends carry
+    s -> +-infinity.  Each row's grid minimum is sharpened by golden section
+    around it, the rows of a chunk in lockstep, so that a disagreement with
+    the exact test lies within rounding distance of the discriminant boundary.
+    """
+    L, M, N = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (L, M, N))
+    u = np.linspace(-math.pi / 2, math.pi / 2, grid)
+    out = np.empty(len(L), dtype=bool)
+    for i in range(0, len(L), _CHUNK_ROWS):
+        l, m, n = (x[i:i + _CHUNK_ROWS, None] for x in (L, M, N))
+
+        def trig(t):
+            st, ct = np.sin(t), np.cos(t)
+            return l * st * st - 2 * m * st * ct + n * ct * ct
+
+        vals = trig(u)
+        k = np.argmin(vals, axis=1)[:, None]
+        _, refined = golden_section(trig, u[np.maximum(k - 1, 0)], u[np.minimum(k + 1, grid - 1)], 80)
+        best = np.minimum(vals.min(axis=1), refined[:, 0])
+        scale = np.maximum(1.0, np.abs(np.hstack([l, m, n])).max(axis=1))
+        out[i:i + _CHUNK_ROWS] = best >= -1e-9 * scale
+    return out
+
+
+def half_plane_bound_check(A: float, B: float, C: float, K: float, alpha: float) -> bool:
+    """Whether B/2 + max(A, C) <= K and max(A, C) <= K; together they
+    guarantee A s^alpha + B + C s^{-alpha} <= K (s + 1/s) for every s > 0."""
+    if not K > 0:
+        raise ValueError("K must be positive")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    return B / 2 + max(A, C) <= K and max(A, C) <= K
+
+
+def q_class(cls, z: complex) -> complex:
+    """Q(z) = phi(z) - 1 for the class generator phi: 2 mu z/(1 - z), or ((1+z)/(1-z))^alpha - 1."""
+    z = complex(z)
+    if isinstance(cls, StronglyStarlike):
+        return ((1 + z) / (1 - z)) ** cls.alpha - 1
+    return 2 * mu_of(cls) * z / (1 - z)
+
+
+def ode_residual(params, z: complex) -> complex:
+    """(1-z) z F'' + [c - (a+b+1) z] F' - ab F, which should vanish, with F''
+    from the contiguous relation F'' = (ab/c) F'(a+1, b+1; c+1; z)."""
+    a, b, c = params.a, params.b, params.c
+    d2f = a * b / c * gauss_2f1_derivative(params.shifted(), z)
+    df = gauss_2f1_derivative(params, z)
+    return (1 - z) * z * d2f + (c - (a + b + 1) * z) * df - a * b * gauss_2f1(params, z)

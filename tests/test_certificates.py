@@ -438,6 +438,14 @@ class TestGeneralChecker:
                 assert not grid.passed
         assert checked > 3
 
+    def test_refuses_non_finite_rows(self):
+        # a NaN c used to raise ValueError from inside the batch, ending a scan
+        batch = certificates.general_batch(StarlikeOrder, 0.0, 0.0, [math.inf, 1, 1], 1, [3, 3, math.nan])
+        assert {i: str(e) for i, e in batch.errors.items()} == {
+            0: "a must be finite, got (inf+0j)", 2: "c must be finite, got (nan+0j)"}
+        assert all(isinstance(e, InvalidParams) for e in batch.errors.values())
+        assert batch.certificate(1).passed
+
 
 class TestConvexity:
     def test_rejects_zero_product(self):

@@ -512,7 +512,7 @@ class TestScan:
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert [row["failed_condition"] for row in rows] == [
-            "invalid: cannot convert float infinity to integer",
+            "invalid: c must be finite, got (-inf+0j)",
             "invalid: c is a nonpositive integer",
             "invalid: ab must be nonzero",
         ]

@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 from conftest import draw_corpus_point, draw_params
+from reference import ode_residual
 
 from hypstar import (
     HypergeomParams,
     InvalidC,
+    InvalidParams,
     NoConvergence,
     RadiusExceeded,
     RingValues,
@@ -22,7 +24,6 @@ from hypstar import (
     gauss_2f1_grid,
     gauss_2f1_ring,
     log_derivative_q,
-    ode_residual,
     shifted_f,
 )
 from hypstar import hypergeom
@@ -36,6 +37,14 @@ class TestParams:
         for c in (0, -1, -2, -7, -2 + 1e-13j, -3 + 1e-13):
             with pytest.raises(InvalidC):
                 HypergeomParams(1, 1, c)
+
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(3, math.nan), complex(1, -math.inf)])
+    def test_refuses_non_finite(self, name, bad):
+        values = {"a": 1.5, "b": 2, "c": 3}
+        values[name] = bad
+        with pytest.raises(InvalidParams, match=f"^{name} must be finite, got "):
+            HypergeomParams(**values)
 
     def test_accepts_near_misses(self):
         HypergeomParams(1, 1, -2 + 0.5j)
@@ -192,10 +201,6 @@ class TestOdeResidual:
     def test_at_origin(self):
         assert abs(ode_residual(HypergeomParams(1.7 - 2j, 0.3, 1.1j + 2), 0)) < 1e-12
 
-    def test_radius_restriction(self):
-        with pytest.raises(RadiusExceeded):
-            ode_residual(HypergeomParams(1, 1, 2), 0.95)
-
 
 class TestCorpusInvariants:
     """Randomized-identity checks on a moderate corpus; the acceptance suite
@@ -275,16 +280,14 @@ def _bits(v) -> bytes:
 
 
 def _direct(params, z):
-    """The five public point values built from one direct `_point_series` call."""
-    f, zdf, z2d2f, converged = POINT_SERIES(params, complex(z), SeriesSettings())
+    """The four public point values built from one direct `_point_series` call."""
+    f, zdf, converged = POINT_SERIES(params, complex(z), SeriesSettings())
     assert converged
-    a, b, c = params.a, params.b, params.c
     return {
         gauss_2f1: complex(f),
         gauss_2f1_derivative: complex(zdf / z),
         shifted_f: z * complex(f),
         log_derivative_q: complex(1 + zdf / f),
-        ode_residual: complex(((1 - z) * z2d2f + (c - (a + b + 1) * z) * zdf) / z - a * b * f),
     }
 
 
@@ -304,14 +307,14 @@ def passes(monkeypatch):
 
 
 class TestPointMemo:
-    """F, F', f, q and the ODE residual at one (params, z, settings) share one pass."""
+    """F, F', f and q at one (params, z, settings) share one pass."""
 
     def test_bit_identical_to_a_direct_pass(self):
         rng = np.random.RandomState(2025)
         for i in range(300):
             params, z = draw_corpus_point(rng)
             want = _direct(params, z)
-            order = list(want)[i % 5:] + list(want)[:i % 5]
+            order = list(want)[i % 4:] + list(want)[:i % 4]
             for fn in order + order:
                 assert _bits(fn(params, z)) == _bits(want[fn]), (fn.__name__, params, z)
 
@@ -323,7 +326,6 @@ class TestPointMemo:
             gauss_2f1_derivative(params, z)
             log_derivative_q(params, z)
             shifted_f(params, z)
-            ode_residual(params, z)
             assert len(passes) == n
 
     def test_one_pass_per_eval_command(self, passes, capsys):

@@ -1,5 +1,6 @@
-"""Brute-force validator tests: the squared-modulus identity, quadratic
-nonnegativity (exact vs sampled), the line minimizer, the power-sum bound."""
+"""The squared-modulus identity, the line minimizer, and the reference
+validators in `reference`: quadratic nonnegativity (exact vs sampled) and
+the power-sum bound."""
 
 import math
 
@@ -7,17 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ab_gap_direct, half_plane_bound_check, quadratic_nonneg_exact, quadratic_nonneg_sampled
 
 from hypstar import (
     LineSearchSettings,
-    ab_gap_direct,
     ab_gap_formula,
-    ab_identity_residual,
-    half_plane_bound_check,
     minimize_on_positive_line,
     oracles,
-    quadratic_nonneg_exact,
-    quadratic_nonneg_sampled,
 )
 from hypstar.oracles import (
     DEFAULT_LINE_SEARCH,
@@ -32,26 +29,30 @@ finite_complex = st.builds(
 )
 
 
+def _ab_residual(w, a, b, c):
+    """|direct - expanded| for the squared-modulus identity; ~0 always."""
+    return np.abs(ab_gap_direct(w, a, b, c) - ab_gap_formula(w, a, b, c))
+
+
 class TestAbIdentity:
     def test_collapses_at_w_zero(self):
-        assert ab_identity_residual(0, 2 + 1j, -3, 0.5j) == 0
+        assert _ab_residual(0, 2 + 1j, -3, 0.5j) == 0
 
     def test_real_instance(self):
         # both routes give 12 here
         assert ab_gap_direct(1, 1, 1, 2) == 12
         assert ab_gap_formula(1, 1, 1, 2) == 12
-        assert ab_identity_residual(1, 1, 1, 2) == 0
 
     @settings(max_examples=300, deadline=None)
     @given(w=finite_complex, a=finite_complex, b=finite_complex, c=finite_complex)
     def test_identity_property(self, w, a, b, c):
         scale = max(abs(w), abs(a), abs(b), abs(c))
-        assert ab_identity_residual(w, a, b, c) < 1e-10 * (1 + scale**4)
+        assert _ab_residual(w, a, b, c) < 1e-10 * (1 + scale**4)
 
     def test_vectorized(self):
         rng = np.random.RandomState(0)
         w = rng.randn(50) + 1j * rng.randn(50)
-        res = ab_identity_residual(w, 1 + 2j, -0.5j, 3)
+        res = _ab_residual(w, 1 + 2j, -0.5j, 3)
         assert res.shape == (50,)
         assert res.max() < 1e-10
 
@@ -68,20 +69,15 @@ class TestQuadraticNonneg:
         assert not quadratic_nonneg_exact(-1e-30, 0, 1)
 
     def test_sampled_examples(self):
-        assert quadratic_nonneg_sampled(1, 0, 1)
-        assert not quadratic_nonneg_sampled(1, 2, 1)
-        assert not quadratic_nonneg_sampled(0, 1, 0)
+        got = quadratic_nonneg_sampled(np.array([1, 1, 0]), np.array([0, 2, 1]), np.array([1, 1, 0]))
+        assert got.tolist() == [True, False, False]
 
     def test_equivalence_sampled_vs_exact(self):
-        rng = np.random.RandomState(11)
-        disagreements = 0
-        for _ in range(2000):
-            L, M, N = rng.uniform(-10, 10, 3)
-            if quadratic_nonneg_exact(L, M, N) != quadratic_nonneg_sampled(L, M, N):
-                disagreements += 1
-                # only tolerated within rounding distance of the boundary
-                assert min(abs(L), abs(N), abs(L * N - M * M)) < 1e-7
-        assert disagreements <= 2
+        L, M, N = np.random.RandomState(11).uniform(-10, 10, (2000, 3)).T
+        differ = quadratic_nonneg_exact(L, M, N) != quadratic_nonneg_sampled(L, M, N)
+        # only tolerated within rounding distance of the boundary
+        assert np.all(np.minimum.reduce([abs(L), abs(N), abs(L * N - M * M)])[differ] < 1e-7)
+        assert np.count_nonzero(differ) <= 2
 
 
 class TestGoldenSection:

@@ -1,4 +1,4 @@
-"""Shape-class generators, boundary closed forms, predicates, admissibility."""
+"""Shape classes: the reference generator, boundary closed forms, membership margins."""
 
 import cmath
 import math
@@ -7,20 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import q_class
 
-from hypstar import (
-    SpirallikeOrder,
-    StarlikeOrder,
-    StronglyStarlike,
-    admissibility_vi,
-    boundary_point,
-    boundary_Q,
-    boundary_zQprime,
-    membership_predicate,
-    phi,
-    q_class,
-)
-from hypstar.shapes import mu_of
+from hypstar import SpirallikeOrder, StarlikeOrder, StronglyStarlike
+from hypstar.shapes import boundary_values, membership_slack_array, mu_of
 
 ALL_CLASSES = [
     StarlikeOrder(0.0),
@@ -54,20 +44,20 @@ class TestConstruction:
 class TestGenerator:
     def test_phi_at_zero_is_one(self):
         for cls in ALL_CLASSES:
-            assert phi(cls, 0) == pytest.approx(1.0)
+            assert 1 + q_class(cls, 0) == pytest.approx(1.0)
             assert q_class(cls, 0) == 0
 
     def test_starlike_moebius(self):
         # (1 + (1-2a)z)/(1-z); at order 0, z = 0.5 the value is 3
-        assert phi(StarlikeOrder(0.0), 0.5) == pytest.approx(3.0)
+        assert 1 + q_class(StarlikeOrder(0.0), 0.5) == pytest.approx(3.0)
         z = 0.3 + 0.2j
         alpha = 0.35
         want = (1 + (1 - 2 * alpha) * z) / (1 - z)
-        assert phi(StarlikeOrder(alpha), z) == pytest.approx(want, rel=1e-14)
+        assert 1 + q_class(StarlikeOrder(alpha), z) == pytest.approx(want, rel=1e-14)
 
     def test_spirallike_value(self):
         cls = SpirallikeOrder(0.5, 0.25)
-        assert phi(cls, 0.5) == pytest.approx(1 + 2 * mu_of(cls), rel=1e-14)
+        assert 1 + q_class(cls, 0.5) == pytest.approx(1 + 2 * mu_of(cls), rel=1e-14)
         assert q_class(cls, -1) == pytest.approx(-mu_of(cls), rel=1e-14)
 
     def test_spirallike_matches_moebius_form(self):
@@ -77,7 +67,7 @@ class TestGenerator:
         z = 0.4 - 0.3j
         e2 = cmath.exp(2j * lam)
         want = (1 + (e2 - alpha * (1 + e2)) * z) / (1 - z)
-        assert phi(cls, z) == pytest.approx(want, rel=1e-13)
+        assert 1 + q_class(cls, z) == pytest.approx(want, rel=1e-13)
 
     def test_strongly_starlike_power(self):
         assert q_class(StronglyStarlike(0.5), 0.5) == pytest.approx(3**0.5 - 1, rel=1e-14)
@@ -85,45 +75,40 @@ class TestGenerator:
 
 class TestBoundaryPoint:
     def test_spiral_range(self):
-        cls = SpirallikeOrder(0.1, 0.0)
-        pt = boundary_point(cls, math.pi / 2)
-        assert pt.s == pytest.approx(1.0)
-        assert abs(pt.zeta) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            boundary_point(cls, 0.0)
+        s, _, _ = boundary_values(SpirallikeOrder(0.1, 0.0), [math.pi / 2, 3 * math.pi / 2])
+        assert s == pytest.approx([1.0, -1.0])
 
     def test_sst_sign(self):
-        cls = StronglyStarlike(0.5)
-        plus = boundary_point(cls, math.pi / 2)
-        minus = boundary_point(cls, -math.pi / 2)
-        assert plus.eps == 1 and minus.eps == -1
-        assert plus.s == pytest.approx(1.0) and minus.s == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            boundary_point(cls, 0.0)
-        with pytest.raises(ValueError):
-            boundary_point(cls, 3.5)
+        # s = cot(theta/2) carries the sign eps of theta; Q and zQ' read |s|
+        s, q, zqp = boundary_values(StronglyStarlike(0.5), [math.pi / 2, -math.pi / 2])
+        assert s == pytest.approx([1.0, -1.0])
+        assert q[1] == pytest.approx(np.conj(q[0]), rel=1e-15)
+        assert zqp[1] == pytest.approx(np.conj(zqp[0]), rel=1e-15)
+
+
+def _at(cls, theta):
+    """(Q, zeta Q') at one boundary point, as Python complex numbers."""
+    _, q, zqp = boundary_values(cls, theta)
+    return complex(q), complex(zqp)
 
 
 class TestBoundaryValues:
     def test_spiral_Q_at_theta_pi(self):
         cls = SpirallikeOrder(0.4, 0.3)
-        pt = boundary_point(cls, math.pi)  # s = 0
-        assert boundary_Q(cls, pt) == pytest.approx(-mu_of(cls), abs=1e-12)
-        assert boundary_zQprime(cls, pt) == pytest.approx(-mu_of(cls) / 2, abs=1e-12)
+        q, zqp = _at(cls, math.pi)  # s = 0
+        assert q == pytest.approx(-mu_of(cls), abs=1e-12)
+        assert zqp == pytest.approx(-mu_of(cls) / 2, abs=1e-12)
 
     def test_starlike_at_s_one(self):
-        cls = StarlikeOrder(0.0)  # mu = 1
-        pt = boundary_point(cls, math.pi / 2)
-        assert boundary_Q(cls, pt) == pytest.approx(-1 + 1j, rel=1e-12)
-        assert boundary_zQprime(cls, pt) == pytest.approx(-1.0, rel=1e-12)
+        q, zqp = _at(StarlikeOrder(0.0), math.pi / 2)  # mu = 1
+        assert q == pytest.approx(-1 + 1j, rel=1e-12)
+        assert zqp == pytest.approx(-1.0, rel=1e-12)
 
     def test_sst_at_s_one(self):
         alpha = 0.37
-        cls = StronglyStarlike(alpha)
-        pt = boundary_point(cls, math.pi / 2)
-        assert boundary_Q(cls, pt) == pytest.approx(cmath.exp(1j * math.pi * alpha / 2) - 1, rel=1e-12)
-        want = -alpha * cmath.exp(-1j * math.pi * (1 - alpha) / 2)
-        assert boundary_zQprime(cls, pt) == pytest.approx(want, rel=1e-12)
+        q, zqp = _at(StronglyStarlike(alpha), math.pi / 2)
+        assert q == pytest.approx(cmath.exp(1j * math.pi * alpha / 2) - 1, rel=1e-12)
+        assert zqp == pytest.approx(-alpha * cmath.exp(-1j * math.pi * (1 - alpha) / 2), rel=1e-12)
 
     def test_boundary_limit_consistency(self):
         # radial limit of Q(r e^{i theta}) against the closed form
@@ -133,10 +118,9 @@ class TestBoundaryValues:
                 thetas = [t * s for t in np.linspace(0.5, math.pi - 0.5, 9) for s in (1, -1)]
             else:
                 thetas = list(np.linspace(0.5, 2 * math.pi - 0.5, 17))
-            for theta in thetas:
-                pt = boundary_point(cls, theta)
-                inner = q_class(cls, r * cmath.exp(1j * theta))
-                assert abs(inner - boundary_Q(cls, pt)) < 1e-4
+            _, q, _ = boundary_values(cls, thetas)
+            for theta, want in zip(thetas, q):
+                assert abs(q_class(cls, r * cmath.exp(1j * theta)) - want) < 1e-4
 
     def test_boundary_derivative_consistency(self):
         # zeta Q'(zeta) ~ -i dQ(e^{i theta})/d theta via finite differences
@@ -147,10 +131,9 @@ class TestBoundaryValues:
                 thetas = [0.7, 1.5, -0.9, -2.4]
             else:
                 thetas = [0.7, 1.5, 3.0, 5.0]
-            for theta in thetas:
-                pt = boundary_point(cls, theta)
+            _, _, zqp = boundary_values(cls, thetas)
+            for theta, want in zip(thetas, zqp):
                 dq = (q_class(cls, r * cmath.exp(1j * (theta + h))) - q_class(cls, r * cmath.exp(1j * (theta - h)))) / (2 * h)
-                want = boundary_zQprime(cls, pt)
                 assert abs(-1j * dq - want) <= 1e-3 * (1 + abs(want))
 
 
@@ -160,41 +143,37 @@ class TestCanonicalization:
         spiral = SpirallikeOrder(0.0, 0.3)
         zs = [0.5, -0.25 + 0.6j, 0.9j, 0.1 - 0.7j]
         for z in zs:
-            assert phi(star, z) == phi(spiral, z)
             assert q_class(star, z) == q_class(spiral, z)
-        for theta in (0.5, 2.0, 4.5):
-            ps, pp = boundary_point(star, theta), boundary_point(spiral, theta)
-            assert boundary_Q(star, ps) == boundary_Q(spiral, pp)
-            assert boundary_zQprime(star, ps) == boundary_zQprime(spiral, pp)
-        for w in (1 + 0j, 0.2 - 0.9j, -3 + 1j):
-            assert membership_predicate(star, w) == membership_predicate(spiral, w)
+        for got, want in zip(boundary_values(star, [0.5, 2.0, 4.5]), boundary_values(spiral, [0.5, 2.0, 4.5])):
+            assert got.tobytes() == want.tobytes()
+        w = np.array([1 + 0j, 0.2 - 0.9j, -3 + 1j])
+        assert membership_slack_array(star, w).tobytes() == membership_slack_array(spiral, w).tobytes()
+
+
+def _slack(cls, w) -> float:
+    """The membership margin at one value w = z f'(z)/f(z)."""
+    return float(membership_slack_array(cls, w))
 
 
 class TestMembership:
     def test_unit_value_always_passes(self):
         for cls in ALL_CLASSES:
-            passes, slack = membership_predicate(cls, 1.0)
-            assert passes and slack > 0
+            assert _slack(cls, 1.0) > 0
 
     def test_starlike_boundary_case(self):
-        passes, slack = membership_predicate(StarlikeOrder(0.5), 0.5)
-        assert not passes and slack == 0
+        assert _slack(StarlikeOrder(0.5), 0.5) == 0
 
     def test_sst_rejects_imaginary_axis(self):
-        passes, slack = membership_predicate(StronglyStarlike(0.5), 1j)
-        assert not passes
-        assert slack == pytest.approx(math.pi / 4 - math.pi / 2)
+        assert _slack(StronglyStarlike(0.5), 1j) == pytest.approx(math.pi / 4 - math.pi / 2)
 
     def test_sst_rejects_zero(self):
-        passes, slack = membership_predicate(StronglyStarlike(0.5), 0)
-        assert not passes and slack == pytest.approx(-math.pi / 4)
+        assert _slack(StronglyStarlike(0.5), 0) == pytest.approx(-math.pi / 4)
 
     def test_spirallike_slack(self):
         cls = SpirallikeOrder(0.5, 0.25)
         w = 2 - 0.3j
         want = (cmath.exp(-0.5j) * w).real - 0.25 * math.cos(0.5)
-        _, slack = membership_predicate(cls, w)
-        assert slack == pytest.approx(want)
+        assert _slack(cls, w) == pytest.approx(want)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -203,29 +182,6 @@ class TestMembership:
         idx=st.integers(min_value=0, max_value=len(ALL_CLASSES) - 1),
     )
     def test_class_contains_its_generator(self, r, t, idx):
-        # phi maps the disk into the class's own region
+        # phi = 1 + Q maps the disk into the class's own region
         cls = ALL_CLASSES[idx]
-        w = phi(cls, r * cmath.exp(1j * t))
-        passes, slack = membership_predicate(cls, w)
-        assert passes or slack > -1e-12
-
-
-class TestAdmissibility:
-    def test_plain_starlike(self):
-        res = admissibility_vi(StarlikeOrder(0.0))
-        assert res.ok and res.value == pytest.approx(-0.5)
-
-    def test_half_order(self):
-        res = admissibility_vi(SpirallikeOrder(0.0, 0.5))
-        assert res.ok and res.value == pytest.approx(-1.0)
-
-    def test_strongly_starlike_vacuous(self):
-        res = admissibility_vi(StronglyStarlike(0.5))
-        assert res.ok and res.value is None
-        assert "vacuous" in res.note
-
-    def test_generic_spirallike(self):
-        cls = SpirallikeOrder(0.8, 0.2)
-        res = admissibility_vi(cls)
-        want = -1 / (0.8 * (1 + cmath.exp(1.6j)))
-        assert res.ok and res.value == pytest.approx(want)
+        assert _slack(cls, 1 + q_class(cls, r * cmath.exp(1j * t))) > -1e-12
