@@ -33,6 +33,9 @@ _RING_BLOCK = 256
 # term) stays in L2 and below glibc's 128 KiB mmap threshold, so no pass
 # takes fresh pages from the kernel
 _SPAN_TERMS = 4095
+# n = 0, ..., _SPAN_TERMS + 1, which spans slice; read-only, as it is shared
+_INDEX = np.arange(_SPAN_TERMS + 2, dtype=np.clongdouble)
+_INDEX.flags.writeable = False
 _PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
 
 
@@ -138,36 +141,40 @@ def _tail_ratio(params: HypergeomParams, r: float, k: int) -> float:
     return r * pair * (1 + 1 / k)
 
 
-def _term_ratios(params: HypergeomParams, z: complex, n: np.ndarray) -> np.ndarray:
-    """u_{n+1}/u_n = z (a+n)(b+n) / ((c+n)(n+1)) over an np.clongdouble array n.
+def _term_ratios(params: HypergeomParams, z: complex, n: np.ndarray, n1: np.ndarray) -> np.ndarray:
+    """u_{n+1}/u_n = z (a+n)(b+n) / ((c+n)(n+1)) over np.clongdouble arrays n and n1 = n + 1.
 
     (a+n)(b+n) is formed first, so a swap of a and b gives bit-identical
     ratios; numpy adds Python complex to a complex array faster than to a real one.
     The products and the quotient are taken in place, in the order that the
-    expression above rounds in, so a pass allocates four arrays, not eight.
+    expression above rounds in, so a pass allocates three arrays, not eight.
     """
     ratio = n + params.a
     ratio *= n + params.b
     np.multiply(z, ratio, out=ratio)
     below = n + params.c
-    below *= n + 1
+    below *= n1
     ratio /= below
     return ratio
 
 
 def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, width: int, reach: int, add, values):
-    """The one series loop: hands u_start, ..., u_{stop-1} to add(start, u) in whole blocks.
+    """The one series loop: hands u_start, ..., u_{stop-1} to add(start, u, n) in whole blocks.
 
     u_0 = 1 is the caller's; blocks end at multiples of width.  One numpy pass
     (a span) makes the terms of one block, or of every block up to the stop
     `reach` if that is further, at most `_SPAN_TERMS` terms a pass; points
     pass reach 0, one block per pass.  cumprod over a span chains the terms
-    as block by block would.  The stop is still decided at each block end:
+    as block by block would; n and n + 1 are slices of `_INDEX` where it
+    reaches.  The stop is still decided at each block end:
     K |u_K| rho / (1 - rho), K = stop - 1 and rho from `_tail_ratio`, bounds
-    the tails of sum u_n and sum n u_n (zero for a terminating series).
-    Returns (F, zF', converged, terms, tail), F and zF' from values(), once
-    the bound is at most tol |F| and tol |zF'| everywhere, or at max_terms.
-    add gets no term past the block where the loop stops, and may overwrite u.
+    the tails of sum u_n and sum n u_n (zero for a terminating series).  Once
+    it is at most tol times the goal, values(tail, tol) gives (F, zF',
+    converged, goal): the caller tests tail <= tol min(|F|, |zF'|) at its
+    points, and goal is the least min(|F|, |zF'|) that failed, None if none.
+    Returns (F, zF', converged, terms, tail) at goal None, max_terms or a
+    term that is not finite.  add gets no term past the block where the loop
+    stops, and may overwrite u.
     """
     r = abs(z)
     last = np.clongdouble(1)  # u_{start-1}, the carry between spans
@@ -178,9 +185,13 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
         if span_stop < reach:
             span_stop = max(span_stop, min(reach, (start + _SPAN_TERMS) // width * width))
         span_stop = min(span_stop, settings.max_terms + 1)
-        ratio = _term_ratios(params, z, np.arange(start - 1, span_stop - 1, dtype=np.clongdouble))
+        if span_stop <= len(_INDEX):
+            n, n1 = _INDEX[start - 1:span_stop - 1], _INDEX[start:span_stop]
+        else:
+            n, n1 = (np.arange(k, k + span_stop - start, dtype=np.clongdouble) for k in (start - 1, start))
+        ratio = _term_ratios(params, z, n, n1)
         ratio[0] *= last
-        u = np.cumprod(ratio)
+        u = ratio.cumprod()
         added = stop = start
         while stop < span_stop:
             stop = min(stop - stop % width + width, span_stop)
@@ -191,18 +202,16 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
             else:
                 rho = _tail_ratio(params, r, k)
                 tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
-            exhausted = stop > settings.max_terms or not np.isfinite(last)
+            # a finite tail has a finite last
+            exhausted = stop > settings.max_terms or not (math.isfinite(tail) or np.isfinite(last))
             if tail <= settings.tol * goal or exhausted:
-                add(added, u[added - start:stop - start])
+                add(added, u[added - start:stop - start], n1[added - start:stop - start])
                 added = stop
-                f, zdf = values()
-                scale = np.minimum(abs(f), abs(zdf))
-                converged = tail <= settings.tol * scale
-                if converged.all() or exhausted:
+                f, zdf, converged, goal = values(tail, settings.tol)
+                if goal is None or exhausted:
                     return f, zdf, converged, stop, tail
-                goal = float(np.min(np.where(converged, np.inf, scale)))
         if added < span_stop:
-            add(added, u[added - start:])
+            add(added, u[added - start:], n1[added - start:])
         start = span_stop
 
 
@@ -214,20 +223,25 @@ def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings)
     """
     if abs(z) > settings.radius_cap + _RADIUS_SLACK:
         raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
-    sums = np.array([1, 0], dtype=np.clongdouble)  # u_0
+    f, zdf = np.clongdouble(1), np.clongdouble(0)  # the sums from u_0
     if z == 0:
-        return sums[0], sums[1], True
+        return f, zdf, True
 
-    def add(start, u):
-        n = np.arange(start, start + len(u), dtype=np.clongdouble)
-        rows = np.empty((2, len(u)), dtype=np.clongdouble)
-        rows[0] = u
-        np.multiply(n, u, out=rows[1])
-        sums[:] += rows.sum(axis=1)
+    def add(start, u, n):
+        nonlocal f, zdf
+        f += u.sum()
+        zdf += np.multiply(n, u, out=u).sum()
+
+    def values(tail, tol):
+        """The ring's array test on two scalars; min() would drop a NaN that np.minimum keeps."""
+        abs_f, abs_zdf = abs(f), abs(zdf)
+        scale = abs_f if abs_f <= abs_zdf or abs_f != abs_f else abs_zdf
+        converged = tail <= tol * scale
+        return f, zdf, converged, None if converged else float(scale)
 
     width = max(2, math.ceil(2 * math.log(settings.tol) / math.log(abs(z))))
-    f, zdf, converged, _, _ = _sum_series(params, z, settings, width, 0, add, lambda: (sums[0], sums[1]))
-    return f, zdf, bool(converged)
+    result = _sum_series(params, z, settings, width, 0, add, values)
+    return result[0], result[1], bool(result[2])
 
 
 @functools.lru_cache(maxsize=1)
@@ -317,28 +331,36 @@ def gauss_2f1_ring(
     rl = np.longdouble(r)
     one_minus_z = 1 - rl * _roots_of_unity(n_angles)
 
-    def add(start, u):
-        """Folds the terms as whole rows that start at n = 0 mod n_angles, zero-padded.
+    def fold_part(column, row_start, part):
+        """Adds part of a row to its columns; zeros that padded it would add nothing, as no fold holds -0."""
+        wfold[column:column + len(part)] += np.longdouble(row_start) * part
+        fold[column:column + len(part)] += part
+
+    def add(start, u, n):
+        """Folds the terms as whole rows that start at n = 0 mod n_angles.
 
         Each fold adds its rows in order, seeded with its running value, so
         it rounds as ((fold + row_0) + row_1) + ...  np.add.accumulate keeps
         that order for every n_angles; np.add.reduce would sum pairwise
-        along the one column of n_angles = 1.
+        along the one column of n_angles = 1.  The first span starts at
+        n = 1, mid-row, and max_terms can cut the last row short.
         """
-        offset = start % n_angles
-        if offset or len(u) % n_angles:
-            padded = np.zeros(-(-(offset + len(u)) // n_angles) * n_angles, dtype=np.clongdouble)
-            padded[offset:offset + len(u)] = u
-            u = padded
-        rows = u.reshape(-1, n_angles)
-        row_starts = np.arange(start - offset, start - offset + len(u), n_angles, dtype=np.longdouble)
-        weighted = row_starts[:, None] * rows
-        weighted[0] += wfold
-        wfold[:] = np.add.accumulate(weighted)[-1]
-        rows[0] += fold
-        fold[:] = np.add.accumulate(rows)[-1]
+        head = min(len(u), -start % n_angles)
+        if head:
+            fold_part(start % n_angles, start - start % n_angles, u[:head])
+        whole = head + (len(u) - head) // n_angles * n_angles
+        if whole > head:
+            rows = u[head:whole].reshape(-1, n_angles)
+            row_starts = np.arange(start + head, start + whole, n_angles, dtype=np.longdouble)
+            weighted = row_starts[:, None] * rows
+            weighted[0] += wfold
+            wfold[:] = np.add.accumulate(weighted)[-1]
+            rows[0] += fold
+            fold[:] = np.add.accumulate(rows)[-1]
+        if whole < len(u):
+            fold_part(0, start + whole, u[whole:])
 
-    def values():
+    def values(tail, tol):
         x = np.empty((2, n_angles), dtype=np.clongdouble)  # the folds of u_n and n u_n
         x[0] = fold
         np.multiply(m, fold, out=x[1])
@@ -349,12 +371,18 @@ def gauss_2f1_ring(
         y = np.fft.ifft(x)
         y *= n_angles
         y /= one_minus_z
-        return y[0], y[1]
+        scale = np.minimum(abs(y[0]), abs(y[1]))
+        converged = tail <= tol * scale
+        goal = None if converged.all() else float(np.min(np.where(converged, np.inf, scale)))
+        return y[0], y[1], converged, goal
 
     width = n_angles * -(-_RING_BLOCK // n_angles)  # a multiple of n_angles
     # r^n falls to tol at n = log(tol)/log r: spans reach the block end past it
     predicted = math.ceil(math.log(settings.tol) / math.log(r)) if 0 < r < 1 else 0
     reach = -(-(predicted + 1) // width) * width
+    for w in (params.a, params.b):  # a terminating series stops in the block past its degree
+        if w.imag == 0 and w.real <= 0 and w.real.is_integer():
+            reach = min(reach, int(1 - w.real) // width * width + width)
     f, zdf, converged, terms, tail = _sum_series(params, r, settings, width, reach, add, values)
     return RingValues(f, zdf, converged, terms, tail)
 

@@ -734,3 +734,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "F  = 2" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--a", "1,0", "--b", "2,0", "--c", "2,0", "--z", "0.5,0"],
+        ["certify", "--theorem", "starlike-order", "--a", "2,0", "--b", "2,5", "--c", "3,5", "--alpha", "0"],
+        ["verify", "--class", "starlike", "--alpha", "0", "--a", "2,0", "--b", "1,0", "--c", "2,0", *FAST_GRID],
+    ])
+    def test_runs_on_numpy_alone(self, argv):
+        """src/ imports numpy and the standard library only: with scipy and
+        mpmath made unimportable, each command still runs."""
+        code = ("import sys\n"
+                "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+                "from hypstar.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

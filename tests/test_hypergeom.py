@@ -377,19 +377,33 @@ def _reference_term_ratios(params, z, n):
     return z * ((n + params.a) * (n + params.b)) / ((n + params.c) * (n + 1))
 
 
+def _reference_verdict(f, zdf, tail, tol):
+    """The stopping rule on arrays: converged where tail <= tol min(|F|, |zF'|); the next
+    goal is the least such scale where that fails, None where nothing does."""
+    scale = np.minimum(abs(f), abs(zdf))
+    converged = tail <= tol * scale
+    goal = None if converged.all() else float(np.min(np.where(converged, np.inf, scale)))
+    return converged, goal
+
+
 def _reference_sum_series(params, z, settings, width, add, values):
-    """The block-by-block series loop that `_sum_series` must match: one numpy pass per block, added as it comes."""
+    """The block-by-block series loop that `_sum_series` must match: one numpy pass per block, added as it comes.
+
+    It runs the stopping rule itself and asserts at every check that the
+    verdict and goal of values() are the same.
+    """
     r = abs(z)
     last = np.clongdouble(1)
     goal = 1.0
     start = 1
     while True:
         stop = min(start - start % width + width, settings.max_terms + 1)
-        ratio = _reference_term_ratios(params, z, np.arange(start - 1, stop - 1, dtype=np.clongdouble))
+        n = np.arange(start - 1, stop - 1, dtype=np.clongdouble)
+        ratio = _reference_term_ratios(params, z, n)
         ratio[0] *= last
         u = np.cumprod(ratio)
         last = u[-1]
-        add(start, u)
+        add(start, u, n + 1)
         k = stop - 1
         if last == 0:
             tail = 0.0
@@ -398,12 +412,14 @@ def _reference_sum_series(params, z, settings, width, add, values):
             tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
         exhausted = stop > settings.max_terms or not np.isfinite(last)
         if tail <= settings.tol * goal or exhausted:
-            f, zdf = values()
-            scale = np.minimum(abs(f), abs(zdf))
-            converged = tail <= settings.tol * scale
-            if converged.all() or exhausted:
+            f, zdf, their_converged, their_goal = values(tail, settings.tol)
+            converged, next_goal = _reference_verdict(f, zdf, tail, settings.tol)
+            assert np.array_equal(their_converged, converged)
+            assert (their_goal is None) == (next_goal is None)
+            assert next_goal is None or _same_bits(their_goal, next_goal)
+            if next_goal is None or exhausted:
                 return f, zdf, converged, stop, tail
-            goal = float(np.min(np.where(converged, np.inf, scale)))
+            goal = next_goal
         start = stop
 
 
@@ -416,7 +432,7 @@ def _reference_ring(params, r, n_angles, settings=SeriesSettings()):
     rl = np.longdouble(r)
     one_minus_z = 1 - rl * hypergeom._roots_of_unity(n_angles)
 
-    def add(start, u):
+    def add(start, u, n):
         offset = start % n_angles
         rows = np.zeros(-(-(offset + len(u)) // n_angles) * n_angles, dtype=np.clongdouble)
         rows[offset:offset + len(u)] = u
@@ -427,11 +443,17 @@ def _reference_ring(params, r, n_angles, settings=SeriesSettings()):
     def deflated_dft(x):
         return len(x) * np.fft.ifft(x - rl * np.roll(x, 1))
 
-    def values():
-        return deflated_dft(fold) / one_minus_z, deflated_dft(m * fold + wfold) / one_minus_z
+    def values(tail, tol):
+        f, zdf = deflated_dft(fold) / one_minus_z, deflated_dft(m * fold + wfold) / one_minus_z
+        return (f, zdf, *_reference_verdict(f, zdf, tail, tol))
 
     width = n_angles * -(-hypergeom._RING_BLOCK // n_angles)
     return RingValues(*_reference_sum_series(params, float(r), settings, width, add, values))
+
+
+def _reference_loop(params, z, settings, width, reach, add, values):
+    """`_reference_sum_series` in the place of `_sum_series`, which also takes reach."""
+    return _reference_sum_series(params, z, settings, width, add, values)
 
 
 def _same_bits(x, y) -> bool:
@@ -514,9 +536,78 @@ class TestRingSpans:
         rng = np.random.RandomState(2027)
         points = [draw_corpus_point(rng) for _ in range(300)]
         points += [(HypergeomParams(1, 1, 2), 0.995), (HypergeomParams(-3, 2, 1.5), 0.9j)]
-        got = [POINT_SERIES(params, complex(z), SeriesSettings()) for params, z in points]
-        monkeypatch.setattr(hypergeom, "_sum_series", lambda params, z, settings, width, reach, add, values:
-                            _reference_sum_series(params, z, settings, width, add, values))
-        for (params, z), values in zip(points, got):
-            want = POINT_SERIES(params, complex(z), SeriesSettings())
+        # overflow: the first block, and a later one
+        points += [(HypergeomParams(1e150, 1e150, 1), 0.5), (HypergeomParams(2e4, 2e4, 1), 0.9)]
+        got = [_recorded(POINT_SERIES, params, complex(z), SeriesSettings()) for params, z in points]
+        monkeypatch.setattr(hypergeom, "_sum_series", _reference_loop)
+        for (params, z), (values, got_warnings) in zip(points, got):
+            want, want_warnings = _recorded(POINT_SERIES, params, complex(z), SeriesSettings())
             assert all(_same_bits(x, y) for x, y in zip(values, want)), (params, z)
+            assert set(got_warnings) == set(want_warnings), (params, z)
+        assert not any(np.isfinite(values[0]) for values, _ in got[-2:])
+
+    @pytest.mark.parametrize("scales", [(1e-10, 1), (8, 4)])
+    def test_point_verdict_keeps_nan(self, monkeypatch, scales):
+        """A NaN |F| or |zF'| fails the test, as np.minimum keeps it; min(x, nan) would give x.
+
+        Terms near the largest long double overflow one sum to inf and then
+        to NaN, while the other stays finite: F with n = 1e-10, zF' with n = 8.
+        """
+        n, parts = scales
+        big = np.finfo(np.longdouble).max / parts
+
+        def fake_loop(params, z, settings, width, reach, add, values):
+            add(1, np.full(2, big, dtype=np.clongdouble), np.full(2, n, dtype=np.clongdouble))
+            add(3, np.full(2, -big, dtype=np.clongdouble), np.full(2, n, dtype=np.clongdouble))
+            f, zdf, converged, goal = values(0.0, settings.tol)
+            assert np.isnan([abs(f), abs(zdf)]).sum() == 1
+            want_converged, want_goal = _reference_verdict(f, zdf, 0.0, settings.tol)
+            assert not converged and not want_converged
+            assert math.isnan(goal) and math.isnan(want_goal)
+            return f, zdf, converged, 5, 0.0
+
+        monkeypatch.setattr(hypergeom, "_sum_series", fake_loop)
+        with np.errstate(all="ignore"):
+            assert not POINT_SERIES(HypergeomParams(1, 1, 2), 0.5, SeriesSettings())[2]
+
+    def test_ring_callbacks_match(self, monkeypatch):
+        """The ring's own add and values, driven block by block, give the span pass's bits."""
+        rng = np.random.RandomState(8)
+        rings = [(draw_params(rng, radius=3), r, n, SeriesSettings()) for r, n in ((0.97, 120), (0.995, 720))]
+        rings += [(HypergeomParams(*abc), r, n, settings) for abc, r, n, settings in EDGE_RINGS]
+        got = [_recorded(gauss_2f1_ring, *ring) for ring in rings]
+        monkeypatch.setattr(hypergeom, "_sum_series", _reference_loop)
+        for ring, (values, got_warnings) in zip(rings, got):
+            want, want_warnings = _recorded(gauss_2f1_ring, *ring)
+            assert _same_ring(values, want), ring
+            assert set(got_warnings) == set(want_warnings), ring
+
+
+# the ratios themselves, kept apart from the recording stand-in
+TERM_RATIOS = hypergeom._term_ratios
+
+
+class TestTerminatingSpans:
+    """A terminating ring makes no term past the block where its series ends."""
+
+    @pytest.mark.parametrize("abc, r, n_angles", [
+        ((-1, 2, 1), 0.995, 720),
+        ((-1, 1, 0.3 + 0.4j), 0.995, 720),
+        ((2, -5, 3), 0.995, 720),
+        ((2, -5, 3), 0.97, 120),
+    ])
+    def test_span_stops_at_the_degree(self, monkeypatch, abc, r, n_angles):
+        lengths = []
+
+        def recorded(params, z, n, n1):
+            lengths.append(len(n))
+            return TERM_RATIOS(params, z, n, n1)
+
+        monkeypatch.setattr(hypergeom, "_term_ratios", recorded)
+        params = HypergeomParams(*abc)
+        got = gauss_2f1_ring(params, r, n_angles)
+        width = n_angles * -(-hypergeom._RING_BLOCK // n_angles)
+        assert lengths and max(lengths) <= width
+        assert got.terms == width and got.tail == 0
+        assert _same_ring(got, _reference_ring(params, r, n_angles))
+
