@@ -30,6 +30,7 @@ from .hypergeom import NONPOS_INT_TOL, HypergeomParams
 from .oracles import (
     DEFAULT_LINE_SEARCH,
     LineSearchSettings,
+    MinimizerResult,
     ab_gap_formula,
     leading_coefficients,
     minimize_on_positive_line,
@@ -537,24 +538,45 @@ def _cubic_terms(alpha, K, S, T, U, V):
     ]
 
 
+def _sign_minima(order: list[np.ndarray], line_search: LineSearchSettings):
+    """(tail, at_zero, MinimizerResult) of the residual rows whose (alpha, K,
+    S, T, U, V) `order` holds: n rows for eps = +1, then their n rows for
+    eps = -1.
+
+    A row whose eps = -1 coefficients equal its eps = +1 ones bit for bit (a
+    real a, b and c make them equal) is minimized once, and its eps = -1
+    entries are gathered from its eps = +1 row.  The minimizer treats each row
+    on its own, so these are the bits a second minimization would give.  Bit
+    equality keeps -0.0 and +0.0, or two NaN payloads, apart.
+    """
+    n = len(order[0]) // 2
+    twin = np.logical_and.reduce([v[:n].view(np.int64) == v[n:].view(np.int64) for v in order])
+    kept = np.concatenate([np.arange(n), n + np.flatnonzero(~twin)])
+    minimized = [v[kept] for v in order]
+    tail, at_zero = leading_coefficients(_cubic_terms(*minimized))
+    result = minimize_on_positive_line(_cubic_residual(*minimized), line_search)
+    # each row's place among the minimized rows: a twin's eps = -1 row takes its eps = +1 row's
+    source = np.concatenate([np.arange(n), np.where(twin, np.arange(n), n - 1 + np.cumsum(~twin))])
+    return tail[source], at_zero[source], MinimizerResult(result.min_value[source], result.argmin_s[source])
+
+
 def _line_minima(alpha: np.ndarray, S, per_eps: list[tuple], line_search: LineSearchSettings):
     """Conditions of the quantified bound G_eps(s^alpha) <= alpha (s + 1/s) s^alpha K_eps
     for eps = +1 and -1, and the notes of row i.
 
     per_eps holds (K, T, U, V) for each sign.  The residual of every row and
     sign is minimized over [s_min, s_max] by one call of the batched line
-    minimizer, so that every row's refinement runs in one lockstep pass.  The
-    net leading coefficients of the residual decide s -> 0+ and s -> infinity:
-    a row passes only when neither is negative and its minimum exceeds
-    min_margin, and a minimum within +-min_margin of zero is noted as
-    inconclusive.  The tail coefficient is the net coefficient of the highest
-    power of s.
+    minimizer (once for a real row, whose two signs coincide), so that every
+    row's refinement runs in one lockstep pass.  The net leading coefficients
+    of the residual decide s -> 0+ and s -> infinity: a row passes only when
+    neither is negative and its minimum exceeds min_margin, and a minimum
+    within +-min_margin of zero is noted as inconclusive.  The tail
+    coefficient is the net coefficient of the highest power of s.
     """
     n = len(alpha)
     K, T, U, V = zip(*per_eps)
     order = [np.concatenate([np.broadcast_to(v, (n,)) for v in pair]) for pair in ((alpha, alpha), K, (S, S), T, U, V)]
-    tail, at_zero = leading_coefficients(_cubic_terms(*order))
-    result = minimize_on_positive_line(_cubic_residual(*order), line_search)
+    tail, at_zero, result = _sign_minima(order, line_search)
     min_value, argmin_s = result.min_value, result.argmin_s
     safe = ~((tail < 0) | (at_zero < 0))  # a NaN coefficient is not negative
     margin = line_search.min_margin

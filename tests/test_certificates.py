@@ -639,3 +639,87 @@ def test_minimizer_on_cubic_rows_matches_the_allocating_residual(monkeypatch, al
     assert 0 < finite.sum() < len(finite)
     assert got.min_value.tobytes() == want.min_value.tobytes()
     assert got.argmin_s[finite].tobytes() == want.argmin_s[finite].tobytes()
+
+
+def _minimized_rows(monkeypatch) -> list[int]:
+    """Rows of each minimizer call made from now on, through the name the checkers call."""
+    rows = []
+    original = certificates.minimize_on_positive_line
+
+    def counted(residual, *args, **kwargs):
+        result = original(residual, *args, **kwargs)
+        rows.append(len(result.min_value))
+        return result
+
+    monkeypatch.setattr(certificates, "minimize_on_positive_line", counted)
+    return rows
+
+
+SIGN_CHECKERS = {
+    "strong-starlike": lambda a, b, alpha: certificates.strong_starlike_batch(a, b, b.real + 2.5, alpha),
+    "sst-cor-p0": certificates.sst_cor_p0_batch,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGN_CHECKERS))
+@np.errstate(all="ignore")
+def test_a_real_row_is_minimized_once(monkeypatch, kind):
+    # a real row's eps = -1 residual is its eps = +1 residual, bit for bit
+    rng = np.random.RandomState(12)
+    n = 60
+    a, b_re, alpha = rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n), rng.uniform(0.2, 0.9, n)
+    b_im = rng.uniform(0.05, 0.3, n)
+    mixed = b_re + 1j * np.where(np.arange(n) % 3 == 0, b_im, 0.0)
+    rows = _minimized_rows(monkeypatch)
+    for b in (b_re.astype(complex), b_re + 1j * b_im, mixed):
+        SIGN_CHECKERS[kind](a, b, alpha)
+    assert rows == [n, 2 * n, n + len(range(0, n, 3))]
+
+
+def _sign_order(twin: np.ndarray) -> list[np.ndarray]:
+    """(alpha, K, S, T, U, V) of len(twin) eps = +1 rows, then of their eps = -1
+    rows, which equal them where twin holds and differ in T and U elsewhere."""
+    plus = _cubic_rows(CUBIC_ALPHAS["repeated"])
+    minus = [v.copy() for v in plus]
+    rng = np.random.RandomState(8)
+    for v in minus[3:5]:
+        v[~twin] = rng.uniform(-3, 3, np.count_nonzero(~twin))
+    return [np.concatenate(pair) for pair in zip(plus, minus)]
+
+
+@pytest.mark.parametrize("every", [1, 3, 40])
+@np.errstate(all="ignore")
+def test_sign_minima_match_minimizing_every_row(monkeypatch, every):
+    # twins at every row, at every third row, and at one row in 40 (refused and NaN rows among them)
+    n = len(CUBIC_ALPHAS["repeated"])
+    twin = np.arange(n) % every == 0
+    order = _sign_order(twin)
+    want = minimize_on_positive_line(certificates._cubic_residual(*order), DEFAULT_LINE_SEARCH)
+    want_tail, want_at_zero = oracles.leading_coefficients(certificates._cubic_terms(*order))
+    rows = _minimized_rows(monkeypatch)
+    tail, at_zero, got = certificates._sign_minima(order, DEFAULT_LINE_SEARCH)
+    assert rows == [n + np.count_nonzero(~twin)]
+    assert np.isnan(want.min_value).any()
+    assert got.min_value.tobytes() == want.min_value.tobytes()
+    assert got.argmin_s.tobytes() == want.argmin_s.tobytes()
+    assert tail.tobytes() == want_tail.tobytes()
+    assert at_zero.tobytes() == want_at_zero.tobytes()
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001]).view(float)[0]
+
+
+@pytest.mark.parametrize("plus, minus", [(0.0, -0.0), (-0.0, 0.0), (np.nan, NAN_PAYLOAD)],
+                         ids=["+0/-0", "-0/+0", "nan"])
+@pytest.mark.parametrize("coef", range(6), ids="alpha K S T U V".split())
+@np.errstate(all="ignore")
+def test_rows_that_differ_in_bits_alone_are_minimized_twice(monkeypatch, coef, plus, minus):
+    # -0.0 == 0.0 and NaN != NaN as numbers, but only bits decide a twin
+    order = [np.array([v, v]) for v in (0.5, 1.0, 0.3, -0.2, 0.1, -0.4)]
+    order[coef] = np.array([plus, minus])
+    rows = _minimized_rows(monkeypatch)
+    certificates._sign_minima(order, DEFAULT_LINE_SEARCH)
+    assert rows == [2]
+    order[coef][1] = plus
+    certificates._sign_minima(order, DEFAULT_LINE_SEARCH)
+    assert rows == [2, 1]

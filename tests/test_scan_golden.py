@@ -2,10 +2,12 @@
 
 Each scan_<name>.json there is a scan spec, and scan_<name>.csv the bytes
 that the csv-module writer produced for it (QUOTE_MINIMAL, \\r\\n line ends)
-before scans were rendered by columns.  The four cover refused rows whose
-message holds a comma (so it is quoted), a closed-form corollary, a
-minimizer kind with more rows than two line-search blocks of 65, and a
-verifying scan.
+before scans were rendered by columns, except strong_starlike_complex,
+written by the two-sign minimizer before it minimized a real row's signs
+once.  The five cover refused rows whose message holds a comma (so it is
+quoted), a closed-form corollary, a minimizer kind with more rows than two
+line-search blocks of 65, a minimizer scan whose chunks mix real rows with
+complex ones, and a verifying scan.
 """
 
 import csv
@@ -19,7 +21,7 @@ from hypstar import cli
 from hypstar.cli import parse_scan_spec
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = ("starlike_order", "sst_cor_max", "strong_starlike", "verify")
+GOLDEN = ("starlike_order", "sst_cor_max", "strong_starlike", "strong_starlike_complex", "verify")
 
 
 @pytest.mark.parametrize("chunk", (4096, 17))
@@ -41,6 +43,10 @@ def test_kept_files_cover_what_they_are_for():
     assert b'"invalid: alpha must lie in [0, 1)"' in text["starlike_order"]
     assert b"\n" not in text["starlike_order"].replace(b"\r\n", b"")
     assert text["strong_starlike"].count(b"\r\n") - 1 > 2 * 65 + 1
+    # b = 0.5 + i t and c = c_re + i t keep p real; t = 0 makes a row real, and the two signs fail apart
+    complex_rows = text["strong_starlike_complex"]
+    assert b"\r\n2.5,0,0,true," in complex_rows and b"\r\n2.5,0.1,0.1,true," in complex_rows
+    assert b",min residual (eps=+1)," in complex_rows and b",min residual (eps=-1)," in complex_rows
     assert b",Invalid\r\n" in text["verify"] and b",Violated\r\n" in text["verify"]
 
 
