@@ -62,6 +62,7 @@ from .verifier import (
     VerificationReport,
     cross_check,
     verify_on_disk,
+    verify_rows,
 )
 
 __version__ = "0.1.0"

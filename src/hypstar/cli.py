@@ -82,6 +82,7 @@ from .verifier import (
     DiskGridSettings,
     cross_check,
     verify_on_disk,
+    verify_rows,
 )
 
 log = logging.getLogger("hypstar")
@@ -399,22 +400,15 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _verified(spec: ScanSpec, batch, i: int) -> tuple[str, str]:
-    """The min_slack and status fields of verifying row i."""
-    if i in batch.errors:
-        return "", "Invalid"
-    cert = batch.certificate(i)
-    report = verify_on_disk(cert.shape_class, cert.params, spec.grid, spec.series)
-    return _fmt(report.min_slack), report.status
-
-
 def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple[str, int, int]:
     """The CSV lines of scan rows start..stop-1, with their numbers of
     certified rows and of verifier violations.
 
     The lines are built by columns: each distinct outcome (passed, or the
     failed condition or refusal) is rendered once and every row picks its
-    own by index; only a verifying scan runs the verifier row by row.
+    own by index.  A verifying scan verifies the rows the checker accepted
+    in one `verify_rows` pass, each with its class and (a, b, c) as the
+    checker gives them; a refused row is written with status Invalid.
     """
     batch = THEOREMS[spec.certificate_kind].check(grid.rows(start, stop))
     code, names = batch.failed_conditions()
@@ -423,8 +417,15 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple
     columns = [*grid.label_columns(start, stop), (outcomes + empty_verify_fields)[code].tolist()]
     n_viol = 0
     if spec.verify:
-        columns += zip(*(_verified(spec, batch, i) for i in range(stop - start)))
-        n_viol = columns[-1].count(VIOLATED)
+        min_slack, status = [""] * (stop - start), ["Invalid"] * (stop - start)
+        accepted = [i for i in range(stop - start) if i not in batch.errors]
+        a, b, c = batch.params
+        rows = [HypergeomParams(a[i], b[i], c[i]) for i in accepted]
+        reports = verify_rows([batch.shape_class(i) for i in accepted], rows, spec.grid, spec.series)
+        for i, report in zip(accepted, reports):
+            min_slack[i], status[i] = _fmt(report.min_slack), report.status
+        columns += [min_slack, status]
+        n_viol = status.count(VIOLATED)
     text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
     return text, int(np.count_nonzero(code == 0)), n_viol
 

@@ -292,6 +292,15 @@ def gauss_2f1_grid(
     return values, converged
 
 
+def _indices(start: int, stop: int, step: int) -> np.ndarray:
+    """start, start + step, ... below stop as np.clongdouble: a view of `_INDEX`
+    where it reaches.  Products with the terms then need no cast: numpy casts
+    a long double operand of a complex long double product element by element."""
+    if stop <= len(_INDEX):
+        return _INDEX[start:stop:step]
+    return np.arange(start, stop, step, dtype=np.clongdouble)
+
+
 @functools.lru_cache(maxsize=8)
 def _roots_of_unity(n: int) -> np.ndarray:
     """e^{2 pi i k/n}, k = 0, ..., n-1, in long double; read-only, as it is shared."""
@@ -327,13 +336,13 @@ def gauss_2f1_ring(
     # sum of row_start * u over the rows folded so far; n u_n folds to
     # m b_m + wfold_m, since n = row_start + m
     wfold = np.zeros(n_angles, dtype=np.clongdouble)
-    m = np.arange(n_angles, dtype=np.longdouble)
+    m = _indices(0, n_angles, 1)
     rl = np.longdouble(r)
     one_minus_z = 1 - rl * _roots_of_unity(n_angles)
 
     def fold_part(column, row_start, part):
         """Adds part of a row to its columns; zeros that padded it would add nothing, as no fold holds -0."""
-        wfold[column:column + len(part)] += np.longdouble(row_start) * part
+        wfold[column:column + len(part)] += np.clongdouble(row_start) * part
         fold[column:column + len(part)] += part
 
     def add(start, u, n):
@@ -351,7 +360,7 @@ def gauss_2f1_ring(
         whole = head + (len(u) - head) // n_angles * n_angles
         if whole > head:
             rows = u[head:whole].reshape(-1, n_angles)
-            row_starts = np.arange(start + head, start + whole, n_angles, dtype=np.longdouble)
+            row_starts = _indices(start + head, start + whole, n_angles)
             weighted = row_starts[:, None] * rows
             weighted[0] += wfold
             wfold[:] = np.add.accumulate(weighted)[-1]

@@ -12,10 +12,9 @@ not be counted).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .hypergeom import (  # noqa: F401
     DEFAULT_SERIES,
     ZERO_TOL,
     HypergeomParams,
-    RingValues,
     SeriesSettings,
     gauss_2f1_grid,
     gauss_2f1_ring,
@@ -46,6 +44,9 @@ VIOLATION_TOL = 1e-9
 MAX_PHASE_STEP = math.pi / 2
 # outer-ring samplings tried for the winding number, in multiples of n_angles
 _WINDING_REFINEMENTS = (1, 2, 4, 8, 16)
+# most ring nodes stacked at once: 4,096 rows on the default 720 angles would
+# stack 94 MB per complex long double array, 2^16 nodes stack 2 MB
+_STACK_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,49 +117,43 @@ class VerificationReport:
         }
 
 
-def _winding_number(ring: RingValues) -> Optional[int]:
-    """Winding number about 0 of F sampled at equispaced points of a circle.
+def _winding_numbers(f: np.ndarray, quotient: np.ndarray) -> np.ndarray:
+    """Winding number about 0 of F sampled at equispaced points of a circle,
+    one per row of a stack of rings: f holds F and quotient zF'/F, rings x N.
 
     v = Re(zF'/F) is d arg F / d theta, so the trapezoid rule predicts the
     step of arg F between samples k and k+1 as p_k = (pi/N)(v_k + v_{k+1}).
     Each principal step is moved to the branch nearest p_k, and the count is
-    the sum of the moved steps.  None when a sample is zero or not finite,
-    when some |p_k| exceeds pi or a moved step still differs from p_k by
-    more than MAX_PHASE_STEP (the count would rest on too coarse a
+    the sum of the moved steps.  -1 (no count) when a sample is zero or not
+    finite, when some |p_k| exceeds pi or a moved step still differs from
+    p_k by more than MAX_PHASE_STEP (the count would rest on too coarse a
     sampling), or when the count comes out negative, which no analytic F
-    can give.
+    can give.  Each ring is counted on its own, so a ring's count does not
+    depend on the rings stacked with it.
     """
-    f = ring.f.astype(np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (ring.zdf / ring.f).real.astype(np.float64)
-        steps = np.angle(np.concatenate((f[1:], f[:1])) / f)
-    predicted = math.pi / len(f) * (v + np.concatenate((v[1:], v[:1])))
-    if not np.all(np.abs(predicted) <= math.pi):
-        return None
+    f = f.astype(np.complex128)
+    v = quotient.real.astype(np.float64)
+    steps = np.angle(np.concatenate((f[:, 1:], f[:, :1]), axis=1) / f)
+    predicted = math.pi / f.shape[1] * (v + np.concatenate((v[:, 1:], v[:, :1]), axis=1))
+    resolved = np.all(np.abs(predicted) <= math.pi, axis=1)
     steps += 2 * math.pi * np.round((predicted - steps) / (2 * math.pi))
-    if not np.all(np.abs(steps - predicted) <= MAX_PHASE_STEP):
-        return None
-    count = round(float(steps.sum()) / (2 * math.pi))
-    return count if count >= 0 else None
+    resolved &= np.all(np.abs(steps - predicted) <= MAX_PHASE_STEP, axis=1)
+    count = np.round(steps.sum(axis=1) / (2 * math.pi))
+    return np.where(resolved & (count >= 0), count, -1).astype(np.int64)
 
 
-def _zeros_inside(
-    params: HypergeomParams, r: float, outer: RingValues, settings: SeriesSettings
-) -> Optional[int]:
-    """Zeros of F in |z| < r by the argument principle on the outer ring.
-
-    The ring is sampled again at 2, 4, 8 and 16 times as many angles while a
-    phase step is too large; None when even the finest sampling does not
-    resolve the count.
+def _zeros_inside(params: HypergeomParams, r: float, n_angles: int, settings: SeriesSettings) -> Optional[int]:
+    """Zeros of F in |z| < r by the argument principle, for a row whose
+    outer ring of n_angles points did not give the count: the ring is
+    sampled again at 2, 4, 8 and 16 times as many angles while a phase step
+    is too large; None when even the finest sampling does not resolve the
+    count.
     """
-    n_angles = len(outer.f)
-    ring = outer
-    for refine in _WINDING_REFINEMENTS:
-        if refine > 1:
-            ring = gauss_2f1_ring(params, r, refine * n_angles, settings)
+    for refine in _WINDING_REFINEMENTS[1:]:
+        ring = gauss_2f1_ring(params, r, refine * n_angles, settings)
         if ring.converged.all():
-            count = _winding_number(ring)
-            if count is not None:
+            count = int(_winding_numbers(ring.f[None], (ring.zdf / ring.f)[None])[0])
+            if count >= 0:
                 return count
     return None
 
@@ -171,72 +166,87 @@ def _unit_circle(n: int) -> np.ndarray:
     return unit
 
 
-def _ring_slack(cls: ShapeClass, ring: RingValues) -> tuple[np.ndarray, np.ndarray]:
-    """(slack, zero): the slack of q at each node of a ring, inf where the
-    series did not settle or where |F| <= ZERO_TOL (the mask `zero`)."""
-    zero = (np.abs(ring.f) <= ZERO_TOL) & ring.converged
-    valid = ring.converged & ~zero
-    slack = np.full(len(ring.f), np.inf)
-    if valid.any():
-        q = (1 + ring.zdf[valid] / ring.f[valid]).astype(np.complex128)
-        slack[valid] = membership_slack_array(cls, q)
-    return slack, zero
+def _class_groups(classes: Sequence[ShapeClass]) -> list[tuple[ShapeClass, np.ndarray | slice]]:
+    """Each distinct class with the rows that have it: an index array, or
+    slice(None) when every row has the one class, so its rows are a view.
+
+    Rows are grouped by repr, which tells StarlikeOrder(-0.0) from
+    StarlikeOrder(0.0) where == does not, so every row's slack is computed
+    with its own class's numbers.
+    """
+    rows: dict[str, list[int]] = {}
+    for i, cls in enumerate(classes):
+        rows.setdefault(repr(cls), []).append(i)
+    if len(rows) == 1:
+        return [(classes[0], slice(None))]
+    return [(classes[idx[0]], np.array(idx)) for idx in rows.values()]
 
 
-def verify_on_disk(
+def _ring_figures(groups, f: np.ndarray, zdf: np.ndarray, converged: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """(zF'/F, figures) for a stack of rings at one radius, one row per ring.
+
+    The long-double quotient zF'/F is formed once; the winding count reads
+    its real part and q = 1 + zF'/F is rounded to complex128.  The slack of
+    q is +inf where the series did not settle or where |F| <= ZERO_TOL, and
+    comes from one `membership_slack_array` call per class of `groups`.  A
+    ring's figures are its unconverged nodes, its nodes with F = 0, the
+    first of those, its violated nodes, and the first node of least slack
+    with that slack.
+    """
+    quotient = zdf / f
+    # |F| <= ZERO_TOL needs |Re F| <= ZERO_TOL and |Im F| <= ZERO_TOL, so
+    # np.abs, a long double hypot, runs only on the nodes that pass those
+    zero = (abs(f.real) <= ZERO_TOL) & (abs(f.imag) <= ZERO_TOL) & converged
+    zero[zero] = np.abs(f[zero]) <= ZERO_TOL
+    valid = converged & ~zero
+    q = (1 + quotient).astype(np.complex128)
+    slack = np.empty(f.shape)
+    for cls, rows in groups:
+        slack[rows] = membership_slack_array(cls, q[rows])
+    slack[~valid] = np.inf
+    argmin = np.argmin(slack, axis=1)
+    counts = np.stack([
+        (~converged).sum(axis=1), zero.sum(axis=1), np.argmax(zero, axis=1),
+        (slack < -VIOLATION_TOL).sum(axis=1), argmin,
+    ], axis=1)
+    least = slack[np.arange(len(slack)), argmin].tolist()
+    return quotient, [(*row, v) for row, v in zip(counts.tolist(), least)]
+
+
+def _inner_figures(cls: ShapeClass, params: HypergeomParams, r: float, n: int, settings: SeriesSettings) -> tuple:
+    """The `_ring_figures` of one row's ring of radius r."""
+    ring = gauss_2f1_ring(params, r, n, settings)
+    return _ring_figures([(cls, [0])], ring.f[None], ring.zdf[None], ring.converged[None])[1][0]
+
+
+def _report(
     cls: ShapeClass,
     params: HypergeomParams,
-    grid: DiskGridSettings = DiskGridSettings(),
-    settings: SeriesSettings = DEFAULT_SERIES,
+    grid: DiskGridSettings,
+    origin_slack: float,
+    rings: list[tuple],
+    f_zeros_inside: Optional[int],
+    outer_only: bool,
 ) -> VerificationReport:
-    """Evaluate the membership slack of q(z) = z f'(z)/f(z) over a polar grid.
-
-    Each ring comes from one extended-precision series pass
-    (`gauss_2f1_ring`), and q = 1 + zF'/F is rounded to complex128 only at
-    the end.  The origin is handled analytically (q(0) = 1).  The outer
-    ring comes first; its winding number counts the zeros of F inside.  Once
-    the count is resolved and every outer node converged, the report rests
-    on the origin and the outer ring (rings = "outer"): a positive count is
-    Degenerate and a violated node Violated whatever lies inside, and with
-    neither, q is analytic on the disk and the minimum principle puts the
-    least slack on the circle.  Otherwise every ring is evaluated (rings =
-    "all"), since inner nodes can still turn Incomplete into Violated or
-    Degenerate.  Unconverged points are counted in n_unevaluated and keep
-    the report from being Consistent.  The argmin is the first evaluated
-    point (radius-major, then angle) attaining the minimum slack.
-    """
+    """The report of one row from the slack at the origin and the figures
+    (see `_ring_figures`) of its rings, (r, figures) innermost first."""
     unit = _unit_circle(grid.n_angles)
-    radii = grid.radii()
-    r_out = float(radii[-1])
-    outer = gauss_2f1_ring(params, r_out, grid.n_angles, settings)
-    f_zeros_inside = _zeros_inside(params, r_out, outer, settings)
-    outer_only = f_zeros_inside is not None and bool(outer.converged.all())
-    inner = () if outer_only else ((r, gauss_2f1_ring(params, r, grid.n_angles, settings)) for r in radii[:-1])
-
-    min_slack = float(membership_slack_array(cls, np.asarray(1.0 + 0.0j)))
-    argmin_z = 0.0 + 0.0j
+    min_slack, argmin_z = origin_slack, 0.0 + 0.0j
     n_violations = 1 if min_slack < -VIOLATION_TOL else 0
     n_f_zeros = n_unevaluated = 0
     notes: list[str] = []
+    for r, (bad, zeros, first_zero, violations, j, least) in rings:
+        if bad:
+            n_unevaluated += bad
+            notes.append(f"series failed to settle at {bad} points on r = {r:.6g}")
+        if zeros:
+            n_f_zeros += zeros
+            notes.append(f"F vanishes at z = {complex(r * unit[first_zero]):.6g} (|F| <= {ZERO_TOL:g})")
+        n_violations += violations
+        if least < min_slack:
+            min_slack, argmin_z = least, complex(r * unit[j])
 
-    for r, ring in itertools.chain(inner, [(r_out, outer)]):
-        z = r * unit
-        slack_row, zero = _ring_slack(cls, ring)
-        bad = ~ring.converged
-        if bad.any():
-            n_unevaluated += int(bad.sum())
-            notes.append(f"series failed to settle at {int(bad.sum())} points on r = {r:.6g}")
-        if zero.any():
-            n_f_zeros += int(zero.sum())
-            j = int(np.argmax(zero))
-            notes.append(f"F vanishes at z = {complex(z[j]):.6g} (|F| <= {ZERO_TOL:g})")
-        n_violations += int(np.count_nonzero(slack_row < -VIOLATION_TOL))
-        j = int(np.argmin(slack_row))
-        v = float(slack_row[j])
-        if v < min_slack:
-            min_slack = v
-            argmin_z = complex(z[j])
-
+    r_out = rings[-1][0]
     if f_zeros_inside is None:
         n_max = _WINDING_REFINEMENTS[-1] * grid.n_angles
         notes.append(f"zeros of F inside r = {r_out:.6g} unresolved: no winding number on up to {n_max} angles")
@@ -255,6 +265,85 @@ def verify_on_disk(
         cls, params, grid, min_slack, argmin_z, n_violations, n_f_zeros, status, notes,
         n_unevaluated=n_unevaluated, f_zeros_inside=f_zeros_inside, rings="outer" if outer_only else "all",
     )
+
+
+def verify_rows(
+    classes: Sequence[ShapeClass],
+    params: Sequence[HypergeomParams],
+    grid: DiskGridSettings = DiskGridSettings(),
+    settings: SeriesSettings = DEFAULT_SERIES,
+) -> list[VerificationReport]:
+    """The membership slack of q(z) = z f'(z)/f(z) over a polar grid, for
+    each row (classes[i], params[i]): one report per row, in row order.
+
+    Each ring comes from one extended-precision series pass
+    (`gauss_2f1_ring`), and q = 1 + zF'/F is rounded to complex128 only at
+    the end.  The origin is handled analytically (q(0) = 1).  The outer
+    ring comes first; its winding number counts the zeros of F inside.  Once
+    the count is resolved and every outer node converged, the report rests
+    on the origin and the outer ring (rings = "outer"): a positive count is
+    Degenerate and a violated node Violated whatever lies inside, and with
+    neither, q is analytic on the disk and the minimum principle puts the
+    least slack on the circle.  Otherwise every ring is evaluated (rings =
+    "all"), since inner nodes can still turn Incomplete into Violated or
+    Degenerate.  Unconverged points are counted in n_unevaluated and keep
+    the report from being Consistent.  The argmin is the first evaluated
+    point (radius-major, then angle) attaining the minimum slack.
+
+    Every row's outer ring is its own series pass, but the rings are then
+    stacked, and the quotient zF'/F, the winding counts and every ring
+    figure come from array operations over the stack.  A row the outer ring
+    does not settle (an unconverged node, or a count the outer sampling
+    cannot resolve) goes on alone through the refinement ladder and, where
+    needed, every ring.  Stacks hold at most `_STACK_NODES` nodes (and at
+    least one row), so memory does not grow with the number of rows.  A
+    report depends on its own row alone.  Overflow in a row's series makes
+    its nodes unconverged and raises no warning.
+    """
+    step = max(1, _STACK_NODES // grid.n_angles)
+    return [
+        report
+        for lo in range(0, len(params), step)
+        for report in _verify_stack(classes[lo:lo + step], params[lo:lo + step], grid, settings)
+    ]
+
+
+def _verify_stack(
+    classes: Sequence[ShapeClass], params: Sequence[HypergeomParams], grid: DiskGridSettings, settings: SeriesSettings
+) -> list[VerificationReport]:
+    """`verify_rows` on rows whose outer rings are stacked in one array."""
+    radii = grid.radii()
+    r_out = float(radii[-1])
+    n = grid.n_angles
+    groups = _class_groups(classes)
+    origin = np.empty(len(classes))
+    for cls, rows in groups:
+        origin[rows] = membership_slack_array(cls, np.asarray(1.0 + 0.0j))
+    reports = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        outer = [gauss_2f1_ring(p, r_out, n, settings) for p in params]
+        f = np.array([ring.f for ring in outer])
+        converged = np.array([ring.converged for ring in outer])
+        quotient, figures = _ring_figures(groups, f, np.array([ring.zdf for ring in outer]), converged)
+        settled = converged.all(axis=1).tolist()
+        counts = np.where(settled, _winding_numbers(f, quotient), -1).tolist()
+        for i, (cls, p) in enumerate(zip(classes, params)):
+            count = counts[i] if counts[i] >= 0 else _zeros_inside(p, r_out, n, settings)
+            outer_only = count is not None and settled[i]
+            rings = [] if outer_only else [(r, _inner_figures(cls, p, r, n, settings)) for r in radii[:-1]]
+            rings.append((r_out, figures[i]))
+            reports.append(_report(cls, p, grid, float(origin[i]), rings, count, outer_only))
+    return reports
+
+
+def verify_on_disk(
+    cls: ShapeClass,
+    params: HypergeomParams,
+    grid: DiskGridSettings = DiskGridSettings(),
+    settings: SeriesSettings = DEFAULT_SERIES,
+) -> VerificationReport:
+    """The report of `verify_rows` on the one row (cls, params)."""
+    return verify_rows([cls], [params], grid, settings)[0]
 
 
 SOUND = "SOUND"

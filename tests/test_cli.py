@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,18 @@ class TestVerify:
         data = json.loads(out)
         assert data["status"] == "Incomplete"
         assert data["n_unevaluated"] > 0
+
+    def test_overflowing_series_is_incomplete_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "verify", "--class", "starlike", "--alpha", "0", "--a", "1e60,0", "--b", "1,0", "--c", "3,0",
+                "--n-radii", "4", "--n-angles", "36", "--r-max", "0.9",
+            )
+        assert code == 3 and "Warning" not in err
+        data = json.loads(out)
+        assert data["status"] == "Incomplete" and data["n_unevaluated"] == 4 * 36
+        assert data["notes"][0].startswith("series failed to settle")
 
     def test_strongly_starlike(self, capsys):
         code, out, _ = run_cli(
@@ -498,6 +511,25 @@ class TestScan:
                 assert row["failed_condition"].startswith("invalid: ")
                 assert row["status"] == ("Invalid" if verify else "")
             assert rows[0]["status"] == ("Consistent" if verify else "")
+
+    def test_overflowing_verify_row_never_ends_a_scan(self, tmp_path, capsys):
+        # the checker accepts a = 1e60, but its series overflows long double on every ring
+        spec = {
+            "varying": [{"symbol": "a_re", "from": 1, "to": 1e60, "steps": 2}],
+            "fixed": {"b_re": 1, "c_re": 3, "alpha": 0.5},
+            "certificate": "strong-starlike",
+            "verify": True,
+            "grid": {"n_radii": 4, "r_max": 0.9, "n_angles": 36},
+        }
+        out_csv = tmp_path / "overflow.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
+        assert code == 0 and "Warning" not in err
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["a_re"], row["status"]) for row in rows] == [("1", "Consistent"), ("1e+60", "Incomplete")]
+        assert rows[1]["failed_condition"] != "" and not rows[1]["failed_condition"].startswith("invalid: ")
 
     def test_pinned_c_at_minus_infinity_is_a_refused_row(self, tmp_path, capsys):
         # c = a + b + 1 overflows to -inf in the first row

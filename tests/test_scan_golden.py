@@ -4,10 +4,13 @@ Each scan_<name>.json there is a scan spec, and scan_<name>.csv the bytes
 that the csv-module writer produced for it (QUOTE_MINIMAL, \\r\\n line ends)
 before scans were rendered by columns, except strong_starlike_complex,
 written by the two-sign minimizer before it minimized a real row's signs
-once.  The five cover refused rows whose message holds a comma (so it is
+once, and verify_mixed, written by the verifier that verified a scan row
+by row.  The six cover refused rows whose message holds a comma (so it is
 quoted), a closed-form corollary, a minimizer kind with more rows than two
 line-search blocks of 65, a minimizer scan whose chunks mix real rows with
-complex ones, and a verifying scan.
+complex ones, and two verifying scans; the second, on the sweep grid,
+mixes two refusals with Consistent, Violated and Degenerate rows, rows
+that take every ring, and an order that changes from row to row.
 """
 
 import csv
@@ -21,7 +24,7 @@ from hypstar import cli
 from hypstar.cli import parse_scan_spec
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = ("starlike_order", "sst_cor_max", "strong_starlike", "strong_starlike_complex", "verify")
+GOLDEN = ("starlike_order", "sst_cor_max", "strong_starlike", "strong_starlike_complex", "verify", "verify_mixed")
 
 
 @pytest.mark.parametrize("chunk", (4096, 17))
@@ -48,6 +51,11 @@ def test_kept_files_cover_what_they_are_for():
     assert b"\r\n2.5,0,0,true," in complex_rows and b"\r\n2.5,0.1,0.1,true," in complex_rows
     assert b",min residual (eps=+1)," in complex_rows and b",min residual (eps=-1)," in complex_rows
     assert b",Invalid\r\n" in text["verify"] and b",Violated\r\n" in text["verify"]
+    # a = 1, b = 44, c = 2: F grows like (1 - z)^-43, whose zero count no sampling of the outer ring resolves
+    mixed = text["verify_mixed"]
+    for line in (b',"invalid: alpha must lie in [0, 1)",,Invalid', b",invalid: ab must be nonzero,,Invalid",
+                 b"\r\n-1,44,0.25,false,", b",Degenerate\r\n", b",Consistent\r\n", b"\r\n1,44,0.5,false,L,"):
+        assert line in mixed
 
 
 @pytest.mark.parametrize("text", ["", "plain", "a,b", 'say "x"', "cr\rhere", "lf\nhere", " lead ", "'q'",

@@ -25,10 +25,12 @@ from hypstar import (
     gauss_2f1_ring,
     verify_on_disk,
 )
+from hypstar import verifier
 from hypstar.hypergeom import ZERO_TOL
 from hypstar.shapes import membership_slack_array
 from hypstar.verifier import (
     CONSISTENT,
+    DEFAULT_SERIES,
     DEGENERATE,
     INCOMPLETE,
     INFO,
@@ -37,7 +39,8 @@ from hypstar.verifier import (
     UNSOUND,
     VIOLATED,
     VIOLATION_TOL,
-    _winding_number,
+    _winding_numbers,
+    verify_rows,
 )
 
 FAST = DiskGridSettings(n_radii=10, r_max=0.99, n_angles=120)
@@ -290,7 +293,8 @@ class TestEvidenceGaps:
 
 
 def _reference_winding_number(ring):
-    """`_winding_number` as it was, with the cyclic neighbours from np.roll."""
+    """The winding count of one ring as it was counted before rings were
+    stacked, with the cyclic neighbours from np.roll; None for no count."""
     f = ring.f.astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = (ring.zdf / ring.f).real.astype(np.float64)
@@ -319,9 +323,54 @@ def test_winding_number_matches_the_rolled_one():
     with np.errstate(all="ignore"):
         rings.append(gauss_2f1_ring(HypergeomParams(1e150, 1e150, 1), 0.97, 120))  # not finite
     rings.append(gauss_2f1_ring(HypergeomParams(-1, 2, 1), 0.5, 8))  # F(0.5) = 0 is a node
-    counts = [_winding_number(ring) for ring in rings]
-    assert counts == [_reference_winding_number(ring) for ring in rings]
-    assert {None, 0, 1, 2} <= set(counts)
+    want = [_reference_winding_number(ring) for ring in rings]
+    assert {None, 0, 1, 2} <= set(want)
+    want = [-1 if count is None else count for count in want]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert [int(_winding_numbers(ring.f[None], (ring.zdf / ring.f)[None])[0]) for ring in rings] == want
+        # a stack of rings counts each ring as it would count it alone
+        for n in {len(ring.f) for ring in rings}:
+            same = [i for i, ring in enumerate(rings) if len(ring.f) == n]
+            f, zdf = (np.stack([getattr(rings[i], name) for i in same]) for name in ("f", "zdf"))
+            assert _winding_numbers(f, zdf / f).tolist() == [want[i] for i in same]
+
+
+def test_one_call_over_many_rows_matches_one_call_per_row(monkeypatch):
+    """verify_rows gives each row the report that verify_on_disk gives it
+    alone, to the JSON bytes, whether its rows share one stack or are split
+    into stacks of a few rows: random triples and all three class families
+    on the sweep grid and on a small grid, Degenerate rows (one with F = 0
+    at a node), a count that needs a refined ring, rows that take every
+    ring, Incomplete rows, and classes that differ only in the sign of a
+    zero within one call."""
+    rng = np.random.RandomState(7)
+    classes = [StarlikeOrder(0.0), StarlikeOrder(-0.0), SpirallikeOrder(0.4, 0.1), SpirallikeOrder(-0.0, -0.0),
+               StronglyStarlike(0.5)]
+    # F = 1 - 2z vanishes at 0.5; F = (1 - z)^-6 is counted on 480 angles at r = 0.97; F grows like (1 - z)^-43
+    special = [HypergeomParams(-1, 2, 1), HypergeomParams(6, 1, 1), HypergeomParams(1, 44, 2)]
+    rows = [(classes[i % len(classes)], draw_params(rng, radius=3)) for i in range(24)]
+    rows += [(cls, params) for params in special for cls in classes[::2]]  # one class of each family
+    small = DiskGridSettings(n_radii=3, r_max=0.5, n_angles=16, radial_spacing="uniform")  # F = 1 - 2z is 0 at a node
+    seen = set()
+    for grid, settings, subset in ((SWEEP_GRID, DEFAULT_SERIES, rows), (small, DEFAULT_SERIES, rows),
+                                   (SWEEP_GRID, SeriesSettings(max_terms=100), rows[:10])):
+        args = [cls for cls, _ in subset], [params for _, params in subset], grid, settings
+        reports = verify_rows(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_STACK_NODES", 250)  # 2 rows a stack on 120 angles, 15 on 16
+            split = verify_rows(*args)
+        assert len(reports) == len(split) == len(subset)
+        for (cls, params), report, split_report in zip(subset, reports, split):
+            alone = json.dumps(verify_on_disk(cls, params, grid, settings).to_json())
+            assert json.dumps(report.to_json()) == json.dumps(split_report.to_json()) == alone, (cls, params, grid)
+            assert repr(report.shape_class) == repr(cls)
+            seen.add((report.status, report.rings, report.n_f_zeros > 0))
+    assert {(CONSISTENT, "outer", False), (VIOLATED, "outer", False), (DEGENERATE, "outer", False),
+            (VIOLATED, "all", False), (INCOMPLETE, "all", False), (DEGENERATE, "all", True)} <= seen
+    outer = gauss_2f1_ring(special[1], SWEEP_GRID.radii()[-1], SWEEP_GRID.n_angles)
+    assert _winding_numbers(outer.f[None], (outer.zdf / outer.f)[None]).tolist() == [-1]
+    assert verify_on_disk(StarlikeOrder(0.0), special[1], SWEEP_GRID).f_zeros_inside == 0
+    assert verify_rows([], [], SWEEP_GRID) == []
 
 
 def _outer_ring_instances():
