@@ -7,10 +7,13 @@ threshold and verdict, so a failed certificate shows exactly which margin
 broke.  A passing closed-form certificate is a proof-grade statement about
 membership; the grid checker is labelled grid-consistent evidence only.
 
-Every checker is written over arrays of parameter rows (`*_batch`,
-returning a CertificateBatch), and each scalar `certify_*` is the
-certificate of a one-row batch, so a scan checks a whole chunk of rows in
-one call.  The boundary-grid checker samples each row's grid on its own.
+Every checker is written over arrays of parameter rows: a `*_batch`
+takes one `Rows` record and returns a CertificateBatch, and each scalar
+`certify_*` is the certificate of a one-row Rows, so a scan checks a whole
+chunk of rows in one call.  The boundary-grid checker samples each row's
+grid on its own.  `CHECKERS` is the one table of theorem kinds: each
+`--theorem` name with its checker.  The kinds in `CLASS_KINDS` take the
+rows' class family from `Rows.family`, at `Rows.alpha` and `Rows.lam`.
 
 Numeric conventions are those of `tolerance`: "x is real" means
 |Im x| <= 1e-12 (1 + |x|); strict inequalities require a margin above
@@ -20,8 +23,8 @@ Numeric conventions are those of `tolerance`: "x is real" means
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -61,13 +64,15 @@ class Condition:
     passed: bool
 
 
-def _render_value(v: Union[float, complex]) -> str:
+def render_value(v: Union[float, complex]) -> str:
+    """A number as every text output writes it: 15 significant digits, a complex one as "re+imj"."""
     if isinstance(v, complex):
         return f"{v.real:.15g}{v.imag:+.15g}j"
     return f"{v:.15g}"
 
 
-def _pair(v: complex) -> list[float]:
+def json_pair(v: complex) -> list[float]:
+    """A complex number as JSON writes it: [re, im]."""
     v = complex(v)
     return [v.real, v.imag]
 
@@ -93,10 +98,10 @@ class Certificate:
         return {
             "kind": self.kind,
             "passed": self.passed,
-            "params": {"a": _pair(self.params.a), "b": _pair(self.params.b), "c": _pair(self.params.c)},
+            "params": {"a": json_pair(self.params.a), "b": json_pair(self.params.b), "c": json_pair(self.params.c)},
             "class": class_to_json(self.shape_class),
             "conditions": [
-                {"name": c.name, "value": _render_value(c.value), "threshold": c.threshold, "pass": c.passed}
+                {"name": c.name, "value": render_value(c.value), "threshold": c.threshold, "pass": c.passed}
                 for c in self.conditions
             ],
             "notes": list(self.notes),
@@ -167,11 +172,51 @@ class CertificateBatch:
         return Certificate(self.kind, all(r.passed for r in row), row, params, self.shape_class(i), self.notes(i))
 
 
-def _rows(complex_values: tuple, real_values: tuple) -> list[np.ndarray]:
-    """Checker inputs as 1-D arrays of one common length: the complex ones, then the real ones."""
-    arrays = np.broadcast_arrays(*(np.atleast_1d(v) for v in (*complex_values, *real_values)))
-    k = len(complex_values)
-    return [x.astype(complex) for x in arrays[:k]] + [x.astype(float) for x in arrays[k:]]
+@dataclass(frozen=True)
+class BoundaryGridSettings:
+    """Sampling of the boundary circle for the grid checker; theta_min keeps
+    the grid away from the generator's singular boundary points."""
+
+    n_points: int = 2000
+    theta_min: float = THETA_MIN
+
+    def __post_init__(self):
+        if self.n_points < 16:
+            raise ValueError("n_points must be at least 16")
+        if not 0 < self.theta_min < 0.1:
+            raise ValueError("theta_min must lie in (0, 0.1)")
+
+
+@dataclass(frozen=True)
+class Rows:
+    """What one checker call checks: parameter values with one entry per row
+    (a scan chunk, or the one row of `certify`), and the settings every row
+    shares.
+
+    Construction broadcasts the per-row fields to one common length: a, b
+    and c as complex arrays, alpha, lam and s as float arrays; each may be
+    given as one number for every row.  A checker reads the fields it needs:
+    the checkers that pin c = a + b + 1 ignore c, and only the kinds in
+    CLASS_KINDS read `family`, the class family whose order (and angle) are
+    alpha (and lam).
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray = 0j
+    alpha: np.ndarray = 0.0
+    lam: np.ndarray = 0.0
+    s: np.ndarray = 0.0
+    family: Optional[type] = None
+    line_search: LineSearchSettings = DEFAULT_LINE_SEARCH
+    boundary: BoundaryGridSettings = BoundaryGridSettings()
+    relaxed: bool = False
+
+    def __post_init__(self):
+        names = ("a", "b", "c", "alpha", "lam", "s")
+        arrays = np.broadcast_arrays(*(np.atleast_1d(getattr(self, name)) for name in names))
+        for name, x, dtype in zip(names, arrays, (complex,) * 3 + (float,) * 3):
+            object.__setattr__(self, name, x.astype(dtype))
 
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -222,6 +267,8 @@ def _classes(family: type, alpha: np.ndarray, lam=None) -> Callable[[int], Shape
 
 def _refuse_class(errors: dict, family: type, alpha: np.ndarray, lam: np.ndarray) -> None:
     """Refuse the rows whose order or angle the family's class refuses, with the class's ValueError."""
+    if family is None:
+        raise InvalidParams("this checker needs the rows' class family (Rows.family)")
     for i, (order, angle) in enumerate(zip(alpha.tolist(), lam.tolist())):
         try:
             shape_of(family, order, angle)
@@ -231,15 +278,13 @@ def _refuse_class(errors: dict, family: type, alpha: np.ndarray, lam: np.ndarray
 
 @dataclass(frozen=True)
 class LMNCoefficients:
-    """Coefficients of the boundary quadratic L s^2 - 2 M s + N; `source`
-    records which checker's convention produced them (the two conventions
-    differ by a positive factor, so the sign conditions agree).  Array
-    inputs give arrays of coefficients."""
+    """Coefficients of the boundary quadratic L s^2 - 2 M s + N (the
+    starlike-order and spirallike conventions differ by a positive factor, so
+    the sign conditions agree).  Array inputs give arrays of coefficients."""
 
     L: float
     M: float
     N: float
-    source: str
 
 
 def starlike_order_lmn(a: complex, b: complex, c: complex, alpha: float) -> LMNCoefficients:
@@ -250,7 +295,7 @@ def starlike_order_lmn(a: complex, b: complex, c: complex, alpha: float) -> LMNC
     L = base - 4 * a.imag * b.imag
     M = (a * b * (a.conjugate() + b.conjugate() - 2 + 2 * alpha)).imag / one
     N = base - (2 * a.real - abs(a) ** 2 / one) * (2 * b.real - abs(b) ** 2 / one)
-    return LMNCoefficients(L, M, N, "starlike-order")
+    return LMNCoefficients(L, M, N)
 
 
 def spirallike_lmn(a: complex, b: complex, lam: float, alpha: float) -> LMNCoefficients:
@@ -263,7 +308,7 @@ def spirallike_lmn(a: complex, b: complex, lam: float, alpha: float) -> LMNCoeff
     N = (m0 * (2 * a.conjugate() + 2 * b.conjugate() + alpha - (1 - alpha) * e2)).real - (
         abs(a) * abs(b)
     ) ** 2 / ((1 - alpha) * np.cos(lam))
-    return LMNCoefficients(L, M, N, "spirallike")
+    return LMNCoefficients(L, M, N)
 
 
 def _lmn_conditions(lmn: LMNCoefficients) -> list[Condition]:
@@ -277,9 +322,9 @@ def _lmn_conditions(lmn: LMNCoefficients) -> list[Condition]:
 
 
 @np.errstate(all="ignore")
-def starlike_order_batch(a, b, c, alpha) -> CertificateBatch:
-    """certify_starlike_order over arrays of (a, b, c, alpha)."""
-    a, b, c, alpha = _rows((a, b, c), (alpha,))
+def starlike_order_batch(rows: Rows) -> CertificateBatch:
+    """certify_starlike_order over rows of (a, b, c, alpha)."""
+    a, b, c, alpha = rows.a, rows.b, rows.c, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse_nonpositive_c(errors, a, b, c)
     _refuse_zero_ab(errors, a, b)
@@ -309,13 +354,13 @@ def certify_starlike_order(params: HypergeomParams, alpha: float) -> Certificate
     Requires p = a+b+1-c real, Re[ab] > p(1-alpha), and nonnegativity of the
     boundary quadratic given by L, M, N.
     """
-    return starlike_order_batch(params.a, params.b, params.c, alpha).certificate()
+    return starlike_order_batch(Rows(params.a, params.b, params.c, alpha)).certificate()
 
 
 @np.errstate(all="ignore")
-def cor_a2_batch(a, b, c, s) -> CertificateBatch:
-    """certify_cor_a2 over arrays of (a, b, c, s)."""
-    a, b, c, s = _rows((a, b, c), (s,))
+def cor_a2_batch(rows: Rows) -> CertificateBatch:
+    """certify_cor_a2 over rows of (a, b, c, s)."""
+    a, b, c, s = rows.a, rows.b, rows.c, rows.s
     errors: dict[int, Exception] = {}
     for name, v in (("a", a), ("b", b), ("c", c)):
         _refuse(errors, ~is_real(v), lambda _, name=name: InvalidParams(f"{name} must be real for this checker"))
@@ -349,13 +394,13 @@ def certify_cor_a2(a: complex, b: complex, c: complex, s: float = 0.0) -> Certif
     1 - a/2 whenever 0 < a <= 2, b <= c and 3 <= b + c (the edge b + c = 3 is
     accepted; a compactness/limit argument covers it).  a, b and c must be
     real (up to the relative tolerance of `tolerance.is_real`)."""
-    return cor_a2_batch(a, b, c, s).certificate()
+    return cor_a2_batch(Rows(a, b, c, s=s)).certificate()
 
 
 @np.errstate(all="ignore")
-def spirallike_batch(a, b, lam, alpha) -> CertificateBatch:
-    """certify_spirallike over arrays of (a, b, lam, alpha)."""
-    a, b, lam, alpha = _rows((a, b), (lam, alpha))
+def spirallike_batch(rows: Rows) -> CertificateBatch:
+    """certify_spirallike over rows of (a, b, lam, alpha)."""
+    a, b, lam, alpha = rows.a, rows.b, rows.lam, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse_zero_ab(errors, a, b)
     _refuse(errors, ~(np.abs(lam) < np.pi / 2), lambda _: InvalidParams("lam must lie in (-pi/2, pi/2)"))
@@ -383,13 +428,13 @@ def certify_spirallike(a: complex, b: complex, lam: float, alpha: float) -> Cert
     """Sufficient condition for z 2F1(a,b;a+b+1;z) to be lam-spirallike of
     order alpha: Re[e^{-i lam} ab] > 0 plus nonnegativity of the boundary
     quadratic.  The parameter c is pinned to a + b + 1."""
-    return spirallike_batch(a, b, lam, alpha).certificate()
+    return spirallike_batch(Rows(a, b, alpha=alpha, lam=lam)).certificate()
 
 
 @np.errstate(all="ignore")
-def spirallike_cor1_batch(a, b, lam, alpha) -> CertificateBatch:
-    """certify_spirallike_cor1 over arrays of (a, b, lam, alpha)."""
-    a, b, lam, alpha = _rows((a, b), (lam, alpha))
+def spirallike_cor1_batch(rows: Rows) -> CertificateBatch:
+    """certify_spirallike_cor1 over rows of (a, b, lam, alpha)."""
+    a, b, lam, alpha = rows.a, rows.b, rows.lam, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
     _refuse(errors, ~((STRICT_TOL < np.abs(lam)) & (np.abs(lam) < np.pi / 2)),
@@ -409,13 +454,13 @@ def spirallike_cor1_batch(a, b, lam, alpha) -> CertificateBatch:
 def certify_spirallike_cor1(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
     """Spirallike checker for the special case m = e^{-i lam} ab positive real
     and lam nonzero; the quadratic test collapses to a single inequality."""
-    return spirallike_cor1_batch(a, b, lam, alpha).certificate()
+    return spirallike_cor1_batch(Rows(a, b, alpha=alpha, lam=lam)).certificate()
 
 
 @np.errstate(all="ignore")
-def spirallike_cor2_batch(a, b, lam, alpha) -> CertificateBatch:
-    """certify_spirallike_cor2 over arrays of (a, b, lam, alpha)."""
-    a, b, lam, alpha = _rows((a, b), (lam, alpha))
+def spirallike_cor2_batch(rows: Rows) -> CertificateBatch:
+    """certify_spirallike_cor2 over rows of (a, b, lam, alpha)."""
+    a, b, lam, alpha = rows.a, rows.b, rows.lam, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
     _refuse(errors, ~(np.abs(lam) < np.pi / 2), lambda _: InvalidParams("lam must lie in (-pi/2, pi/2)"))
@@ -439,7 +484,7 @@ def spirallike_cor2_batch(a, b, lam, alpha) -> CertificateBatch:
 def certify_spirallike_cor2(a: complex, b: complex, lam: float, alpha: float) -> Certificate:
     """Spirallike checker for m = ab positive real, valid when cos^2(lam)
     lies strictly between (1-2alpha)/(4(1-alpha)) and 1."""
-    return spirallike_cor2_batch(a, b, lam, alpha).certificate()
+    return spirallike_cor2_batch(Rows(a, b, alpha=alpha, lam=lam)).certificate()
 
 
 @dataclass(frozen=True)
@@ -607,9 +652,9 @@ def _line_minima(alpha: np.ndarray, S, per_eps: list[tuple], line_search: LineSe
 
 
 @np.errstate(all="ignore")
-def strong_starlike_batch(a, b, c, alpha, line_search: LineSearchSettings = DEFAULT_LINE_SEARCH) -> CertificateBatch:
-    """certify_strong_starlike over arrays of (a, b, c, alpha)."""
-    a, b, c, alpha = _rows((a, b, c), (alpha,))
+def strong_starlike_batch(rows: Rows) -> CertificateBatch:
+    """certify_strong_starlike over rows of (a, b, c, alpha), with the rows' line search."""
+    a, b, c, alpha = rows.a, rows.b, rows.c, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse_nonpositive_c(errors, a, b, c)
     _refuse_zero_ab(errors, a, b)
@@ -622,7 +667,7 @@ def strong_starlike_batch(a, b, c, alpha, line_search: LineSearchSettings = DEFA
         ((w * np.exp(1j * eps * np.pi * (1 - alpha) / 2)).real, cubic.T(eps), cubic.U(eps), cubic.V)
         for eps in (1, -1)
     ]
-    minima, minima_notes = _line_minima(alpha, cubic.S, per_eps, line_search)
+    minima, minima_notes = _line_minima(alpha, cubic.S, per_eps, rows.line_search)
     conditions = [
         _cond_real("p", p),
         _cond_strict_pos("pi*alpha/2 - |arg(ab - p)|", sector),
@@ -650,12 +695,12 @@ def certify_strong_starlike(
     positive-line minimizer on the residual plus a leading-exponent
     comparison at both ends of the range.
     """
-    return strong_starlike_batch(params.a, params.b, params.c, alpha, line_search).certificate()
+    return strong_starlike_batch(Rows(params.a, params.b, params.c, alpha, line_search=line_search)).certificate()
 
 
-def _pinned_c_rows(a, b, alpha) -> tuple[list[np.ndarray], dict[int, Exception]]:
-    """Rows and refusals of the c = a + b + 1 strong-starlikeness corollaries."""
-    a, b, alpha = _rows((a, b), (alpha,))
+def _pinned_c_rows(rows: Rows) -> tuple[list[np.ndarray], dict[int, Exception]]:
+    """(a, b, c, alpha) and refusals of the c = a + b + 1 strong-starlikeness corollaries."""
+    a, b, alpha = rows.a, rows.b, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse_zero_ab(errors, a, b)
     _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in (0, 1)"))
@@ -682,14 +727,14 @@ def _sector_condition(a, b, alpha) -> Condition:
 
 
 @np.errstate(all="ignore")
-def sst_cor_p0_batch(a, b, alpha, line_search: LineSearchSettings = DEFAULT_LINE_SEARCH) -> CertificateBatch:
-    """certify_sst_cor_p0 over arrays of (a, b, alpha)."""
-    (a, b, c, alpha), errors = _pinned_c_rows(a, b, alpha)
+def sst_cor_p0_batch(rows: Rows) -> CertificateBatch:
+    """certify_sst_cor_p0 over rows of (a, b, alpha), with the rows' line search."""
+    (a, b, c, alpha), errors = _pinned_c_rows(rows)
     per_eps = []
     for eps in (1, -1):
         A, B, C, K = _corollary_coefficients(a, b, alpha, eps)
         per_eps.append((K, A, B, C))
-    minima, notes = _line_minima(alpha, 0.0, per_eps, line_search)
+    minima, notes = _line_minima(alpha, 0.0, per_eps, rows.line_search)
     conditions = [_sector_condition(a, b, alpha), *minima]
     return CertificateBatch("StrongStarlikeCorP0", conditions, (a, b, c), _classes(StronglyStarlike, alpha), errors, notes)
 
@@ -700,13 +745,13 @@ def certify_sst_cor_p0(
     """Strong starlikeness of order alpha for c = a + b + 1 (so the cubic term
     vanishes): requires |arg(ab)| < pi alpha / 2 and a quantified quadratic
     bound decided by the same minimizer."""
-    return sst_cor_p0_batch(a, b, alpha, line_search).certificate()
+    return sst_cor_p0_batch(Rows(a, b, alpha=alpha, line_search=line_search)).certificate()
 
 
 @np.errstate(all="ignore")
-def sst_cor_max_batch(a, b, alpha) -> CertificateBatch:
-    """certify_sst_cor_max over arrays of (a, b, alpha)."""
-    (a, b, c, alpha), errors = _pinned_c_rows(a, b, alpha)
+def sst_cor_max_batch(rows: Rows) -> CertificateBatch:
+    """certify_sst_cor_max over rows of (a, b, alpha)."""
+    (a, b, c, alpha), errors = _pinned_c_rows(rows)
     conditions = [_sector_condition(a, b, alpha)]
     for eps in (1, -1):
         A, B, C, K = _corollary_coefficients(a, b, alpha, eps)
@@ -729,7 +774,7 @@ def certify_sst_cor_max(a: complex, b: complex, alpha: float) -> Certificate:
     with B < 0 the first alone admits max(A, C) > K, and then A s^alpha can
     outrun K s over a mid range of s.  Strictly stronger than the
     minimizer-based checker."""
-    return sst_cor_max_batch(a, b, alpha).certificate()
+    return sst_cor_max_batch(Rows(a, b, alpha=alpha)).certificate()
 
 
 def _real_pair_rows(errors: dict, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -742,9 +787,9 @@ def _real_pair_rows(errors: dict, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
 
 
 @np.errstate(all="ignore")
-def sst_cor_final_batch(a, b, alpha) -> CertificateBatch:
-    """certify_sst_cor_final over arrays of (a, b, alpha); each condition holds one threshold per row."""
-    a, b, alpha = _rows((a, b), (alpha,))
+def sst_cor_final_batch(rows: Rows) -> CertificateBatch:
+    """certify_sst_cor_final over rows of (a, b, alpha); each condition holds one threshold per row."""
+    a, b, alpha = rows.a, rows.b, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in (0, 1)"))
     lsum, m, c = _real_pair_rows(errors, a, b)
@@ -771,13 +816,13 @@ def certify_sst_cor_final(a: complex, b: complex, alpha: float) -> Certificate:
     """Strong starlikeness of order alpha for c = a + b + 1 with a + b real and
     ab real positive, via two explicit scalar inequalities on (a-2)(b-2) and
     a + b."""
-    return sst_cor_final_batch(a, b, alpha).certificate()
+    return sst_cor_final_batch(Rows(a, b, alpha=alpha)).certificate()
 
 
 @np.errstate(all="ignore")
-def theorem_a_batch(a, b, alpha) -> CertificateBatch:
-    """certify_theorem_A over arrays of (a, b, alpha)."""
-    a, b, alpha = _rows((a, b), (alpha,))
+def theorem_a_batch(rows: Rows) -> CertificateBatch:
+    """certify_theorem_A over rows of (a, b, alpha)."""
+    a, b, alpha = rows.a, rows.b, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse(errors, ~((1 / 3 < alpha) & (alpha < 1)), lambda _: PrecondFailed("alpha must lie in (1/3, 1)"))
     lsum, m, c = _real_pair_rows(errors, a, b)
@@ -795,22 +840,7 @@ def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
 
         ((a-b)^2 + 6(a+b) - 3) sin^2(pi alpha/2) >= a^2 + ab + b^2.
     """
-    return theorem_a_batch(a, b, alpha).certificate()
-
-
-@dataclass(frozen=True)
-class BoundaryGridSettings:
-    """Sampling of the boundary circle for the grid checker; theta_min keeps
-    the grid away from the generator's singular boundary points."""
-
-    n_points: int = 2000
-    theta_min: float = THETA_MIN
-
-    def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
-        if not 0 < self.theta_min < 0.1:
-            raise ValueError("theta_min must lie in (0, 0.1)")
+    return theorem_a_batch(Rows(a, b, alpha=alpha)).certificate()
 
 
 def _boundary_grid_check(cls: ShapeClass, params: HypergeomParams, grid: BoundaryGridSettings, relaxed: bool):
@@ -862,22 +892,21 @@ def _boundary_grid_check(cls: ShapeClass, params: HypergeomParams, grid: Boundar
 
 
 @np.errstate(all="ignore")
-def general_batch(
-    family: type, alpha, lam, a, b, c, grid: BoundaryGridSettings = BoundaryGridSettings(), relaxed: bool = False
-) -> CertificateBatch:
-    """certify_general over arrays of (alpha, lam, a, b, c), row i in the family's class at
+def general_batch(rows: Rows) -> CertificateBatch:
+    """certify_general over rows of (a, b, c), row i in the rows' family's class at
     (alpha[i], lam[i]); each row's boundary grid is sampled on its own."""
-    a, b, c, alpha, lam = _rows((a, b, c), (alpha, lam))
+    a, b, c, alpha, lam, family = rows.a, rows.b, rows.c, rows.alpha, rows.lam, rows.family
     errors: dict[int, Exception] = {}
     _refuse_class(errors, family, alpha, lam)
     _refuse_nonpositive_c(errors, a, b, c)
     classes = _classes(family, alpha, lam)
     refused = (np.nan, 1, np.nan, 1, [])
     d_min, n1, excess, n2, notes = zip(*(
-        refused if i in errors else _boundary_grid_check(classes(i), HypergeomParams(a[i], b[i], c[i]), grid, relaxed)
+        refused if i in errors
+        else _boundary_grid_check(classes(i), HypergeomParams(a[i], b[i], c[i]), rows.boundary, rows.relaxed)
         for i in range(len(a))
     ))
-    threshold1 = ">= 0 with A != B (relaxed)" if relaxed else "> 0 at every sampled point (strict)"
+    threshold1 = ">= 0 with A != B (relaxed)" if rows.relaxed else "> 0 at every sampled point (strict)"
     conditions = [
         Condition("min D over boundary grid", np.array(d_min), threshold1, np.array(n1) == 0),
         Condition("max (|B|^2 - |A|^2) - D", np.array(excess), "<= 0 at every sampled point", np.array(n2) == 0),
@@ -901,28 +930,30 @@ def certify_general(
     grid-consistent sampled evidence, never a proof; only the closed-form
     checkers are exact.
     """
-    return general_batch(type(cls), cls.alpha, lam_of(cls), params.a, params.b, params.c, grid, relaxed).certificate()
+    rows = Rows(params.a, params.b, params.c, cls.alpha, lam_of(cls), family=type(cls), boundary=grid, relaxed=relaxed)
+    return general_batch(rows).certificate()
 
 
 @np.errstate(all="ignore")
-def convexity_batch(family: type, alpha, lam, a, b, c) -> CertificateBatch:
-    """certify_convexity over arrays of (alpha, lam, a, b, c), row i in the family's class at (alpha[i], lam[i])."""
-    a, b, c, alpha, lam = _rows((a, b, c), (alpha, lam))
+def convexity_batch(rows: Rows) -> CertificateBatch:
+    """certify_convexity over rows of (a, b, c), row i in the rows' family's class at
+    (alpha[i], lam[i]); the family's checker gets the shifted rows with every setting."""
+    a, b, c, alpha, lam, family = rows.a, rows.b, rows.c, rows.alpha, rows.lam, rows.family
     errors: dict[int, Exception] = {}
     _refuse_class(errors, family, alpha, lam)
     _refuse_nonpositive_c(errors, a, b, c)
     _refuse_zero_ab(errors, a, b)
-    a1, b1, c1 = a + 1, b + 1, c + 1
-    _refuse_nonpositive_c(errors, a1, b1, c1)
+    shifted = replace(rows, a=a + 1, b=b + 1, c=c + 1)
+    _refuse_nonpositive_c(errors, shifted.a, shifted.b, shifted.c)
     if family is StarlikeOrder:
-        inner = starlike_order_batch(a1, b1, c1, alpha)
+        inner = starlike_order_batch(shifted)
     elif family is StronglyStarlike:
-        inner = strong_starlike_batch(a1, b1, c1, alpha)
+        inner = strong_starlike_batch(shifted)
     else:
-        target = a1 + b1 + 1
-        _refuse(errors, np.abs(c1 - target) > REAL_TOL * (1 + np.abs(target)),
+        target = shifted.a + shifted.b + 1
+        _refuse(errors, np.abs(shifted.c - target) > REAL_TOL * (1 + np.abs(target)),
                 lambda _: InvalidParams("spirallike delegate requires c = a + b + 2"))
-        inner = spirallike_batch(a1, b1, lam, alpha)
+        inner = spirallike_batch(shifted)
     for i, exc in inner.errors.items():
         errors.setdefault(i, exc)
 
@@ -942,4 +973,24 @@ def certify_convexity(cls: ShapeClass, params: HypergeomParams) -> Certificate:
     1 + z g''/g' subordinate to the class generator exactly when
     z 2F1(a+1,b+1;c+1;z) lies in the starlike-type class, so the check
     delegates to the matching checker at shifted parameters."""
-    return convexity_batch(type(cls), cls.alpha, lam_of(cls), params.a, params.b, params.c).certificate()
+    return convexity_batch(Rows(params.a, params.b, params.c, cls.alpha, lam_of(cls), family=type(cls))).certificate()
+
+
+# --theorem name -> its checker; the table that the CLI, its scans and the README list
+CHECKERS: dict[str, Callable[[Rows], CertificateBatch]] = {
+    "starlike-order": starlike_order_batch,
+    "cor-a2": cor_a2_batch,
+    "spirallike": spirallike_batch,
+    "spirallike-cor1": spirallike_cor1_batch,
+    "spirallike-cor2": spirallike_cor2_batch,
+    "strong-starlike": strong_starlike_batch,
+    "sst-cor-p0": sst_cor_p0_batch,
+    "sst-cor-max": sst_cor_max_batch,
+    "sst-cor-final": sst_cor_final_batch,
+    "theorem-a": theorem_a_batch,
+    "general": general_batch,
+    "convexity": convexity_batch,
+}
+
+# the kinds whose rows carry a class: Rows.family at Rows.alpha and Rows.lam
+CLASS_KINDS = ("general", "convexity")

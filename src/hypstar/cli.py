@@ -7,6 +7,11 @@ Exit codes: 0 success / certificate passed / report Consistent / crosscheck
 SOUND-or-INFO; 1 certificate failed or report Violated; 2 invalid inputs or
 Degenerate report; 3 evaluation error or Incomplete report; 4 crosscheck
 UNSOUND.
+
+`certify`, `crosscheck` and `scan` hold no per-kind wiring: each builds a
+`certificates.Rows` (one row, or a scan chunk) and calls the kind's checker
+from `certificates.CHECKERS`.  Only the kinds in `CLASS_KINDS` get the
+class family, with the class's alpha and lambda as the rows' alpha and lam.
 """
 
 from __future__ import annotations
@@ -17,27 +22,11 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .certificates import (
-    BoundaryGridSettings,
-    Certificate,
-    CertificateBatch,
-    convexity_batch,
-    cor_a2_batch,
-    general_batch,
-    spirallike_batch,
-    spirallike_cor1_batch,
-    spirallike_cor2_batch,
-    sst_cor_final_batch,
-    sst_cor_max_batch,
-    sst_cor_p0_batch,
-    starlike_order_batch,
-    strong_starlike_batch,
-    theorem_a_batch,
-)
+from .certificates import CHECKERS, CLASS_KINDS, BoundaryGridSettings, Certificate, Rows, render_value
 
 # the certify_* checkers are not called here; they stay importable from this
 # module because perfbench/tracing.py wraps cli.certify_*
@@ -102,14 +91,6 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're,im' with finite parts, got {text!r}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
-def _fmt_complex(v: complex) -> str:
-    return f"{v.real:.15g}{v.imag:+.15g}j"
-
-
 def _series_settings(args) -> SeriesSettings:
     return SeriesSettings(tol=args.series_tol, max_terms=args.max_terms, radius_cap=args.radius_cap)
 
@@ -120,6 +101,12 @@ def _grid_settings(args) -> DiskGridSettings:
     )
 
 
+def _check_radius(grid: DiskGridSettings, series: SeriesSettings) -> None:
+    """Refuse a disk grid that reaches past the series' radius cap, before any row runs."""
+    if grid.r_max > series.radius_cap:
+        raise InvalidParams(f"grid r_max = {grid.r_max} exceeds the series radius_cap = {series.radius_cap}")
+
+
 # --class name -> the family of its ShapeClass
 SHAPE_CLASSES = {"starlike": StarlikeOrder, "strongly-starlike": StronglyStarlike, "spirallike": SpirallikeOrder}
 
@@ -128,51 +115,6 @@ def build_shape_class(kind: str, alpha: float, lam: float) -> ShapeClass:
     if kind not in SHAPE_CLASSES:
         raise InvalidParams(f"unknown class kind {kind!r}")
     return shape_of(SHAPE_CLASSES[kind], alpha, lam)
-
-
-@dataclass(frozen=True)
-class Rows:
-    """What one checker call checks: parameter values with one array entry
-    per row (a scan chunk, or the one row of `certify`), and what every row
-    shares.  `cls` is the (family, alpha, lam) of the rows' classes for the
-    kinds that take a class, alpha and lam each one number or one per row."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    alpha: np.ndarray
-    lam: np.ndarray
-    s: float
-    cls: Optional[tuple]
-    line_search: LineSearchSettings
-    boundary: BoundaryGridSettings
-    relaxed: bool
-
-
-@dataclass(frozen=True)
-class Theorem:
-    """One --theorem kind: `check(rows)` checks every row of a Rows in one
-    call and returns a CertificateBatch.  A scan checks a chunk per call;
-    `certify` and `crosscheck` check one row and take its certificate."""
-
-    check: Callable[[Rows], CertificateBatch]
-    takes_class: bool = False
-
-
-THEOREMS = {
-    "starlike-order": Theorem(lambda r: starlike_order_batch(r.a, r.b, r.c, r.alpha)),
-    "cor-a2": Theorem(lambda r: cor_a2_batch(r.a, r.b, r.c, r.s)),
-    "spirallike": Theorem(lambda r: spirallike_batch(r.a, r.b, r.lam, r.alpha)),
-    "spirallike-cor1": Theorem(lambda r: spirallike_cor1_batch(r.a, r.b, r.lam, r.alpha)),
-    "spirallike-cor2": Theorem(lambda r: spirallike_cor2_batch(r.a, r.b, r.lam, r.alpha)),
-    "strong-starlike": Theorem(lambda r: strong_starlike_batch(r.a, r.b, r.c, r.alpha, r.line_search)),
-    "sst-cor-p0": Theorem(lambda r: sst_cor_p0_batch(r.a, r.b, r.alpha, r.line_search)),
-    "sst-cor-max": Theorem(lambda r: sst_cor_max_batch(r.a, r.b, r.alpha)),
-    "sst-cor-final": Theorem(lambda r: sst_cor_final_batch(r.a, r.b, r.alpha)),
-    "theorem-a": Theorem(lambda r: theorem_a_batch(r.a, r.b, r.alpha)),
-    "general": Theorem(lambda r: general_batch(*r.cls, r.a, r.b, r.c, r.boundary, r.relaxed), takes_class=True),
-    "convexity": Theorem(lambda r: convexity_batch(*r.cls, r.a, r.b, r.c), takes_class=True),
-}
 
 
 def cmd_eval(args) -> int:
@@ -190,28 +132,28 @@ def cmd_eval(args) -> int:
             "q": [q.real, q.imag],
         }, indent=2))
     else:
-        print(f"F  = {_fmt_complex(F)}")
-        print(f"F' = {_fmt_complex(Fp)}")
-        print(f"f  = {_fmt_complex(f)}")
-        print(f"q  = {_fmt_complex(q)}")
+        print(f"F  = {render_value(F)}")
+        print(f"F' = {render_value(Fp)}")
+        print(f"f  = {render_value(f)}")
+        print(f"q  = {render_value(q)}")
     return 0
 
 
 def _certificate(args) -> Certificate:
     """The certificate that `certify` and `crosscheck` both start from: row 0
     of the kind's checker on a one-row Rows.  As in a scan, only the kinds
-    that take a class read --class, and their checker refuses a bad one."""
+    in CLASS_KINDS read --class, at --alpha and --lambda, and their checker
+    refuses a bad one."""
     line_search = LineSearchSettings(s_min=args.ls_s_min, s_max=args.ls_s_max, n_log_points=args.ls_points,
                                      refine_iters=args.ls_refine_iters, min_margin=args.ls_min_margin)
     boundary = BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
-    theorem = THEOREMS[args.theorem]
-    triple = None
-    if theorem.takes_class:
+    family = None
+    if args.theorem in CLASS_KINDS:
         if args.cls is None:
             raise InvalidParams(f"--class is required for the {args.theorem} checker")
-        triple = SHAPE_CLASSES[args.cls], args.alpha, args.lam
-    one_row = [np.array([v]) for v in (args.a, args.b, args.c, args.alpha, args.lam)]
-    return theorem.check(Rows(*one_row, args.s, triple, line_search, boundary, args.relaxed)).certificate(0)
+        family = SHAPE_CLASSES[args.cls]
+    rows = Rows(args.a, args.b, args.c, args.alpha, args.lam, args.s, family, line_search, boundary, args.relaxed)
+    return CHECKERS[args.theorem](rows).certificate(0)
 
 
 def cmd_certify(args) -> int:
@@ -221,9 +163,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    grid, series = _grid_settings(args), _series_settings(args)
+    _check_radius(grid, series)
     cls = build_shape_class(args.cls, args.alpha, args.lam)
     params = HypergeomParams(args.a, args.b, args.c)
-    report = verify_on_disk(cls, params, _grid_settings(args), _series_settings(args))
+    report = verify_on_disk(cls, params, grid, series)
     print(json.dumps(report.to_json(), indent=2))
     if report.status == CONSISTENT:
         return 0
@@ -235,8 +179,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    grid, series = _grid_settings(args), _series_settings(args)
+    _check_radius(grid, series)
     cert = _certificate(args)
-    result = cross_check(cert.shape_class, cert.params, cert, _grid_settings(args), _series_settings(args))
+    result = cross_check(cert.shape_class, cert.params, cert, grid, series)
     print(json.dumps(result.to_json(), indent=2))
     return 4 if result.verdict == UNSOUND else 0
 
@@ -297,22 +243,21 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         if not _json_is(value, "float"):
             raise InvalidParams(f"fixed {key!r} must be a finite number")
     kind = data.get("certificate")
-    if kind not in THEOREMS:
-        raise InvalidParams(f"'certificate' must be one of {tuple(THEOREMS)}")
+    if kind not in CHECKERS:
+        raise InvalidParams(f"'certificate' must be one of {tuple(CHECKERS)}")
     class_spec = data.get("class")
-    if THEOREMS[kind].takes_class and (
+    if kind in CLASS_KINDS and (
         not isinstance(class_spec, dict) or class_spec.get("kind") not in SHAPE_CLASSES
     ):
         raise InvalidParams(f"the {kind} certificate needs a 'class' whose 'kind' is one of {tuple(SHAPE_CLASSES)}")
-    if THEOREMS[kind].takes_class and not all(_json_is(class_spec.get(k, 0.0), "float") for k in ("alpha", "lambda")):
+    if kind in CLASS_KINDS and not all(_json_is(class_spec.get(k, 0.0), "float") for k in ("alpha", "lambda")):
         raise InvalidParams("the class's 'alpha' and 'lambda' must be finite numbers")
     verify = data.get("verify", False)
     if not isinstance(verify, bool):
         raise InvalidParams("'verify' must be true or false")
     grid = _spec_settings(data, "grid", DiskGridSettings)
     series = _spec_settings(data, "series", SeriesSettings)
-    if grid.r_max > series.radius_cap:
-        raise InvalidParams(f"grid r_max = {grid.r_max} exceeds the series radius_cap = {series.radius_cap}")
+    _check_radius(grid, series)
     return ScanSpec(
         axes=axes,
         fixed=dict(fixed),
@@ -363,7 +308,7 @@ class _ScanGrid:
         self.spec = spec
         self.axes = spec.axes
         self.values = [np.array(ax.values()) for ax in spec.axes]
-        self.labels = [np.array([_fmt(v) for v in ax.values()], dtype=object) for ax in spec.axes]
+        self.labels = [np.array([render_value(v) for v in ax.values()], dtype=object) for ax in spec.axes]
         self.strides = [int(np.prod([ax.steps for ax in spec.axes[k + 1:]])) for k in range(len(spec.axes))]
         self.size = int(np.prod([ax.steps for ax in spec.axes]))
         self.fixed = {sym: float(spec.fixed.get(sym, 0.0)) for sym in SCAN_SYMBOLS}
@@ -373,20 +318,20 @@ class _ScanGrid:
         return [(rows // stride) % ax.steps for ax, stride in zip(self.axes, self.strides)]
 
     def rows(self, start: int, stop: int) -> Rows:
-        """Rows start..stop-1; the spec's class, where the kind takes one, at its
-        own alpha and lambda where it gives them and at each row's otherwise."""
+        """Rows start..stop-1; for the kinds in CLASS_KINDS, the spec's class
+        family, at its own alpha and lambda where it gives them and at each
+        row's otherwise."""
         point = {sym: np.full(stop - start, value) for sym, value in self.fixed.items()}
         for ax, values, idx in zip(self.axes, self.values, self._axis_indices(start, stop)):
             point[ax.symbol] = values[idx]
         a, b, c = (point[f"{name}_re"].astype(complex) for name in "abc")
         for z, name in zip((a, b, c), "abc"):
             z.imag = point[f"{name}_im"]
-        spec, alpha, lam = self.spec, point["alpha"], point["lambda"]
-        cls = None
-        if THEOREMS[spec.certificate_kind].takes_class:
+        spec, alpha, lam, family = self.spec, point["alpha"], point["lambda"], None
+        if spec.certificate_kind in CLASS_KINDS:
             family = SHAPE_CLASSES[spec.class_spec["kind"]]
-            cls = family, spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
-        return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), cls, spec.line_search, spec.boundary, False)
+            alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
+        return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), family, spec.line_search, spec.boundary)
 
     def label_columns(self, start: int, stop: int) -> list[list[str]]:
         """The axis labels of rows start..stop-1, one list per axis."""
@@ -410,7 +355,7 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple
     in one `verify_rows` pass, each with its class and (a, b, c) as the
     checker gives them; a refused row is written with status Invalid.
     """
-    batch = THEOREMS[spec.certificate_kind].check(grid.rows(start, stop))
+    batch = CHECKERS[spec.certificate_kind](grid.rows(start, stop))
     code, names = batch.failed_conditions()
     empty_verify_fields = "" if spec.verify else ",,"
     outcomes = np.array(["true,", *(f"false,{_csv_field(name)}" for name in names[1:])], dtype=object)
@@ -423,7 +368,7 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple
         rows = [HypergeomParams(a[i], b[i], c[i]) for i in accepted]
         reports = verify_rows([batch.shape_class(i) for i in accepted], rows, spec.grid, spec.series)
         for i, report in zip(accepted, reports):
-            min_slack[i], status[i] = _fmt(report.min_slack), report.status
+            min_slack[i], status[i] = render_value(report.min_slack), report.status
         columns += [min_slack, status]
         n_viol = status.count(VIOLATED)
     text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
@@ -503,7 +448,7 @@ def _add_class_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _add_certify_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theorem", choices=tuple(THEOREMS), required=True)
+    parser.add_argument("--theorem", choices=tuple(CHECKERS), required=True)
     _add_params(parser)
     _add_class_flags(parser, required=False)
     parser.add_argument("--s", type=float, default=0.0, help="imaginary shift for the cor-a2 family")

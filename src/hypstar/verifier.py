@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, _pair
+from .certificates import Certificate, json_pair
 # gauss_2f1_grid is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps verifier.gauss_2f1_grid
 from .hypergeom import (  # noqa: F401
@@ -103,10 +103,10 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "class": class_to_json(self.shape_class),
-            "params": {"a": _pair(self.params.a), "b": _pair(self.params.b), "c": _pair(self.params.c)},
+            "params": {"a": json_pair(self.params.a), "b": json_pair(self.params.b), "c": json_pair(self.params.c)},
             "grid": self.grid.to_json(),
             "min_slack": self.min_slack,
-            "argmin_z": _pair(self.argmin_z),
+            "argmin_z": json_pair(self.argmin_z),
             "n_violations": self.n_violations,
             "n_f_zeros": self.n_f_zeros,
             "n_unevaluated": self.n_unevaluated,

@@ -35,6 +35,7 @@ from hypstar import (
     starlike_order_lmn,
     strong_starlike_cubic,
 )
+from hypstar.certificates import Rows
 from hypstar.oracles import DEFAULT_LINE_SEARCH, minimize_on_positive_line
 
 
@@ -440,11 +441,16 @@ class TestGeneralChecker:
 
     def test_refuses_non_finite_rows(self):
         # a NaN c used to raise ValueError from inside the batch, ending a scan
-        batch = certificates.general_batch(StarlikeOrder, 0.0, 0.0, [math.inf, 1, 1], 1, [3, 3, math.nan])
+        batch = certificates.general_batch(Rows([math.inf, 1, 1], 1, [3, 3, math.nan], family=StarlikeOrder))
         assert {i: str(e) for i, e in batch.errors.items()} == {
             0: "a must be finite, got (inf+0j)", 2: "c must be finite, got (nan+0j)"}
         assert all(isinstance(e, InvalidParams) for e in batch.errors.values())
         assert batch.certificate(1).passed
+
+    @pytest.mark.parametrize("check", [certificates.general_batch, certificates.convexity_batch])
+    def test_class_kinds_refuse_rows_without_a_family(self, check):
+        with pytest.raises(InvalidParams, match="class family"):
+            check(Rows(1, 1, 3))
 
 
 class TestConvexity:
@@ -509,27 +515,37 @@ ROT = cmath.exp(1j * math.pi / 12)
 # (batch over rows, scalar checker of one row, rows); orders and angles differ
 # from row to row, so a row read from another row's thresholds, notes or class fails
 BATCH_ROWS = {
-    "cor-a2": (certificates.cor_a2_batch, certify_cor_a2, [(2, 1, 2, 0.0), (1, 1, 2, 0.5), (1.5, 1.2, 2, 0.25)]),
+    "cor-a2": (
+        lambda a, b, c, s: certificates.cor_a2_batch(Rows(a, b, c, s=s)), certify_cor_a2,
+        [(2, 1, 2, 0.0), (1, 1, 2, 0.5), (1.5, 1.2, 2, 0.25)],
+    ),
     "spirallike-cor1": (
-        certificates.spirallike_cor1_batch, certify_spirallike_cor1,
-        [(ROT, ROT, math.pi / 6, 0.1), (1.5 * ROT, ROT, math.pi / 6, 0.3)],
+        lambda a, b, lam, alpha: certificates.spirallike_cor1_batch(Rows(a, b, alpha=alpha, lam=lam)),
+        certify_spirallike_cor1, [(ROT, ROT, math.pi / 6, 0.1), (1.5 * ROT, ROT, math.pi / 6, 0.3)],
     ),
     "spirallike-cor2": (
-        certificates.spirallike_cor2_batch, certify_spirallike_cor2, [(1, 1.5, 0.5, 0.1), (1.2, 0.8, 0.3, 0.4)],
+        lambda a, b, lam, alpha: certificates.spirallike_cor2_batch(Rows(a, b, alpha=alpha, lam=lam)),
+        certify_spirallike_cor2, [(1, 1.5, 0.5, 0.1), (1.2, 0.8, 0.3, 0.4)],
     ),
-    "sst-cor-final": (certificates.sst_cor_final_batch, certify_sst_cor_final, [(1, 1, 0.5), (1.5, 0.8, 0.7)]),
-    "theorem-a": (certificates.theorem_a_batch, certify_theorem_A, [(1, 1.2, 0.6), (1.2, 0.9, 0.8)]),
+    "sst-cor-final": (
+        lambda a, b, alpha: certificates.sst_cor_final_batch(Rows(a, b, alpha=alpha)), certify_sst_cor_final,
+        [(1, 1, 0.5), (1.5, 0.8, 0.7)],
+    ),
+    "theorem-a": (
+        lambda a, b, alpha: certificates.theorem_a_batch(Rows(a, b, alpha=alpha)), certify_theorem_A,
+        [(1, 1.2, 0.6), (1.2, 0.9, 0.8)],
+    ),
     "general": (
-        lambda alpha, lam, a, b, c: certificates.general_batch(
-            SpirallikeOrder, alpha, lam, a, b, c, certificates.BoundaryGridSettings(n_points=64)
-        ),
+        lambda alpha, lam, a, b, c: certificates.general_batch(Rows(
+            a, b, c, alpha, lam, family=SpirallikeOrder, boundary=certificates.BoundaryGridSettings(n_points=64)
+        )),
         lambda alpha, lam, a, b, c: certify_general(
             SpirallikeOrder(lam, alpha), HypergeomParams(a, b, c), certificates.BoundaryGridSettings(n_points=64)
         ),
         [(0.1, 0.3, 1, 1, 2.5), (0.2, -0.2, 1, 1, 3)],
     ),
     "convexity": (
-        lambda alpha, a, b, c: certificates.convexity_batch(StarlikeOrder, alpha, 0.0, a, b, c),
+        lambda alpha, a, b, c: certificates.convexity_batch(Rows(a, b, c, alpha, family=StarlikeOrder)),
         lambda alpha, a, b, c: certify_convexity(StarlikeOrder(alpha), HypergeomParams(a, b, c)),
         [(0.0, 1, 1, 2), (0.2, 1.1, 0.9, 2.5)],
     ),
@@ -565,18 +581,17 @@ def test_strong_starlike_row_does_not_depend_on_its_neighbours():
     c = rng.uniform(2, 4, n) + 1j * a.imag
     alpha = rng.uniform(0.2, 0.9, n)
     alpha[::37] = 1.5  # refused rows among the others
-    chunk = _minimizer_rows(certificates.strong_starlike_batch(a, b, c, alpha))
+    chunk = _minimizer_rows(certificates.strong_starlike_batch(Rows(a, b, c, alpha)))
     assert {row[2] for row in chunk} == {True, False}
     assert sum(row[3] != "None" for row in chunk) == len(alpha[::37])
-    wide = certificates.strong_starlike_batch(*(np.roll(np.tile(x, 3)[:1000], 600) for x in (a, b, c, alpha)))
+    wide = certificates.strong_starlike_batch(Rows(*(np.roll(np.tile(x, 3)[:1000], 600) for x in (a, b, c, alpha))))
     assert _minimizer_rows(wide)[600:1000] == chunk
     split = []
     for start, stop in ((0, 65), (65, 66), (66, 197), (197, 400)):
-        split += _minimizer_rows(certificates.strong_starlike_batch(a[start:stop], b[start:stop], c[start:stop],
-                                                                   alpha[start:stop]))
+        split += _minimizer_rows(certificates.strong_starlike_batch(Rows(*(x[start:stop] for x in (a, b, c, alpha)))))
     assert split == chunk
     for i in range(0, n, 9):
-        assert _minimizer_rows(certificates.strong_starlike_batch(a[i], b[i], c[i], alpha[i]))[0] == chunk[i]
+        assert _minimizer_rows(certificates.strong_starlike_batch(Rows(a[i], b[i], c[i], alpha[i])))[0] == chunk[i]
 
 
 def _reference_cubic_residual(alpha, K, S, T, U, V):
@@ -656,8 +671,8 @@ def _minimized_rows(monkeypatch) -> list[int]:
 
 
 SIGN_CHECKERS = {
-    "strong-starlike": lambda a, b, alpha: certificates.strong_starlike_batch(a, b, b.real + 2.5, alpha),
-    "sst-cor-p0": certificates.sst_cor_p0_batch,
+    "strong-starlike": lambda a, b, alpha: certificates.strong_starlike_batch(Rows(a, b, b.real + 2.5, alpha)),
+    "sst-cor-p0": lambda a, b, alpha: certificates.sst_cor_p0_batch(Rows(a, b, alpha=alpha)),
 }
 
 

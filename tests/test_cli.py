@@ -196,6 +196,18 @@ class TestCertify:
         assert data["kind"] == "ConvexityWrapper"
         assert data["params"]["a"] == [2.0, 0.0]
 
+    def test_convexity_passes_the_line_search_to_its_delegate(self, capsys):
+        # the strongly-starlike delegate reads --ls-min-margin, as the check at the shifted triple does
+        ls = ["--alpha", "0.5", "--ls-min-margin", "10"]
+        code, out, _ = run_cli(capsys, "certify", "--theorem", "convexity", "--class", "strongly-starlike",
+                               "--a", "0.2,0", "--b", "0.3,0", "--c", "3,0", *ls)
+        shifted_code, shifted, _ = run_cli(capsys, "certify", "--theorem", "strong-starlike",
+                                           "--a", "1.2,0", "--b", "1.3,0", "--c", "4,0", *ls)
+        assert code == shifted_code == 1
+        conditions = json.loads(out)["conditions"]
+        assert conditions == json.loads(shifted)["conditions"]
+        assert {c["threshold"] for c in conditions if c["name"].startswith("min residual")} == {"> 10"}
+
 
 class TestVerify:
     def test_consistent(self, capsys):
@@ -299,6 +311,18 @@ class TestCrossCheckCommand:
         assert data["report"]["params"]["b"] == [2.0, 5.0]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--class", "starlike"]),
+    ("crosscheck", ["--theorem", "starlike-order"]),
+])
+def test_grid_beyond_radius_cap_exits_two_as_a_scan_does(command, flags, capsys, caplog):
+    # refused before any ring is evaluated, with the scan spec's message and no report
+    code, out, _ = run_cli(capsys, command, *flags, "--a", "2,0", "--b", "1,0", "--c", "2,0", "--r-max", "0.999")
+    assert code == 2
+    assert out == ""
+    assert "grid r_max = 0.999 exceeds the series radius_cap = 0.995" in caplog.text
+
+
 SCAN_SPEC = {
     "varying": [
         {"symbol": "b_re", "from": 0.5, "to": 3.0, "steps": 11},
@@ -383,6 +407,24 @@ class TestScan:
         code, _, _ = run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))
         assert code == 2
         assert not out_csv.exists()
+
+    def test_convexity_scan_passes_the_line_search_to_its_delegate(self, tmp_path, capsys):
+        # each convexity row fails the min residual threshold of the spec's line search,
+        # as the strong-starlike row at its shifted triple does
+        outcomes = []
+        for kind, shift in (("convexity", 0.0), ("strong-starlike", 1.0)):
+            spec = {
+                "varying": [{"symbol": "b_re", "from": 0.3 + shift, "to": 0.5 + shift, "steps": 3}],
+                "fixed": {"a_re": 0.2 + shift, "c_re": 3.0 + shift, "alpha": 0.5},
+                "class": {"kind": "strongly-starlike", "alpha": 0.5},
+                "certificate": kind,
+                "line_search": {"min_margin": 10.0},
+            }
+            out_csv = tmp_path / f"{kind}.csv"
+            assert run_cli(capsys, "scan", "--spec", self.write_spec(tmp_path, spec), "--out", str(out_csv))[0] == 0
+            with open(out_csv, newline="") as fh:
+                outcomes.append([row[1:3] for row in list(csv.reader(fh))[1:]])
+        assert outcomes[0] == outcomes[1] == [["false", "min residual (eps=+1)"]] * 3
 
     @pytest.mark.parametrize(
         "malformed",
@@ -700,7 +742,7 @@ def _certify_outcome(spec, coords) -> list[str]:
     for ax, value in zip(spec.axes, coords):
         point[ax.symbol] = value
     alpha, lam, class_flags = point["alpha"], point["lambda"], []
-    if cli.THEOREMS[spec.certificate_kind].takes_class:
+    if spec.certificate_kind in cli.CLASS_KINDS:
         # these kinds read alpha and lambda only through their class
         alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
         class_flags = [f"--class={spec.class_spec['kind']}"]
@@ -728,7 +770,7 @@ ONE_CONDITION_KINDS = {"spirallike-cor1", "spirallike-cor2", "theorem-a"}
 
 
 def test_every_kind_has_agreement_specs():
-    assert sorted(AGREEMENT_SPECS) == sorted(cli.THEOREMS)
+    assert sorted(AGREEMENT_SPECS) == sorted(cli.CHECKERS)
 
 
 @pytest.mark.parametrize("kind", sorted(AGREEMENT_SPECS))

@@ -1,4 +1,4 @@
-"""The THEOREMS table: every --theorem kind wired to its checker, with the
+"""The CHECKERS table: every --theorem kind wired to its checker, with the
 right arguments."""
 
 import cmath
@@ -10,8 +10,8 @@ import re
 import pytest
 
 from hypstar import HypergeomParams, SpirallikeOrder, StarlikeOrder, StronglyStarlike, certificates, cli
-from hypstar.certificates import BoundaryGridSettings
-from hypstar.cli import THEOREMS, main, parse_scan_spec
+from hypstar.certificates import CHECKERS, BoundaryGridSettings
+from hypstar.cli import main, parse_scan_spec
 from hypstar.errors import InvalidParams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -79,10 +79,10 @@ CASES = {
 
 
 def test_every_kind_has_a_case():
-    assert sorted(CASES) == sorted(THEOREMS)
+    assert sorted(CASES) == sorted(CHECKERS)
 
 
-@pytest.mark.parametrize("kind", list(THEOREMS))
+@pytest.mark.parametrize("kind", list(CHECKERS))
 def test_certify_prints_the_direct_certificate(kind, capsys):
     argv, direct = CASES[kind]
     code = main(["certify", "--theorem", kind, "--json", *argv])
@@ -104,7 +104,7 @@ def test_readme_lists_every_kind_in_table_order():
     text = README.read_text(encoding="utf-8")
     listing = text[text.index("Theorem kinds:"):]
     listing = listing[:listing.index(". ")]
-    assert tuple(re.findall(r"`([^`]+)`", listing)) == tuple(THEOREMS)
+    assert tuple(re.findall(r"`([^`]+)`", listing)) == tuple(CHECKERS)
 
 
 CLASS_SCAN = {
