@@ -425,10 +425,11 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--series-tol", type=float, default=1e-15, help="relative series truncation tolerance")
-    parser.add_argument("--max-terms", type=int, default=200_000, help="series term budget")
-    parser.add_argument("--radius-cap", type=float, default=0.995, help="largest |z| the series will accept")
+def _add_common(parser: argparse.ArgumentParser, series: bool) -> None:
+    if series:  # certify sums no series, and a scan takes its series settings from the spec
+        parser.add_argument("--series-tol", type=float, default=1e-15, help="relative series truncation tolerance")
+        parser.add_argument("--max-terms", type=int, default=200_000, help="series term budget")
+        parser.add_argument("--radius-cap", type=float, default=0.995, help="largest |z| the series will accept")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout; logs stay on stderr")
 
 
@@ -479,32 +480,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate F, F', f and q at a point")
     _add_params(p_eval, with_z=True)
-    _add_common(p_eval)
+    _add_common(p_eval, series=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_cert = sub.add_parser("certify", help="run one closed-form or grid checker")
     _add_certify_flags(p_cert)
-    _add_common(p_cert)
+    _add_common(p_cert, series=False)
     p_cert.set_defaults(func=cmd_certify)
 
     p_verify = sub.add_parser("verify", help="disk-grid verification of a class membership")
     _add_params(p_verify)
     _add_class_flags(p_verify, required=True)
     _add_grid_flags(p_verify)
-    _add_common(p_verify)
+    _add_common(p_verify, series=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cross = sub.add_parser("crosscheck", help="certificate plus disk verification, with a soundness verdict")
     _add_certify_flags(p_cross)
     _add_grid_flags(p_cross)
-    _add_common(p_cross)
+    _add_common(p_cross, series=True)
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_scan = sub.add_parser("scan", help="parameter-region scan to CSV")
     p_scan.add_argument("--spec", required=True, help="path to a ScanSpec JSON file")
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    _add_common(p_scan)
+    _add_common(p_scan, series=False)
     p_scan.set_defaults(func=cmd_scan)
 
     return parser

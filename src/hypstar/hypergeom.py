@@ -33,9 +33,10 @@ _RING_BLOCK = 256
 # term) stays in L2 and below glibc's 128 KiB mmap threshold, so no pass
 # takes fresh pages from the kernel
 _SPAN_TERMS = 4095
-# n = 0, ..., _SPAN_TERMS + 1, which spans slice; read-only, as it is shared
-_INDEX = np.arange(_SPAN_TERMS + 2, dtype=np.clongdouble)
-_INDEX.flags.writeable = False
+# n = 0, ..., _SPAN_TERMS + 1, which spans slice, in each dtype of terms; read-only, as they are shared
+_INDEX = {t: np.arange(_SPAN_TERMS + 2, dtype=t) for t in (np.longdouble, np.clongdouble)}
+for _index in _INDEX.values():
+    _index.flags.writeable = False
 _PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
 
 
@@ -142,42 +143,51 @@ def _tail_ratio(params: HypergeomParams, r: float, k: int) -> float:
 
 
 def _term_ratios(params: HypergeomParams, z: complex, n: np.ndarray, n1: np.ndarray) -> np.ndarray:
-    """u_{n+1}/u_n = z (a+n)(b+n) / ((c+n)(n+1)) over np.clongdouble arrays n and n1 = n + 1.
+    """u_{n+1}/u_n = z (a+n)(b+n) / ((c+n)(n+1)) over arrays n and n1 = n + 1 of one dtype.
 
     (a+n)(b+n) is formed first, so a swap of a and b gives bit-identical
     ratios; numpy adds Python complex to a complex array faster than to a real one.
     The products and the quotient are taken in place, in the order that the
     expression above rounds in, so a pass allocates three arrays, not eight.
+    Over np.longdouble n (a real triple at a real z) the quotient is x (1/y),
+    the value of numpy's complex quotient, Smith's method, at zero imaginary parts.
     """
-    ratio = n + params.a
-    ratio *= n + params.b
+    real = n.dtype.kind == "f"
+    a, b, c = (params.a.real, params.b.real, params.c.real) if real else (params.a, params.b, params.c)
+    ratio = n + a
+    ratio *= n + b
     np.multiply(z, ratio, out=ratio)
-    below = n + params.c
+    below = n + c
     below *= n1
-    ratio /= below
+    if real:
+        ratio *= np.reciprocal(below, out=below)
+    else:
+        ratio /= below
     return ratio
 
 
-def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, width: int, reach: int, add, values):
+def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, width: int, reach: int, add, values,
+                dtype=np.clongdouble):
     """The one series loop: hands u_start, ..., u_{stop-1} to add(start, u, n) in whole blocks.
 
     u_0 = 1 is the caller's; blocks end at multiples of width.  One numpy pass
     (a span) makes the terms of one block, or of every block up to the stop
     `reach` if that is further, at most `_SPAN_TERMS` terms a pass; points
     pass reach 0, one block per pass.  cumprod over a span chains the terms
-    as block by block would; n and n + 1 are slices of `_INDEX` where it
-    reaches.  The stop is still decided at each block end:
+    as block by block would; n and n + 1 are slices of the `_INDEX` of
+    dtype, the terms' own, where it reaches.  The stop is still decided at each block end:
     K |u_K| rho / (1 - rho), K = stop - 1 and rho from `_tail_ratio`, bounds
     the tails of sum u_n and sum n u_n (zero for a terminating series).  Once
     it is at most tol times the goal, values(tail, tol) gives (F, zF',
     converged, goal): the caller tests tail <= tol min(|F|, |zF'|) at its
     points, and goal is the least min(|F|, |zF'|) that failed, None if none.
     Returns (F, zF', converged, terms, tail) at goal None, max_terms or a
-    term that is not finite.  add gets no term past the block where the loop
-    stops, and may overwrite u.
+    term that is not finite, or None at once if that term is real.  add gets
+    no term past the block where the loop stops, and may overwrite u.
     """
     r = abs(z)
-    last = np.clongdouble(1)  # u_{start-1}, the carry between spans
+    index = _INDEX[dtype]
+    last = dtype(1)  # u_{start-1}, the carry between spans
     goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
     start = 1
     while True:
@@ -185,10 +195,10 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
         if span_stop < reach:
             span_stop = max(span_stop, min(reach, (start + _SPAN_TERMS) // width * width))
         span_stop = min(span_stop, settings.max_terms + 1)
-        if span_stop <= len(_INDEX):
-            n, n1 = _INDEX[start - 1:span_stop - 1], _INDEX[start:span_stop]
+        if span_stop <= len(index):
+            n, n1 = index[start - 1:span_stop - 1], index[start:span_stop]
         else:
-            n, n1 = (np.arange(k, k + span_stop - start, dtype=np.clongdouble) for k in (start - 1, start))
+            n, n1 = (np.arange(k, k + span_stop - start, dtype=dtype) for k in (start - 1, start))
         ratio = _term_ratios(params, z, n, n1)
         ratio[0] *= last
         u = ratio.cumprod()
@@ -202,8 +212,10 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
             else:
                 rho = _tail_ratio(params, r, k)
                 tail = k * float(abs(last)) * rho / (1 - rho) if rho < 1 else math.inf
-            # a finite tail has a finite last
-            exhausted = stop > settings.max_terms or not (math.isfinite(tail) or np.isfinite(last))
+            overflow = not (math.isfinite(tail) or np.isfinite(last))  # a finite tail has a finite last
+            if overflow and dtype is np.longdouble:
+                return None
+            exhausted = stop > settings.max_terms or overflow
             if tail <= settings.tol * goal or exhausted:
                 add(added, u[added - start:stop - start], n1[added - start:stop - start])
                 added = stop
@@ -292,13 +304,18 @@ def gauss_2f1_grid(
     return values, converged
 
 
-def _indices(start: int, stop: int, step: int) -> np.ndarray:
-    """start, start + step, ... below stop as np.clongdouble: a view of `_INDEX`
+def _indices(start: int, stop: int, step: int, dtype) -> np.ndarray:
+    """start, start + step, ... below stop in the terms' dtype: a view of `_INDEX`
     where it reaches.  Products with the terms then need no cast: numpy casts
     a long double operand of a complex long double product element by element."""
-    if stop <= len(_INDEX):
-        return _INDEX[start:stop:step]
-    return np.arange(start, stop, step, dtype=np.clongdouble)
+    if stop <= len(_INDEX[dtype]):
+        return _INDEX[dtype][start:stop:step]
+    return np.arange(start, stop, step, dtype=dtype)
+
+
+def _ring_dtype(params: HypergeomParams):
+    """A ring's terms and folds are np.longdouble for a real triple, else np.clongdouble."""
+    return np.clongdouble if params.a.imag or params.b.imag or params.c.imag else np.longdouble
 
 
 @functools.lru_cache(maxsize=8)
@@ -318,8 +335,9 @@ def gauss_2f1_ring(
     DFT of the folded sequence b_m = sum_{n = m mod n_angles} u_n, and zF' is
     the same with n u_n.  The terms come a span of blocks at a time from
     `_sum_series` at z = r and are folded as they come, so memory stays
-    O(n_angles) plus one span.  Terms, folds and FFTs run in np.clongdouble,
-    which carries 64-bit mantissas on x86-64.
+    O(n_angles) plus one span.  Terms and folds run in `_ring_dtype`, FFTs in
+    np.clongdouble (64-bit mantissas on x86-64).  Real terms that overflow run
+    on as inf, not NaN, so such a ring is summed again in np.clongdouble.
 
     Each FFT transforms (1 - z) times the series: (1 - z_k) sum_m b_m w^{mk}
     at z_k = r w^k folds to b_m - r b_{m-1}, cyclically.  The FFT's rounding
@@ -331,18 +349,24 @@ def gauss_2f1_ring(
     r = float(r)
     if r > settings.radius_cap + _RADIUS_SLACK:
         raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
-    fold = np.zeros(n_angles, dtype=np.clongdouble)  # b_m
+    ring = _ring_pass(params, r, n_angles, settings, _ring_dtype(params))
+    return ring or _ring_pass(params, r, n_angles, settings, np.clongdouble)
+
+
+def _ring_pass(params: HypergeomParams, r: float, n_angles: int, settings: SeriesSettings, dtype):
+    """`gauss_2f1_ring` with terms and folds in dtype; None where a real term is not finite."""
+    fold = np.zeros(n_angles, dtype=dtype)  # b_m
     fold[0] = 1  # u_0
     # sum of row_start * u over the rows folded so far; n u_n folds to
     # m b_m + wfold_m, since n = row_start + m
-    wfold = np.zeros(n_angles, dtype=np.clongdouble)
-    m = _indices(0, n_angles, 1)
+    wfold = np.zeros(n_angles, dtype=dtype)
+    m = _indices(0, n_angles, 1, dtype)
     rl = np.longdouble(r)
     one_minus_z = 1 - rl * _roots_of_unity(n_angles)
 
     def fold_part(column, row_start, part):
         """Adds part of a row to its columns; zeros that padded it would add nothing, as no fold holds -0."""
-        wfold[column:column + len(part)] += np.clongdouble(row_start) * part
+        wfold[column:column + len(part)] += dtype(row_start) * part
         fold[column:column + len(part)] += part
 
     def add(start, u, n):
@@ -360,7 +384,7 @@ def gauss_2f1_ring(
         whole = head + (len(u) - head) // n_angles * n_angles
         if whole > head:
             rows = u[head:whole].reshape(-1, n_angles)
-            row_starts = _indices(start + head, start + whole, n_angles)
+            row_starts = _indices(start + head, start + whole, n_angles, dtype)
             weighted = row_starts[:, None] * rows
             weighted[0] += wfold
             wfold[:] = np.add.accumulate(weighted)[-1]
@@ -370,7 +394,7 @@ def gauss_2f1_ring(
             fold_part(0, start + whole, u[whole:])
 
     def values(tail, tol):
-        x = np.empty((2, n_angles), dtype=np.clongdouble)  # the folds of u_n and n u_n
+        x = np.empty((2, n_angles), dtype=dtype)  # the folds of u_n and n u_n; ifft casts real ones to complex
         x[0] = fold
         np.multiply(m, fold, out=x[1])
         x[1] += wfold
@@ -392,8 +416,8 @@ def gauss_2f1_ring(
     for w in (params.a, params.b):  # a terminating series stops in the block past its degree
         if w.imag == 0 and w.real <= 0 and w.real.is_integer():
             reach = min(reach, int(1 - w.real) // width * width + width)
-    f, zdf, converged, terms, tail = _sum_series(params, r, settings, width, reach, add, values)
-    return RingValues(f, zdf, converged, terms, tail)
+    ring = _sum_series(params, r, settings, width, reach, add, values, dtype)
+    return ring and RingValues(*ring)
 
 
 def gauss_2f1_derivative(params: HypergeomParams, z: complex, settings: SeriesSettings = DEFAULT_SERIES) -> complex:

@@ -14,6 +14,7 @@ import pytest
 from hypstar import cli
 from hypstar.cli import main, parse_scan_spec
 from hypstar.errors import HypstarError, InvalidParams
+from hypstar.hypergeom import SeriesSettings
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
 
@@ -321,6 +322,35 @@ def test_grid_beyond_radius_cap_exits_two_as_a_scan_does(command, flags, capsys,
     assert code == 2
     assert out == ""
     assert "grid r_max = 0.999 exceeds the series radius_cap = 0.995" in caplog.text
+
+
+SERIES_FLAGS = [("--series-tol", "1e-10"), ("--max-terms", "5"), ("--radius-cap", "0.9")]
+
+
+@pytest.mark.parametrize("flag, value", SERIES_FLAGS)
+@pytest.mark.parametrize("command", ["certify", "scan"])
+def test_commands_without_series_settings_refuse_the_series_flags(command, flag, value, tmp_path, capsys):
+    # certify sums no series, and a scan takes its series settings from its spec
+    spec, out = tmp_path / "spec.json", tmp_path / "scan.csv"
+    spec.write_text(json.dumps({**SCAN_SPEC, "verify": True}))
+    argv = {"certify": ["certify", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
+            "scan": ["scan", "--spec", str(spec), "--out", str(out)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value, "--json"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "1,0", "--b", "1,0", "--c", "3,0", "--z", "0.5,0"],
+    ["verify", "--class", "starlike", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
+    ["crosscheck", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
+])
+def test_commands_that_sum_a_series_take_the_series_flags(argv):
+    args = cli.build_parser().parse_args([*argv, *(part for pair in SERIES_FLAGS for part in pair), "--json"])
+    assert cli._series_settings(args) == SeriesSettings(tol=1e-10, max_terms=5, radius_cap=0.9)
+    assert args.json
 
 
 SCAN_SPEC = {

@@ -373,7 +373,14 @@ class TestPointMemo:
 
 
 def _reference_term_ratios(params, z, n):
-    """`hypergeom._term_ratios` as one allocating expression."""
+    """`hypergeom._term_ratios` as one allocating expression.
+
+    Over real n the triple is real, and the quotient is a product by the
+    reciprocal, as numpy's complex quotient is at zero imaginary parts.
+    """
+    if n.dtype == np.longdouble:
+        a, b, c = params.a.real, params.b.real, params.c.real
+        return z * ((n + a) * (n + b)) * (1 / ((n + c) * (n + 1)))
     return z * ((n + params.a) * (n + params.b)) / ((n + params.c) * (n + 1))
 
 
@@ -386,23 +393,26 @@ def _reference_verdict(f, zdf, tail, tol):
     return converged, goal
 
 
-def _reference_sum_series(params, z, settings, width, add, values):
+def _reference_sum_series(params, z, settings, width, add, values, dtype=np.clongdouble):
     """The block-by-block series loop that `_sum_series` must match: one numpy pass per block, added as it comes.
 
     It runs the stopping rule itself and asserts at every check that the
-    verdict and goal of values() are the same.
+    verdict and goal of values() are the same.  In dtype np.longdouble it
+    returns None at a term that is not finite, before adding it.
     """
     r = abs(z)
-    last = np.clongdouble(1)
+    last = dtype(1)
     goal = 1.0
     start = 1
     while True:
         stop = min(start - start % width + width, settings.max_terms + 1)
-        n = np.arange(start - 1, stop - 1, dtype=np.clongdouble)
+        n = np.arange(start - 1, stop - 1, dtype=dtype)
         ratio = _reference_term_ratios(params, z, n)
         ratio[0] *= last
         u = np.cumprod(ratio)
         last = u[-1]
+        if dtype is np.longdouble and not np.isfinite(last):
+            return None
         add(start, u, n + 1)
         k = stop - 1
         if last == 0:
@@ -451,9 +461,9 @@ def _reference_ring(params, r, n_angles, settings=SeriesSettings()):
     return RingValues(*_reference_sum_series(params, float(r), settings, width, add, values))
 
 
-def _reference_loop(params, z, settings, width, reach, add, values):
+def _reference_loop(params, z, settings, width, reach, add, values, dtype=np.clongdouble):
     """`_reference_sum_series` in the place of `_sum_series`, which also takes reach."""
-    return _reference_sum_series(params, z, settings, width, add, values)
+    return _reference_sum_series(params, z, settings, width, add, values, dtype)
 
 
 def _same_bits(x, y) -> bool:
