@@ -2,7 +2,6 @@
 shifted Gauss hypergeometric function f(z) = z 2F1(a,b;c;z)."""
 
 from .certificates import (
-    BoundaryGridSettings,
     Certificate,
     Condition,
     CubicCoefficients,
@@ -47,7 +46,6 @@ from .hypergeom import (
 from .oracles import (
     LineSearchSettings,
     MinimizerResult,
-    ab_gap_formula,
     minimize_on_positive_line,
 )
 from .shapes import (

@@ -1,18 +1,18 @@
 """Closed-form sufficient-condition checkers for the shifted hypergeometric
-function f(z) = z 2F1(a,b;c;z), plus a sampled boundary-grid checker.
+function f(z) = z 2F1(a,b;c;z).
 
 Every checker returns a Certificate carrying the full condition trace: each
 inequality is evaluated (no short-circuiting) and recorded with its value,
 threshold and verdict, so a failed certificate shows exactly which margin
 broke.  A passing closed-form certificate is a proof-grade statement about
-membership; the grid checker is labelled grid-consistent evidence only.
+membership; the minimizer kinds decide a quantified inequality numerically,
+and note a minimum too close to zero as inconclusive.
 
 Every checker is written over arrays of parameter rows: a `*_batch`
 takes one `Rows` record and returns a CertificateBatch, and each scalar
 `certify_*` is the certificate of a one-row Rows, so a scan checks a whole
-chunk of rows in one call.  The boundary-grid checker samples each row's
-grid on its own.  `CHECKERS` is the one table of theorem kinds: each
-`--theorem` name with its checker.  The kinds in `CLASS_KINDS` take the
+chunk of rows in one call.  `CHECKERS` is the one table of theorem kinds:
+each `--theorem` name with its checker.  The kinds in `CLASS_KINDS` take the
 rows' class family from `Rows.family`, at `Rows.alpha` and `Rows.lam`.
 
 Numeric conventions are those of `tolerance`: "x is real" means
@@ -22,7 +22,6 @@ Numeric conventions are those of `tolerance`: "x is real" means
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -34,20 +33,16 @@ from .oracles import (
     DEFAULT_LINE_SEARCH,
     LineSearchSettings,
     MinimizerResult,
-    ab_gap_formula,
     leading_coefficients,
     minimize_on_positive_line,
 )
 from .shapes import (
-    THETA_MIN,
     ShapeClass,
     SpirallikeOrder,
     StarlikeOrder,
     StronglyStarlike,
-    boundary_values,
     class_to_json,
     lam_of,
-    mu_of,
     shape_of,
 )
 from .tolerance import REAL_TOL, STRICT_TOL, is_real, nonneg, strict_pos
@@ -79,7 +74,7 @@ def json_pair(v: complex) -> list[float]:
 
 @dataclass
 class Certificate:
-    """Outcome of one closed-form (or grid) membership check."""
+    """Outcome of one membership check."""
 
     kind: str
     passed: bool
@@ -173,21 +168,6 @@ class CertificateBatch:
 
 
 @dataclass(frozen=True)
-class BoundaryGridSettings:
-    """Sampling of the boundary circle for the grid checker; theta_min keeps
-    the grid away from the generator's singular boundary points."""
-
-    n_points: int = 2000
-    theta_min: float = THETA_MIN
-
-    def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
-        if not 0 < self.theta_min < 0.1:
-            raise ValueError("theta_min must lie in (0, 0.1)")
-
-
-@dataclass(frozen=True)
 class Rows:
     """What one checker call checks: parameter values with one entry per row
     (a scan chunk, or the one row of `certify`), and the settings every row
@@ -209,8 +189,6 @@ class Rows:
     s: np.ndarray = 0.0
     family: Optional[type] = None
     line_search: LineSearchSettings = DEFAULT_LINE_SEARCH
-    boundary: BoundaryGridSettings = BoundaryGridSettings()
-    relaxed: bool = False
 
     def __post_init__(self):
         names = ("a", "b", "c", "alpha", "lam", "s")
@@ -269,6 +247,14 @@ def _refuse_class(errors: dict, family: type, alpha: np.ndarray, lam: np.ndarray
     """Refuse the rows whose order or angle the family's class refuses, with the class's ValueError."""
     if family is None:
         raise InvalidParams("this checker needs the rows' class family (Rows.family)")
+    # each family accepts a product of intervals in (alpha, lam), so when the least and the
+    # greatest order and angle are accepted, so is every row (a NaN row makes them NaN)
+    try:
+        shape_of(family, alpha.min(), lam.min())
+        shape_of(family, alpha.max(), lam.max())
+        return
+    except ValueError:
+        pass
     for i, (order, angle) in enumerate(zip(alpha.tolist(), lam.tolist())):
         try:
             shape_of(family, order, angle)
@@ -311,8 +297,12 @@ def spirallike_lmn(a: complex, b: complex, lam: float, alpha: float) -> LMNCoeff
     return LMNCoefficients(L, M, N)
 
 
+def _lmn_scale(lmn: LMNCoefficients):
+    return np.maximum(np.maximum(np.maximum(1.0, abs(lmn.L)), abs(lmn.M)), abs(lmn.N))
+
+
 def _lmn_conditions(lmn: LMNCoefficients) -> list[Condition]:
-    scale = np.maximum(np.maximum(np.maximum(1.0, abs(lmn.L)), abs(lmn.M)), abs(lmn.N))
+    scale = _lmn_scale(lmn)
     return [
         _cond_nonneg("L", lmn.L, scale),
         _cond_info("M", lmn.M),
@@ -843,95 +833,74 @@ def certify_theorem_A(a: complex, b: complex, alpha: float) -> Certificate:
     return theorem_a_batch(Rows(a, b, alpha=alpha)).certificate()
 
 
-def _boundary_grid_check(cls: ShapeClass, params: HypergeomParams, grid: BoundaryGridSettings, relaxed: bool):
-    """(min D, points failing D > 0, max excess, points failing the inequality, notes) of one row."""
-    a, b, c = params.a, params.b, params.c
-    p = params.p
-    if isinstance(cls, StronglyStarlike):
-        th = np.linspace(grid.theta_min, math.pi - grid.theta_min, max(grid.n_points // 2, 8))
-        theta = np.concatenate([th, -th])
-    else:
-        theta = np.linspace(grid.theta_min, 2 * math.pi - grid.theta_min, grid.n_points)
-    s_signed, w, zqp = boundary_values(cls, theta)
-
-    delta = p * w + a * b  # equals B - A on the boundary
-    D = -2 * np.real(delta * np.conjugate(zqp))
-    gap = ab_gap_formula(w, a, b, c)
-
-    tol_d = STRICT_TOL * (1 + np.abs(delta) * np.abs(zqp))
-    if relaxed:
-        main1_ok = (D > tol_d) | ((D >= -tol_d) & (np.abs(delta) > tol_d))
-    else:
-        main1_ok = D > tol_d
-    excess = gap - D
-    tol_2 = 1e-9 * (1 + np.abs(gap) + np.abs(D))
-    main2_ok = excess <= tol_2
-
-    n1 = int(np.count_nonzero(~main1_ok))
-    n2 = int(np.count_nonzero(~main2_ok))
-    notes = [f"grid-consistent evidence from {len(theta)} sampled boundary points; not a proof"]
-    if n1:
-        j = int(np.argmin(D))
-        notes.append(f"positivity fails at {n1} points; worst D = {D[j]:.6g} at theta = {theta[j]:.6g}, s = {s_signed[j]:.6g}")
-    if n2:
-        j = int(np.argmax(excess))
-        notes.append(
-            f"inequality fails at {n2} points; worst excess {excess[j]:.6g} at theta = {theta[j]:.6g}, s = {s_signed[j]:.6g}"
-        )
-    if not isinstance(cls, StronglyStarlike):
-        mu = mu_of(cls)
-        coef = -2 * p.real * mu.imag * abs(mu) ** 2
-        if abs(p.real) > STRICT_TOL and abs(mu.imag) > STRICT_TOL and is_real(p):
-            notes.append(
-                f"structural obstruction: |B|^2 - |A|^2 grows like {coef:.6g} * s^3 against a degree-2 "
-                "right-hand side, so the inequality must fail for large |s|; this route needs lam = 0 or p = 0"
-            )
-    if not is_real(p):
-        notes.append("Im p != 0 makes D change sign linearly in s; positivity must fail for large |s|")
-    return float(D.min()), n1, float(excess.max()), n2, notes
-
-
 @np.errstate(all="ignore")
 def general_batch(rows: Rows) -> CertificateBatch:
     """certify_general over rows of (a, b, c), row i in the rows' family's class at
-    (alpha[i], lam[i]); each row's boundary grid is sampled on its own."""
-    a, b, c, alpha, lam, family = rows.a, rows.b, rows.c, rows.alpha, rows.lam, rows.family
+    (alpha[i], lam[i]).
+
+    For the Moebius-type families, with mu = (1 - alpha) e^{i lam} cos(lam)
+    and s = cot(theta/2) on the boundary, D = (1 + s^2)(d0 - |mu|^2 Im[p] s)
+    with d0 = Re[ab conj(mu)] - Re[p] |mu|^2, and for real p
+    D - (|B|^2 - |A|^2) = c3 s^3 + L s^2 - 2 M s + N with
+    c3 = 2 p |mu|^2 Im[mu].  So both inequalities hold on the whole boundary
+    exactly when p is real, d0 > 0, c3 = 0 and the quadratic is nonnegative.
+    For strong starlikeness the two inequalities are those of
+    strong_starlike_batch, whose conditions the rows get.
+    """
+    a, b, c, alpha, family = rows.a, rows.b, rows.c, rows.alpha, rows.family
     errors: dict[int, Exception] = {}
-    _refuse_class(errors, family, alpha, lam)
+    _refuse_class(errors, family, alpha, rows.lam)
     _refuse_nonpositive_c(errors, a, b, c)
-    classes = _classes(family, alpha, lam)
-    refused = (np.nan, 1, np.nan, 1, [])
-    d_min, n1, excess, n2, notes = zip(*(
-        refused if i in errors
-        else _boundary_grid_check(classes(i), HypergeomParams(a[i], b[i], c[i]), rows.boundary, rows.relaxed)
-        for i in range(len(a))
-    ))
-    threshold1 = ">= 0 with A != B (relaxed)" if rows.relaxed else "> 0 at every sampled point (strict)"
+    classes = _classes(family, alpha, rows.lam)
+    if family is StronglyStarlike:
+        inner = strong_starlike_batch(rows)
+        for i, exc in inner.errors.items():
+            errors.setdefault(i, exc)
+        return CertificateBatch("GeneralMain", inner.conditions, inner.params, classes, errors, inner.notes)
+    lam = rows.lam if family is SpirallikeOrder else np.zeros_like(alpha)
+    mu = (1 - alpha) * np.exp(1j * lam) * np.cos(lam)
+    p = a + b + 1 - c
+    mu2 = _square(np.abs(mu))
+    d0 = (a * b * mu.conjugate()).real - p.real * mu2
+    c3 = 2 * p.real * mu2 * mu.imag
+    ta, tb = a.conjugate() * mu, b.conjugate() * mu
+    ua, ub = _square(np.abs(a)) - 2 * ta.real, _square(np.abs(b)) - 2 * tb.real
+    base = d0 - mu2 * (_square(np.abs(a)) + _square(np.abs(b)) - _square(np.abs(c - 1)) - 2 * p.real * mu.real)
+    lmn = LMNCoefficients(base - 4 * ta.imag * tb.imag, -c3 / 2 - ua * tb.imag - ub * ta.imag, base - ua * ub)
+    cubic_free = np.abs(c3) <= STRICT_TOL * _lmn_scale(lmn)
     conditions = [
-        Condition("min D over boundary grid", np.array(d_min), threshold1, np.array(n1) == 0),
-        Condition("max (|B|^2 - |A|^2) - D", np.array(excess), "<= 0 at every sampled point", np.array(n2) == 0),
+        _cond_real("p", p),
+        _cond_strict_pos("Re[ab conj(mu)] - p|mu|^2", d0),
+        Condition("s^3 coefficient", c3, "= 0 (|c3| <= 1e-12 scale)", cubic_free),
+        *_lmn_conditions(lmn),
     ]
-    return CertificateBatch("GeneralMain", conditions, (a, b, c), classes, errors, notes.__getitem__)
+
+    def notes(i: int) -> list[str]:
+        if not is_real(p[i]):
+            return [f"Im p != 0: D = (1 + s^2)(d0 - |mu|^2 Im[p] s) changes sign at "
+                    f"s = {d0[i] / (mu2[i] * p[i].imag):.6g}, so positivity fails"]
+        if not cubic_free[i]:
+            side = "-" if c3[i] > 0 else "+"
+            return [f"structural obstruction: D - (|B|^2 - |A|^2) has the term {c3[i]:.6g} s^3, so the "
+                    f"inequality fails as s -> {side}infinity; this route needs lam = 0 or p = 0"]
+        if lmn.L[i] > 0:
+            return [f"min of D - (|B|^2 - |A|^2) over real s: {lmn.N[i] - lmn.M[i] ** 2 / lmn.L[i]:.6g} "
+                    f"at s = M/L = {lmn.M[i] / lmn.L[i]:.6g}"]
+        return []
+
+    return CertificateBatch("GeneralMain", conditions, (a, b, c), classes, errors, notes)
 
 
-def certify_general(
-    cls: ShapeClass,
-    params: HypergeomParams,
-    grid: BoundaryGridSettings = BoundaryGridSettings(),
-    relaxed: bool = False,
-) -> Certificate:
-    """Boundary-grid check of the two master inequalities
+def certify_general(cls: ShapeClass, params: HypergeomParams) -> Certificate:
+    """Exact check of the two master inequalities
 
         D(zeta) = -2 Re[(p Q(zeta) + ab) conj(zeta Q'(zeta))] > 0   and
         |B(zeta)|^2 - |A(zeta)|^2 <= D(zeta)
 
-    over sampled non-exceptional boundary points.  `relaxed` weakens the
-    first inequality to D >= 0 wherever A(zeta) != B(zeta).  The result is
-    grid-consistent sampled evidence, never a proof; only the closed-form
-    checkers are exact.
+    on the whole boundary circle, in closed form (see general_batch); the
+    strongly starlike class is decided by strong-starlike's line minimizer.
     """
-    rows = Rows(params.a, params.b, params.c, cls.alpha, lam_of(cls), family=type(cls), boundary=grid, relaxed=relaxed)
-    return general_batch(rows).certificate()
+    return general_batch(Rows(params.a, params.b, params.c, cls.alpha, lam_of(cls), family=type(cls))).certificate()
 
 
 @np.errstate(all="ignore")

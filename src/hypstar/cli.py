@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import CHECKERS, CLASS_KINDS, BoundaryGridSettings, Certificate, Rows, render_value
+from .certificates import CHECKERS, CLASS_KINDS, Certificate, Rows, render_value
 
 # the certify_* checkers are not called here; they stay importable from this
 # module because perfbench/tracing.py wraps cli.certify_*
@@ -146,13 +146,12 @@ def _certificate(args) -> Certificate:
     refuses a bad one."""
     line_search = LineSearchSettings(s_min=args.ls_s_min, s_max=args.ls_s_max, n_log_points=args.ls_points,
                                      refine_iters=args.ls_refine_iters, min_margin=args.ls_min_margin)
-    boundary = BoundaryGridSettings(n_points=args.boundary_points, theta_min=args.theta_min)
     family = None
     if args.theorem in CLASS_KINDS:
         if args.cls is None:
             raise InvalidParams(f"--class is required for the {args.theorem} checker")
         family = SHAPE_CLASSES[args.cls]
-    rows = Rows(args.a, args.b, args.c, args.alpha, args.lam, args.s, family, line_search, boundary, args.relaxed)
+    rows = Rows(args.a, args.b, args.c, args.alpha, args.lam, args.s, family, line_search)
     return CHECKERS[args.theorem](rows).certificate(0)
 
 
@@ -209,12 +208,18 @@ class ScanSpec:
     grid: DiskGridSettings
     series: SeriesSettings
     line_search: LineSearchSettings
-    boundary: BoundaryGridSettings
+
+
+# the top-level keys a scan spec may hold; any other key is refused
+SPEC_KEYS = ("varying", "fixed", "certificate", "class", "verify", "grid", "series", "line_search")
 
 
 def parse_scan_spec(data: dict) -> ScanSpec:
     if not isinstance(data, dict):
         raise InvalidParams("scan spec must be a JSON object")
+    unknown = sorted(data.keys() - set(SPEC_KEYS))
+    if unknown:
+        raise InvalidParams(f"unknown scan spec keys {unknown}; use keys among {SPEC_KEYS}")
     varying = data.get("varying")
     if not isinstance(varying, list) or not 1 <= len(varying) <= 3:
         raise InvalidParams("'varying' must list between 1 and 3 axes")
@@ -267,7 +272,6 @@ def parse_scan_spec(data: dict) -> ScanSpec:
         grid=grid,
         series=series,
         line_search=_spec_settings(data, "line_search", LineSearchSettings),
-        boundary=_spec_settings(data, "boundary", BoundaryGridSettings),
     )
 
 
@@ -331,7 +335,7 @@ class _ScanGrid:
         if spec.certificate_kind in CLASS_KINDS:
             family = SHAPE_CLASSES[spec.class_spec["kind"]]
             alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
-        return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), family, spec.line_search, spec.boundary)
+        return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), family, spec.line_search)
 
     def label_columns(self, start: int, stop: int) -> list[list[str]]:
         """The axis labels of rows start..stop-1, one list per axis."""
@@ -453,9 +457,6 @@ def _add_certify_flags(parser: argparse.ArgumentParser) -> None:
     _add_params(parser)
     _add_class_flags(parser, required=False)
     parser.add_argument("--s", type=float, default=0.0, help="imaginary shift for the cor-a2 family")
-    parser.add_argument("--relaxed", action="store_true", help="weaken D > 0 to D >= 0 where A != B (general only)")
-    parser.add_argument("--boundary-points", type=int, default=2000)
-    parser.add_argument("--theta-min", type=float, default=1e-4)
     parser.add_argument("--ls-s-min", type=float, default=1e-8)
     parser.add_argument("--ls-s-max", type=float, default=1e8)
     parser.add_argument("--ls-points", type=int, default=2000)
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval, series=True)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_cert = sub.add_parser("certify", help="run one closed-form or grid checker")
+    p_cert = sub.add_parser("certify", help="run one certificate checker")
     _add_certify_flags(p_cert)
     _add_common(p_cert, series=False)
     p_cert.set_defaults(func=cmd_certify)

@@ -1,5 +1,5 @@
-"""The algebra behind the checkers: the expanded squared-modulus gap and a
-log-grid line minimizer for inequalities quantified over s in (0, infinity).
+"""A log-grid line minimizer for the checkers' inequalities quantified over
+s in (0, infinity).
 
 Nothing in this module knows about hypergeometric functions.
 """
@@ -13,21 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-def ab_gap_formula(w, a, b, c):
-    """The expanded form of |B|^2 - |A|^2 used by the boundary checkers:
-
-    |w|^2 (2 Re[p conj(w)] + |a|^2 + |b|^2 - |c-1|^2)
-      + (2 Re[a conj(w)] + |a|^2)(2 Re[b conj(w)] + |b|^2),
-
-    with p = a + b + 1 - c.
-    """
-    p = a + b + 1 - c
-    wc = np.conjugate(w)
-    t1 = np.abs(w) ** 2 * (2 * np.real(p * wc) + abs(a) ** 2 + abs(b) ** 2 - abs(c - 1) ** 2)
-    t2 = (2 * np.real(a * wc) + abs(a) ** 2) * (2 * np.real(b * wc) + abs(b) ** 2)
-    return t1 + t2
 
 
 def golden_section(f: Callable, lo, hi, iters: int):

@@ -1,4 +1,4 @@
-"""Starlike-type target classes: boundary closed forms and the membership margin.
+"""Starlike-type target classes and the membership margin.
 
 Three families are supported, each given by a generator phi with phi(0) = 1
 whose image describes where z f'(z)/f(z) must live:
@@ -21,10 +21,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-# boundary grids stay this far away (in radians) from singular boundary points
-THETA_MIN = 1e-4
-
 
 @dataclass(frozen=True)
 class StarlikeOrder:
@@ -80,29 +76,6 @@ def mu_of(cls: ShapeClass) -> complex:
         raise ValueError("mu is defined only for the Moebius-type families")
     lam = lam_of(cls)
     return (1 - cls.alpha) * cmath.exp(1j * lam) * math.cos(lam)
-
-
-def boundary_values(cls: ShapeClass, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, Q(zeta), zeta Q'(zeta)) at zeta = e^{i theta}, one entry per theta, for Q = phi - 1.
-
-    s = cot(theta/2).  For the Moebius-type families theta lies in (0, 2 pi)
-    and Q = mu(-1 + i s), zeta Q' = -mu(1 + s^2)/2.  For strong starlikeness
-    theta lies in (-pi, pi) minus 0; with eps = sgn(theta),
-    Q = e^{i eps pi alpha/2} |s|^alpha - 1 and
-    zeta Q' = -(alpha/2) e^{-i eps pi (1-alpha)/2} |s|^alpha (|s| + 1/|s|).
-    """
-    theta = np.asarray(theta, dtype=float)
-    eps = np.sign(theta)
-    s = 1 / np.tan(np.abs(theta) / 2)
-    if isinstance(cls, StronglyStarlike):
-        power = s**cls.alpha
-        q = np.exp(1j * eps * (np.pi * cls.alpha / 2)) * power - 1
-        zqp = -(cls.alpha / 2) * np.exp(-1j * eps * (np.pi * (1 - cls.alpha) / 2)) * power * (s + 1 / s)
-    else:
-        mu = mu_of(cls)
-        q = mu * (-1 + 1j * s)
-        zqp = -mu * (1 + s * s) / 2
-    return eps * s, q, zqp
 
 
 def membership_slack_array(cls: ShapeClass, w: np.ndarray) -> np.ndarray:

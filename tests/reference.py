@@ -23,6 +23,53 @@ def ab_gap_direct(w, a, b, c):
     return np.abs(B) ** 2 - np.abs(A) ** 2
 
 
+def ab_gap_formula(w, a, b, c):
+    """The expanded form of |B|^2 - |A|^2 on the boundary:
+
+    |w|^2 (2 Re[p conj(w)] + |a|^2 + |b|^2 - |c-1|^2)
+      + (2 Re[a conj(w)] + |a|^2)(2 Re[b conj(w)] + |b|^2),
+
+    with p = a + b + 1 - c.
+    """
+    p = a + b + 1 - c
+    wc = np.conjugate(w)
+    t1 = np.abs(w) ** 2 * (2 * np.real(p * wc) + abs(a) ** 2 + abs(b) ** 2 - abs(c - 1) ** 2)
+    t2 = (2 * np.real(a * wc) + abs(a) ** 2) * (2 * np.real(b * wc) + abs(b) ** 2)
+    return t1 + t2
+
+
+def boundary_values(cls, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, Q(zeta), zeta Q'(zeta)) at zeta = e^{i theta}, one entry per theta, for Q = phi - 1.
+
+    s = cot(theta/2).  For the Moebius-type families theta lies in (0, 2 pi)
+    and Q = mu(-1 + i s), zeta Q' = -mu(1 + s^2)/2.  For strong starlikeness
+    theta lies in (-pi, pi) minus 0; with eps = sgn(theta),
+    Q = e^{i eps pi alpha/2} |s|^alpha - 1 and
+    zeta Q' = -(alpha/2) e^{-i eps pi (1-alpha)/2} |s|^alpha (|s| + 1/|s|).
+    """
+    theta = np.asarray(theta, dtype=float)
+    eps = np.sign(theta)
+    s = 1 / np.tan(np.abs(theta) / 2)
+    if isinstance(cls, StronglyStarlike):
+        power = s**cls.alpha
+        q = np.exp(1j * eps * (np.pi * cls.alpha / 2)) * power - 1
+        zqp = -(cls.alpha / 2) * np.exp(-1j * eps * (np.pi * (1 - cls.alpha) / 2)) * power * (s + 1 / s)
+    else:
+        mu = mu_of(cls)
+        q = mu * (-1 + 1j * s)
+        zqp = -mu * (1 + s * s) / 2
+    return eps * s, q, zqp
+
+
+def boundary_gap(cls, params, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, D, |B|^2 - |A|^2) at zeta = e^{i theta}: D = -2 Re[(p Q + ab) conj(zeta Q')],
+    and the gap straight from A and B with w = Q."""
+    a, b, c = params.a, params.b, params.c
+    s, q, zqp = boundary_values(cls, theta)
+    D = -2 * np.real((params.p * q + a * b) * np.conjugate(zqp))
+    return s, D, ab_gap_direct(q, a, b, c)
+
+
 def quadratic_nonneg_exact(L, M, N):
     """Whether L s^2 - 2 M s + N >= 0 for every real s, elementwise: exactly when
     L >= 0, N >= 0 and L N - M^2 >= 0 (at L = 0 the last forces M = 0)."""

@@ -14,6 +14,8 @@ import numpy as np
 from conftest import draw_corpus_point
 from reference import (
     ab_gap_direct,
+    ab_gap_formula,
+    boundary_gap,
     half_plane_bound_check,
     ode_residual,
     quadratic_nonneg_exact,
@@ -27,7 +29,6 @@ from hypstar import (
     SpirallikeOrder,
     StarlikeOrder,
     StronglyStarlike,
-    ab_gap_formula,
     certify_cor_a2,
     certify_general,
     certify_spirallike,
@@ -331,13 +332,19 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_structural_obstruction():
-    cert = certify_general(SpirallikeOrder(0.3, 0.0), HypergeomParams(1, 1, 2.5))
-    assert not cert.passed
-    assert any("structural obstruction" in n for n in cert.notes)
-    note = next(n for n in cert.notes if "worst excess" in n)
-    s_val = float(note.split("s = ")[1])
-    assert abs(s_val) > 1e3, "failure must surface at a large |s| boundary point"
-    report(7, f"spirallike grid check fails at s = {s_val:.3g} with the obstruction note")
+    cls, params = SpirallikeOrder(0.3, 0.0), HypergeomParams(1, 1, 2.5)
+    cert = certify_general(cls, params)
+    assert not cert.passed and cert.failed_condition() == "s^3 coefficient"
+    (note,) = [n for n in cert.notes if "structural obstruction" in n]
+    side = -1 if "s -> -infinity" in note else 1
+    assert f"s -> {'-' if side < 0 else '+'}infinity" in note
+    # the boundary algebra fails far out on the named side and holds there on the other
+    theta = 2 * np.arctan(1 / np.array([side * 1e4, -side * 1e4])) % (2 * math.pi)
+    s, D, gap = boundary_gap(cls, params, theta)
+    excess = gap - D
+    assert excess[0] > 0 > excess[1], (s, excess)
+    report(7, f"spirallike check fails on its s^3 term as s -> {side:+d} infinity "
+              f"(excess {excess[0]:.3g} at s = {s[0]:.3g})")
 
 
 def test_criterion_8_scan_determinism(tmp_path):

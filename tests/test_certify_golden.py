@@ -45,9 +45,8 @@ CASES = {
     "sst_cor_final_fail": ("--theorem sst-cor-final --a 4,0 --b 4,0 --alpha 0.5", 1),
     "theorem_a_pass": ("--theorem theorem-a --a 1,0 --b 1.2,0 --alpha 0.6", 0),
     "theorem_a_fail": ("--theorem theorem-a --a 3,0 --b 3,0 --alpha 0.6", 1),
-    "general_pass": ("--theorem general --class starlike --alpha 0 --a 1,0 --b 1,0 --c 3,0 --boundary-points 256", 0),
-    "general_fail": ("--theorem general --class spirallike --lambda 0.3 --alpha 0.1 "
-                     "--a 1,0 --b 1,0 --c 2.5,0 --boundary-points 256", 1),
+    "general_pass": ("--theorem general --class starlike --alpha 0 --a 1,0 --b 1,0 --c 3,0", 0),
+    "general_fail": ("--theorem general --class spirallike --lambda 0.3 --alpha 0.1 --a 1,0 --b 1,0 --c 2.5,0", 1),
     "convexity_pass": ("--theorem convexity --class strongly-starlike --alpha 0.5 --a 0.2,0 --b 0.3,0 --c 3,0", 0),
     "convexity_fail": ("--theorem convexity --class strongly-starlike --alpha 0.5 --a 1,0.5 --b 1,0 --c 3,0", 1),
 }

@@ -182,10 +182,17 @@ class TestCertify:
     def test_general_with_class(self, capsys):
         code, out, _ = run_cli(
             capsys, "certify", "--theorem", "general", "--class", "starlike", "--alpha", "0",
-            "--a", "1,0", "--b", "1,0", "--c", "3,0", "--boundary-points", "512",
+            "--a", "1,0", "--b", "1,0", "--c", "3,0",
         )
         assert code == 0
         assert json.loads(out)["kind"] == "GeneralMain"
+
+    @pytest.mark.parametrize("flag", ["--boundary-points=512", "--theta-min=0.001", "--relaxed"])
+    def test_removed_general_flags_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--theorem", "general", "--class", "starlike", "--a", "1,0", "--b", "1,0", "--c", "3,0", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_convexity(self, capsys):
         code, out, _ = run_cli(
@@ -470,6 +477,9 @@ class TestScan:
             {"series": {"tol": math.inf}},
             {"certificate": "general", "class": {"kind": "starlike", "alpha": math.nan}},
             {"certificate": "convexity", "class": {"kind": "spirallike", "lambda": math.inf}},
+            # a misspelt key used to be ignored, and the removed `boundary` key used to be read
+            {"verfy": True},
+            {"boundary": {}},
         ],
     )
     def test_malformed_spec_exits_2_without_csv(self, tmp_path, capsys, malformed):
@@ -731,15 +741,13 @@ AGREEMENT_SPECS = {
     "general": [
         {"varying": [{"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7},
                      {"symbol": "c_re", "from": -1, "to": 4, "steps": 11}],
-         "fixed": {"a_re": 1, "b_re": 1}, "class": {"kind": "starlike"}, "boundary": {"n_points": 64}},
+         "fixed": {"a_re": 1, "b_re": 1}, "class": {"kind": "starlike"}},
         {"varying": [{"symbol": "lambda", "from": -2, "to": 2, "steps": 9},
                      {"symbol": "c_re", "from": 1, "to": 4, "steps": 7}],
-         "fixed": {"a_re": 1, "b_re": 1}, "class": {"kind": "spirallike", "alpha": 0.1},
-         "boundary": {"n_points": 64}},
+         "fixed": {"a_re": 1, "b_re": 1}, "class": {"kind": "spirallike", "alpha": 0.1}},
         {"varying": [{"symbol": "alpha", "from": -0.25, "to": 1.25, "steps": 7},
                      {"symbol": "a_im", "from": -0.5, "to": 0.5, "steps": 3}],
-         "fixed": {"a_re": 1, "b_re": 1, "c_re": 3}, "class": {"kind": "strongly-starlike"},
-         "boundary": {"n_points": 64}},
+         "fixed": {"a_re": 1, "b_re": 1, "c_re": 3}, "class": {"kind": "strongly-starlike"}},
     ],
     # class orders and angles out of range, ab and (a+1)(b+1) at 0, c and c + 1 at 0 and -1,
     # c != a + b + 2 for the spirallike delegate
@@ -776,14 +784,13 @@ def _certify_outcome(spec, coords) -> list[str]:
         # these kinds read alpha and lambda only through their class
         alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
         class_flags = [f"--class={spec.class_spec['kind']}"]
-    ls, boundary = spec.line_search, spec.boundary
+    ls = spec.line_search
     args = _CERTIFY_PARSER.parse_args([
         "certify", "--theorem", spec.certificate_kind, *class_flags,
         *(f"--{name}={point[f'{name}_re']!r},{point[f'{name}_im']!r}" for name in "abc"),
         f"--alpha={alpha!r}", f"--lambda={lam!r}", f"--s={point.get('s', 0.0)!r}",
         f"--ls-s-min={ls.s_min!r}", f"--ls-s-max={ls.s_max!r}", f"--ls-points={ls.n_log_points}",
         f"--ls-refine-iters={ls.refine_iters}", f"--ls-min-margin={ls.min_margin!r}",
-        f"--boundary-points={boundary.n_points}", f"--theta-min={boundary.theta_min!r}",
     ])
     try:
         cert = cli._certificate(args)

@@ -1,5 +1,5 @@
-"""The squared-modulus identity, the line minimizer, and the reference
-validators in `reference`: quadratic nonnegativity (exact vs sampled) and
+"""The line minimizer, and the reference forms in `reference`: the
+squared-modulus identity, quadratic nonnegativity (exact vs sampled) and
 the power-sum bound."""
 
 import math
@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ab_gap_direct, half_plane_bound_check, quadratic_nonneg_exact, quadratic_nonneg_sampled
+from reference import (
+    ab_gap_direct,
+    ab_gap_formula,
+    half_plane_bound_check,
+    quadratic_nonneg_exact,
+    quadratic_nonneg_sampled,
+)
 
 from hypstar import (
     LineSearchSettings,
-    ab_gap_formula,
     minimize_on_positive_line,
     oracles,
 )

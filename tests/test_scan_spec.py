@@ -5,7 +5,6 @@ from dataclasses import fields
 
 import pytest
 
-from hypstar.certificates import BoundaryGridSettings
 from hypstar.cli import main, parse_scan_spec
 from hypstar.errors import InvalidParams
 from hypstar.hypergeom import SeriesSettings
@@ -20,8 +19,7 @@ SPEC = {
     "verify": False,
 }
 AXIS = SPEC["varying"][0]
-SETTINGS = {"grid": DiskGridSettings, "series": SeriesSettings,
-            "line_search": LineSearchSettings, "boundary": BoundaryGridSettings}
+SETTINGS = {"grid": DiskGridSettings, "series": SeriesSettings, "line_search": LineSearchSettings}
 
 
 def _wrong_values(annotation):
@@ -49,6 +47,11 @@ MALFORMED = [
     for key, cls in SETTINGS.items()
     for field in fields(cls)
     for value in _wrong_values(field.type)
+] + [
+    # the removed `boundary` key is refused whatever it holds
+    {"boundary": {name: value}}
+    for name, annotation in (("n_points", "int"), ("theta_min", "float"))
+    for value in _wrong_values(annotation)
 ]
 
 

@@ -1,4 +1,4 @@
-"""Shape classes: the reference generator, boundary closed forms, membership margins."""
+"""Shape classes: the reference generator, the reference boundary closed forms, membership margins."""
 
 import cmath
 import math
@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import q_class
+from reference import boundary_values, q_class
 
 from hypstar import SpirallikeOrder, StarlikeOrder, StronglyStarlike
-from hypstar.shapes import boundary_values, membership_slack_array, mu_of
+from hypstar.shapes import membership_slack_array, mu_of
 
 ALL_CLASSES = [
     StarlikeOrder(0.0),

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from hypstar import HypergeomParams, SpirallikeOrder, StarlikeOrder, StronglyStarlike, certificates, cli
-from hypstar.certificates import CHECKERS, BoundaryGridSettings
+from hypstar.certificates import CHECKERS
 from hypstar.cli import main, parse_scan_spec
 from hypstar.errors import InvalidParams
 
@@ -66,10 +66,8 @@ CASES = {
     ),
     "general": (
         ["--class", "spirallike", "--lambda", "0.3", "--alpha", "0.1",
-         "--a", "1,0", "--b", "1,0", "--c", "2.5,0", "--boundary-points", "256", "--relaxed"],
-        lambda: certificates.certify_general(
-            SpirallikeOrder(0.3, 0.1), HypergeomParams(1, 1, 2.5), BoundaryGridSettings(n_points=256), True
-        ),
+         "--a", "1,0", "--b", "1,0", "--c", "2.5,0"],
+        lambda: certificates.certify_general(SpirallikeOrder(0.3, 0.1), HypergeomParams(1, 1, 2.5)),
     ),
     "convexity": (
         ["--class", "spirallike", "--lambda", "0.3", "--alpha", "0.1", "--a", "1,0", "--b", "1,0", "--c", "4,0"],
@@ -105,6 +103,16 @@ def test_readme_lists_every_kind_in_table_order():
     listing = text[text.index("Theorem kinds:"):]
     listing = listing[:listing.index(". ")]
     assert tuple(re.findall(r"`([^`]+)`", listing)) == tuple(CHECKERS)
+
+
+def test_readme_scan_spec_schema_names_exactly_the_spec_keys():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Scan spec schema"):]
+    section = section[:section.index("\n## ", 1)]
+    example = json.loads(section[section.index("```json") + len("```json"):section.index("```\n", 10)])
+    assert sorted(example) == sorted(cli.SPEC_KEYS)
+    bullets = re.findall(r"^- ((?:`\w+`(?: / )?)+):", section, re.MULTILINE)
+    assert tuple(key for bullet in bullets for key in re.findall(r"`(\w+)`", bullet)) == cli.SPEC_KEYS
 
 
 CLASS_SCAN = {
