@@ -387,8 +387,8 @@ def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:
     one call of its array checker, and each chunk's CSV text is written in
     one piece before the next chunk's rows are held.  A row the checker
     refuses is written as refused ("invalid: <message>", status Invalid when
-    verifying).  `threads` is accepted for compatibility and has no effect;
-    the benchmark in perfbench/ passes it, so it stays.
+    verifying).  Scans run on one thread: `threads` has no effect, and it
+    stays only because the benchmark in perfbench/ passes it.
     """
     grid = _ScanGrid(spec)
     header = [ax.symbol for ax in spec.axes] + ["certificate_passed", "failed_condition", "min_slack", "status"]
@@ -429,12 +429,11 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, series: bool) -> None:
-    if series:  # certify sums no series, and a scan takes its series settings from the spec
-        parser.add_argument("--series-tol", type=float, default=1e-15, help="relative series truncation tolerance")
-        parser.add_argument("--max-terms", type=int, default=200_000, help="series term budget")
-        parser.add_argument("--radius-cap", type=float, default=0.995, help="largest |z| the series will accept")
-    parser.add_argument("--json", action="store_true", help="machine-readable stdout; logs stay on stderr")
+def _add_series_flags(parser: argparse.ArgumentParser) -> None:
+    # not on certify, which sums no series, nor on scan, which takes its series settings from the spec
+    parser.add_argument("--series-tol", type=float, default=1e-15, help="relative series truncation tolerance")
+    parser.add_argument("--max-terms", type=int, default=200_000, help="series term budget")
+    parser.add_argument("--radius-cap", type=float, default=0.995, help="largest |z| the series will accept")
 
 
 def _add_params(parser: argparse.ArgumentParser, with_z: bool = False) -> None:
@@ -481,32 +480,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate F, F', f and q at a point")
     _add_params(p_eval, with_z=True)
-    _add_common(p_eval, series=True)
+    _add_series_flags(p_eval)
+    # --json only where it changes stdout: certify, verify and crosscheck always print JSON
+    p_eval.add_argument("--json", action="store_true", help="machine-readable stdout; logs stay on stderr")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cert = sub.add_parser("certify", help="run one certificate checker")
     _add_certify_flags(p_cert)
-    _add_common(p_cert, series=False)
     p_cert.set_defaults(func=cmd_certify)
 
     p_verify = sub.add_parser("verify", help="disk-grid verification of a class membership")
     _add_params(p_verify)
     _add_class_flags(p_verify, required=True)
     _add_grid_flags(p_verify)
-    _add_common(p_verify, series=True)
+    _add_series_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cross = sub.add_parser("crosscheck", help="certificate plus disk verification, with a soundness verdict")
     _add_certify_flags(p_cross)
     _add_grid_flags(p_cross)
-    _add_common(p_cross, series=True)
+    _add_series_flags(p_cross)
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_scan = sub.add_parser("scan", help="parameter-region scan to CSV")
     p_scan.add_argument("--spec", required=True, help="path to a ScanSpec JSON file")
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    _add_common(p_scan, series=False)
+    p_scan.add_argument("--json", action="store_true", help="machine-readable stdout; logs stay on stderr")
     p_scan.set_defaults(func=cmd_scan)
 
     return parser

@@ -40,11 +40,11 @@ for _index in _INDEX.values():
 _PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
 
 
-def _is_nonpositive_integer(w: complex, tol: float = NONPOS_INT_TOL) -> bool:
-    if abs(w.imag) > tol:
+def _is_nonpositive_integer(w: complex) -> bool:
+    if abs(w.imag) > NONPOS_INT_TOL:
         return False
     k = round(w.real)
-    return k <= 0 and abs(w.real - k) <= tol
+    return k <= 0 and abs(w.real - k) <= NONPOS_INT_TOL
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ representations produce bit-identical values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -68,14 +67,6 @@ def lam_of(cls: ShapeClass) -> float:
 def shape_of(family: type, alpha: float, lam: float = 0.0) -> ShapeClass:
     """The class of the family at order alpha; only SpirallikeOrder reads the angle lam."""
     return family(lam, alpha) if family is SpirallikeOrder else family(alpha)
-
-
-def mu_of(cls: ShapeClass) -> complex:
-    """mu = (1 - alpha) e^{i lam} cos(lam) for the Moebius-type families."""
-    if isinstance(cls, StronglyStarlike):
-        raise ValueError("mu is defined only for the Moebius-type families")
-    lam = lam_of(cls)
-    return (1 - cls.alpha) * cmath.exp(1j * lam) * math.cos(lam)
 
 
 def membership_slack_array(cls: ShapeClass, w: np.ndarray) -> np.ndarray:

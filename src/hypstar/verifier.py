@@ -11,7 +11,6 @@ not be counted).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -148,6 +147,12 @@ def _zeros_inside(params: HypergeomParams, r: float, n_angles: int, settings: Se
     sampled again at 2, 4, 8 and 16 times as many angles while a phase step
     is too large; None when even the finest sampling does not resolve the
     count.
+
+    Not called where the outer ring's tail bound is not finite: every ladder
+    ring sums the same terms, and a finite tail within tol of the goal at an
+    earlier block end would bound every later one, so no ring could settle
+    before the term that stopped the outer ring (nor once the ratio bound,
+    which falls with n, is still at least 1 at max_terms).
     """
     for refine in _WINDING_REFINEMENTS[1:]:
         ring = gauss_2f1_ring(params, r, refine * n_angles, settings)
@@ -156,14 +161,6 @@ def _zeros_inside(params: HypergeomParams, r: float, n_angles: int, settings: Se
             if count >= 0:
                 return count
     return None
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_circle(n: int) -> np.ndarray:
-    """e^{2 pi i k/n}, k = 0, ..., n-1, in complex128; read-only, as it is shared."""
-    unit = np.exp(1j * (2 * math.pi * np.arange(n) / n))
-    unit.flags.writeable = False
-    return unit
 
 
 def _class_groups(classes: Sequence[ShapeClass]) -> list[tuple[ShapeClass, np.ndarray | slice]]:
@@ -230,8 +227,12 @@ def _report(
 ) -> VerificationReport:
     """The report of one row from the slack at the origin and the figures
     (see `_ring_figures`) of its rings, (r, figures) innermost first."""
-    unit = _unit_circle(grid.n_angles)
-    min_slack, argmin_z = origin_slack, 0.0 + 0.0j
+
+    def node(r, k):
+        """z_k = r e^{2 pi i k/n} of a grid ring in complex128, formed only where the report names it."""
+        return complex(r * np.exp(1j * (2 * math.pi * k / grid.n_angles)))
+
+    min_slack, argmin = origin_slack, None  # None: the origin
     n_violations = 1 if min_slack < -VIOLATION_TOL else 0
     n_f_zeros = n_unevaluated = 0
     notes: list[str] = []
@@ -241,10 +242,11 @@ def _report(
             notes.append(f"series failed to settle at {bad} points on r = {r:.6g}")
         if zeros:
             n_f_zeros += zeros
-            notes.append(f"F vanishes at z = {complex(r * unit[first_zero]):.6g} (|F| <= {ZERO_TOL:g})")
+            notes.append(f"F vanishes at z = {node(r, first_zero):.6g} (|F| <= {ZERO_TOL:g})")
         n_violations += violations
         if least < min_slack:
-            min_slack, argmin_z = least, complex(r * unit[j])
+            min_slack, argmin = least, (r, j)
+    argmin_z = 0j if argmin is None else node(*argmin)
 
     r_out = rings[-1][0]
     if f_zeros_inside is None:
@@ -294,11 +296,12 @@ def verify_rows(
     stacked, and the quotient zF'/F, the winding counts and every ring
     figure come from array operations over the stack.  A row the outer ring
     does not settle (an unconverged node, or a count the outer sampling
-    cannot resolve) goes on alone through the refinement ladder and, where
-    needed, every ring.  Stacks hold at most `_STACK_NODES` nodes (and at
-    least one row), so memory does not grow with the number of rows.  A
-    report depends on its own row alone.  Overflow in a row's series makes
-    its nodes unconverged and raises no warning.
+    cannot resolve) goes on alone through the refinement ladder (where its
+    outer tail bound is finite) and, where needed, every ring.  Stacks hold
+    at most `_STACK_NODES` nodes (and at least one row), so memory does not
+    grow with the number of rows.  A report depends on its own row alone.
+    Overflow in a row's series makes its nodes unconverged and raises no
+    warning.
     """
     step = max(1, _STACK_NODES // grid.n_angles)
     return [
@@ -328,7 +331,9 @@ def _verify_stack(
         settled = converged.all(axis=1).tolist()
         counts = np.where(settled, _winding_numbers(f, quotient), -1).tolist()
         for i, (cls, p) in enumerate(zip(classes, params)):
-            count = counts[i] if counts[i] >= 0 else _zeros_inside(p, r_out, n, settings)
+            count = counts[i] if counts[i] >= 0 else None
+            if count is None and math.isfinite(outer[i].tail):
+                count = _zeros_inside(p, r_out, n, settings)
             outer_only = count is not None and settled[i]
             rings = [] if outer_only else [(r, _inner_figures(cls, p, r, n, settings)) for r in radii[:-1]]
             rings.append((r_out, figures[i]))

@@ -4,16 +4,25 @@ None of these is on a path that a hypstar command runs: each is a second,
 independent route to a quantity that the package computes another way.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from hypstar import StronglyStarlike, gauss_2f1, gauss_2f1_derivative
 from hypstar.oracles import golden_section
-from hypstar.shapes import mu_of
+from hypstar.shapes import lam_of
 
 # rows per lockstep pass of quadratic_nonneg_sampled: 500 x 2001 float64 is 8 MB an array
 _CHUNK_ROWS = 500
+
+
+def mu_of(cls) -> complex:
+    """mu = (1 - alpha) e^{i lam} cos(lam) for the Moebius-type families."""
+    if isinstance(cls, StronglyStarlike):
+        raise ValueError("mu is defined only for the Moebius-type families")
+    lam = lam_of(cls)
+    return (1 - cls.alpha) * cmath.exp(1j * lam) * math.cos(lam)
 
 
 def ab_gap_direct(w, a, b, c):

@@ -1,4 +1,4 @@
-"""One-row `hypstar certify --json` bytes against files kept in tests/data.
+"""One-row `hypstar certify` stdout (JSON) against files kept in tests/data.
 
 Each certify_<name>.json there is the stdout of the command in CASES.
 The strong-starlike and sst-cor-p0 files were written before the line
@@ -55,7 +55,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certify_json_matches_the_kept_file(name, capsys):
     args, code = CASES[name]
-    assert main(["certify", *args.split(), "--json"]) == code
+    assert main(["certify", *args.split()]) == code
     out = capsys.readouterr().out
     assert out.encode() == (DATA / f"certify_{name}.json").read_bytes()
     assert ("inconclusive" in out) == name.endswith("inconclusive")

@@ -1,9 +1,11 @@
 """CLI surface: flags, exit codes, JSON round-trips, scan CSV contract."""
 
+import argparse
 import csv
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +19,7 @@ from hypstar.errors import HypstarError, InvalidParams
 from hypstar.hypergeom import SeriesSettings
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -151,9 +154,13 @@ class TestCertify:
         assert code == 3
 
     def test_threads_only_on_scan(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["certify", "--theorem", "cor-a2", "--a", "2,0", "--b", "2,0", "--c", "3,0", "--threads", "2"])
-        assert exc.value.code == 2
+        # scans run on one thread, so no command takes --threads, scan included
+        for argv in (["certify", "--theorem", "cor-a2", "--a", "2,0", "--b", "2,0", "--c", "3,0"],
+                     ["scan", "--spec", "spec.json", "--out", "scan.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--threads", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--a", "nan,0"), ("--a", "inf,0"), ("--b", "2,-inf"), ("--c", "nan"), ("--c", "3,nan"),
@@ -341,23 +348,54 @@ def test_commands_without_series_settings_refuse_the_series_flags(command, flag,
     spec, out = tmp_path / "spec.json", tmp_path / "scan.csv"
     spec.write_text(json.dumps({**SCAN_SPEC, "verify": True}))
     argv = {"certify": ["certify", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
-            "scan": ["scan", "--spec", str(spec), "--out", str(out)]}[command]
+            "scan": ["scan", "--spec", str(spec), "--out", str(out), "--json"]}[command]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, flag, value, "--json"])
+        main([*argv, flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--a", "1,0", "--b", "1,0", "--c", "3,0", "--z", "0.5,0"],
+    ["eval", "--a", "1,0", "--b", "1,0", "--c", "3,0", "--z", "0.5,0", "--json"],
     ["verify", "--class", "starlike", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
     ["crosscheck", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
 ])
 def test_commands_that_sum_a_series_take_the_series_flags(argv):
-    args = cli.build_parser().parse_args([*argv, *(part for pair in SERIES_FLAGS for part in pair), "--json"])
+    args = cli.build_parser().parse_args([*argv, *(part for pair in SERIES_FLAGS for part in pair)])
     assert cli._series_settings(args) == SeriesSettings(tol=1e-10, max_terms=5, radius_cap=0.9)
-    assert args.json
+    if argv[0] == "eval":
+        assert args.json
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
+    ["verify", "--class", "starlike", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
+    ["crosscheck", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0", "--c", "3,0"],
+])
+def test_commands_that_always_print_json_refuse_the_json_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def _subcommand_flags() -> dict[str, list[str]]:
+    """Each subcommand of build_parser() with its long flags, in the order they are defined."""
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {name: [flag for action in command._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")]
+            for name, command in sub.choices.items()}
+
+
+def test_readme_cli_table_names_exactly_the_flags_of_each_subcommand():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI"):]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section[:section.index("\n## ", 1)], re.MULTILINE)
+    table = {command: re.findall(r"`(--[\w-]+)`", flags) for command, flags in rows}
+    assert table == _subcommand_flags()
+    assert sum(map(len, table.values())) == 57
 
 
 SCAN_SPEC = {
@@ -398,7 +436,7 @@ class TestScan:
         spec = self.write_spec(tmp_path, SCAN_SPEC)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert run_cli(capsys, "scan", "--spec", spec, "--out", out1)[0] == 0
-        assert run_cli(capsys, "scan", "--spec", spec, "--out", out2, "--threads", "4")[0] == 0
+        assert run_cli(capsys, "scan", "--spec", spec, "--out", out2)[0] == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_empty_varying_rejected(self, tmp_path, capsys):

@@ -11,12 +11,12 @@ import json
 import mpmath
 import numpy as np
 import pytest
-from reference import boundary_gap
+from reference import boundary_gap, mu_of
 
 from hypstar import HypergeomParams, SpirallikeOrder, StarlikeOrder, StronglyStarlike, certificates
 from hypstar.certificates import Rows, general_batch
 from hypstar.cli import main
-from hypstar.shapes import lam_of, mu_of
+from hypstar.shapes import lam_of
 from hypstar.verifier import CONSISTENT, DiskGridSettings, verify_rows
 
 D0, C3 = "Re[ab conj(mu)] - p|mu|^2", "s^3 coefficient"
@@ -69,7 +69,7 @@ OVERCLAIMS = {
 @pytest.mark.parametrize("name", sorted(OVERCLAIMS))
 def test_rows_the_boundary_grid_passed_fail(name, capsys):
     args, failed, note = OVERCLAIMS[name]
-    assert main(["certify", "--theorem", "general", *args.split(), "--json"]) == 1
+    assert main(["certify", "--theorem", "general", *args.split()]) == 1
     out = json.loads(capsys.readouterr().out)
     assert next(c["name"] for c in out["conditions"] if not c["pass"]) == failed
     if note is not None:

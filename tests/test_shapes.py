@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import boundary_values, q_class
+from reference import boundary_values, mu_of, q_class
 
 from hypstar import SpirallikeOrder, StarlikeOrder, StronglyStarlike
-from hypstar.shapes import membership_slack_array, mu_of
+from hypstar.shapes import membership_slack_array
 
 ALL_CLASSES = [
     StarlikeOrder(0.0),

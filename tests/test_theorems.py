@@ -83,7 +83,7 @@ def test_every_kind_has_a_case():
 @pytest.mark.parametrize("kind", list(CHECKERS))
 def test_certify_prints_the_direct_certificate(kind, capsys):
     argv, direct = CASES[kind]
-    code = main(["certify", "--theorem", kind, "--json", *argv])
+    code = main(["certify", "--theorem", kind, *argv])
     out = capsys.readouterr().out
     cert = direct()
     assert out == json.dumps(cert.to_json(), indent=2) + "\n"

@@ -424,6 +424,18 @@ class TestOuterRingPath:
         assert report.f_zeros_inside is None
         assert report.rings == "all"
 
+    @pytest.mark.parametrize("abc", [(1e155, 1e155, 2), (1e5, 1e5, 1), (2e4, 2e4, 1)])
+    def test_overflowed_outer_ring_skips_the_winding_ladder(self, abc, monkeypatch):
+        # each ladder ring would sum the terms that overflowed the outer ring, so none of them could settle
+        params, ring = HypergeomParams(*abc), verifier.gauss_2f1_ring
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(ring(params, SWEEP_GRID.radii()[-1], SWEEP_GRID.n_angles).tail)
+        angles = []
+        monkeypatch.setattr(verifier, "gauss_2f1_ring", lambda p, r, n, s: angles.append(n) or ring(p, r, n, s))
+        report = verify_rows([StarlikeOrder(0)], [params], SWEEP_GRID)[0]
+        assert (report.status, report.f_zeros_inside, report.rings) == (INCOMPLETE, None, "all")
+        assert angles == [SWEEP_GRID.n_angles] * SWEEP_GRID.n_radii
+
     def test_unconverged_outer_ring_takes_every_ring(self):
         report = verify_on_disk(StarlikeOrder(0), HypergeomParams(2, 1, 2), settings=SeriesSettings(max_terms=100))
         assert report.rings == "all"

@@ -1,4 +1,4 @@
-"""One-row `hypstar verify --json` bytes against files kept in tests/data.
+"""One-row `hypstar verify` stdout (JSON) against files kept in tests/data.
 
 Each verify_<name>.json there is the stdout of the command in CASES,
 written before a real triple's rings were summed in real long double.
@@ -37,7 +37,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_verify_json_matches_the_kept_file(name, capsys):
     args, code, status, rings = CASES[name]
-    assert main(["verify", *args.split(), "--json"]) == code
+    assert main(["verify", *args.split()]) == code
     out = capsys.readouterr().out
     assert out.encode() == (DATA / f"verify_{name}.json").read_bytes()
     report = json.loads(out)
