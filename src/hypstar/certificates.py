@@ -255,11 +255,18 @@ def _refuse_class(errors: dict, family: type, alpha: np.ndarray, lam: np.ndarray
         return
     except ValueError:
         pass
-    for i, (order, angle) in enumerate(zip(alpha.tolist(), lam.tolist())):
+    # one class per distinct (alpha, lam) bit pair, so -0.0 and each NaN keep their own;
+    # its error goes to every row of the pair, in row order
+    bits = np.stack([alpha.view(np.uint64), lam.view(np.uint64)], axis=1)
+    _, first, pair = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    refused = {}
+    for k, i in enumerate(first.tolist()):
         try:
-            shape_of(family, order, angle)
+            shape_of(family, float(alpha[i]), float(lam[i]))
         except ValueError as exc:
-            errors.setdefault(i, exc)
+            refused[k] = exc
+    for i in np.flatnonzero(np.isin(pair, list(refused))).tolist():
+        errors.setdefault(i, refused[int(pair[i])])
 
 
 @dataclass(frozen=True)

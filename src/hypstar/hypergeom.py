@@ -37,6 +37,9 @@ _SPAN_TERMS = 4095
 _INDEX = {t: np.arange(_SPAN_TERMS + 2, dtype=t) for t in (np.longdouble, np.clongdouble)}
 for _index in _INDEX.values():
     _index.flags.writeable = False
+# u_0 = 1 in each dtype of terms, the first carry of a series pass; numpy scalars are immutable
+_ONE = {t: t(1) for t in _INDEX}
+_ZERO = np.clongdouble(0)
 _PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
 
 
@@ -53,8 +56,15 @@ class HypergeomParams:
 
     The roles of a and b are interchangeable: every operation in this module
     returns bit-identical results under a swap.
+
+    A triple keeps its hash, made once at construction, as the point memo
+    hashes its key on each of the F, F' and q calls.  Slots instead of an
+    instance dict make room for it: a triple takes no more memory than its
+    three fields did in a dict.  Copies, pickles and dataclasses.replace
+    build a new triple through __init__, and so hash it again.
     """
 
+    __slots__ = ("a", "b", "c", "_hash")
     a: complex
     b: complex
     c: complex
@@ -67,6 +77,15 @@ class HypergeomParams:
             object.__setattr__(self, name, value)
         if _is_nonpositive_integer(self.c):
             raise InvalidC("c is a nonpositive integer")
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.c)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        """Rebuild through __init__: a frozen instance refuses the setattr
+        that restores slots by default."""
+        return HypergeomParams, (self.a, self.b, self.c)
 
     @property
     def p(self) -> complex:
@@ -89,7 +108,8 @@ class SeriesSettings:
     summation stops once a rigorous geometric bound on the tail is at most
     tol times |F| and |zF'| at every requested point.  max_terms caps the
     number of terms.  radius_cap keeps requests off the unit circle, where
-    the series cannot converge in finite time.
+    the series cannot converge in finite time.  Like a triple, the settings
+    keep their hash from construction.
     """
 
     tol: float = 1e-15
@@ -103,6 +123,10 @@ class SeriesSettings:
             raise ValueError("max_terms must be at least 1")
         if not 0 < self.radius_cap < 1:
             raise ValueError("radius_cap must lie in (0, 1)")
+        object.__setattr__(self, "_hash", hash((self.tol, self.max_terms, self.radius_cap)))
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT_SERIES = SeriesSettings()
@@ -175,7 +199,8 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
     `reach` if that is further, at most `_SPAN_TERMS` terms a pass; points
     pass reach 0, one block per pass.  cumprod over a span chains the terms
     as block by block would; n and n + 1 are slices of the `_INDEX` of
-    dtype, the terms' own, where it reaches.  The stop is still decided at each block end:
+    dtype, the terms' own, where it reaches, and of one arange past it.
+    The stop is still decided at each block end:
     K |u_K| rho / (1 - rho), K = stop - 1 and rho from `_tail_ratio`, bounds
     the tails of sum u_n and sum n u_n (zero for a terminating series).  Once
     it is at most tol times the goal, values(tail, tol) gives (F, zF',
@@ -187,7 +212,7 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
     """
     r = abs(z)
     index = _INDEX[dtype]
-    last = dtype(1)  # u_{start-1}, the carry between spans
+    last = _ONE[dtype]  # u_{start-1}, the carry between spans
     goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
     start = 1
     while True:
@@ -198,7 +223,8 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
         if span_stop <= len(index):
             n, n1 = index[start - 1:span_stop - 1], index[start:span_stop]
         else:
-            n, n1 = (np.arange(k, k + span_stop - start, dtype=dtype) for k in (start - 1, start))
+            n1 = np.arange(start - 1, span_stop, dtype=dtype)
+            n, n1 = n1[:-1], n1[1:]
         ratio = _term_ratios(params, z, n, n1)
         ratio[0] *= last
         u = ratio.cumprod()
@@ -235,14 +261,15 @@ def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings)
     """
     if abs(z) > settings.radius_cap + _RADIUS_SLACK:
         raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
-    f, zdf = np.clongdouble(1), np.clongdouble(0)  # the sums from u_0
+    f, zdf = _ONE[np.clongdouble], _ZERO  # the sums from u_0
     if z == 0:
         return f, zdf, True
 
     def add(start, u, n):
+        """The pairwise sums of ndarray.sum, without its Python wrapper."""
         nonlocal f, zdf
-        f += u.sum()
-        zdf += np.multiply(n, u, out=u).sum()
+        f += np.add.reduce(u)
+        zdf += np.add.reduce(np.multiply(n, u, out=u))
 
     def values(tail, tol):
         """The ring's array test on two scalars; min() would drop a NaN that np.minimum keeps."""

@@ -24,6 +24,7 @@ from .hypergeom import (  # noqa: F401
     DEFAULT_SERIES,
     ZERO_TOL,
     HypergeomParams,
+    RingValues,
     SeriesSettings,
     gauss_2f1_grid,
     gauss_2f1_ring,
@@ -163,6 +164,19 @@ def _zeros_inside(params: HypergeomParams, r: float, n_angles: int, settings: Se
     return None
 
 
+def _unresolved(outer: RingValues) -> str:
+    """Why an outer ring leaves the zero count open: the refinement ladder
+    ran and found no count, or it never ran, as the ring's tail bound is not
+    finite (see `_zeros_inside`).  That bound is infinite where the terms
+    overflowed, and, with every value on the ring finite, where the ratio
+    bound stayed at 1 or more up to max_terms or |u_K| passed the largest double."""
+    if math.isfinite(outer.tail):
+        return f"no winding number on up to {_WINDING_REFINEMENTS[-1] * len(outer.f)} angles"
+    if not (np.isfinite(outer.f).all() and np.isfinite(outer.zdf).all()):
+        return "the series terms overflowed on the outer ring"
+    return "no finite tail bound on the outer ring"
+
+
 def _class_groups(classes: Sequence[ShapeClass]) -> list[tuple[ShapeClass, np.ndarray | slice]]:
     """Each distinct class with the rows that have it: an index array, or
     slice(None) when every row has the one class, so its rows are a view.
@@ -224,9 +238,11 @@ def _report(
     rings: list[tuple],
     f_zeros_inside: Optional[int],
     outer_only: bool,
+    unresolved: Optional[str],
 ) -> VerificationReport:
     """The report of one row from the slack at the origin and the figures
-    (see `_ring_figures`) of its rings, (r, figures) innermost first."""
+    (see `_ring_figures`) of its rings, (r, figures) innermost first;
+    unresolved says why f_zeros_inside is None (see `_unresolved`)."""
 
     def node(r, k):
         """z_k = r e^{2 pi i k/n} of a grid ring in complex128, formed only where the report names it."""
@@ -250,8 +266,7 @@ def _report(
 
     r_out = rings[-1][0]
     if f_zeros_inside is None:
-        n_max = _WINDING_REFINEMENTS[-1] * grid.n_angles
-        notes.append(f"zeros of F inside r = {r_out:.6g} unresolved: no winding number on up to {n_max} angles")
+        notes.append(f"zeros of F inside r = {r_out:.6g} unresolved: {unresolved}")
     elif f_zeros_inside > 0:
         notes.append(f"F has {f_zeros_inside} zero(s) inside r = {r_out:.6g} (winding number on the outer ring)")
 
@@ -337,7 +352,8 @@ def _verify_stack(
             outer_only = count is not None and settled[i]
             rings = [] if outer_only else [(r, _inner_figures(cls, p, r, n, settings)) for r in radii[:-1]]
             rings.append((r_out, figures[i]))
-            reports.append(_report(cls, p, grid, float(origin[i]), rings, count, outer_only))
+            unresolved = None if count is not None else _unresolved(outer[i])
+            reports.append(_report(cls, p, grid, float(origin[i]), rings, count, outer_only, unresolved))
     return reports
 
 

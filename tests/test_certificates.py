@@ -447,6 +447,34 @@ class TestGeneralChecker:
         with pytest.raises(InvalidParams, match="class family"):
             check(Rows(1, 1, 3))
 
+    @pytest.mark.parametrize("check", [certificates.general_batch, certificates.convexity_batch])
+    def test_one_refused_order_in_a_chunk_refuses_that_row_alone(self, check):
+        """Classes are built once per distinct (alpha, lam); the refused pair's
+        error goes to its one row, and the other rows check as they would without it."""
+        rng = np.random.default_rng(24)
+        n, bad = 4096, 1234
+        a, b = (1 + rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
+        c = a + b + 1 - rng.choice([0.0, 0.5, 1.0], n)
+        alpha = rng.choice([0.0, -0.0, 0.25, 0.5], n)
+        alpha[bad] = 1.0
+        rows = Rows(a, b, c, alpha, family=StarlikeOrder)
+        keep = np.arange(n) != bad
+        got = check(rows)
+        want = check(Rows(a[keep], b[keep], c[keep], alpha[keep], family=StarlikeOrder))
+        with pytest.raises(ValueError) as own:
+            StarlikeOrder(1.0)
+        assert bad in got.errors and str(got.errors[bad]) == str(own.value)
+        index = np.flatnonzero(keep)
+        assert {int(index[i]): str(e) for i, e in want.errors.items()} == {
+            i: str(e) for i, e in got.errors.items() if i != bad}
+        for mine, theirs in zip(got.conditions, want.conditions, strict=True):
+            assert mine.name == theirs.name
+            assert np.array_equal(mine.value[keep], theirs.value, equal_nan=True)
+            assert np.array_equal(np.signbit(mine.value[keep]), np.signbit(theirs.value))
+            assert np.array_equal(mine.passed[keep], theirs.passed)
+            if not isinstance(mine.threshold, str):
+                assert [t for i, t in enumerate(mine.threshold) if i != bad] == list(theirs.threshold)
+
 
 class TestConvexity:
     def test_rejects_zero_product(self):

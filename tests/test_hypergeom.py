@@ -1,8 +1,11 @@
 """Series evaluator tests against closed forms, finite differences and the ODE."""
 
 import cmath
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -621,3 +624,94 @@ class TestTerminatingSpans:
         assert got.terms == width and got.tail == 0
         assert _same_ring(got, _reference_ring(params, r, n_angles))
 
+
+
+def _signed_zero_triples(rng, n):
+    """n random triples whose parts are +0.0 or -0.0 at random, every third one
+    real (its imaginary parts signed zeros), then terminating and overflowing ones."""
+    triples = []
+    while len(triples) < n:
+        parts = rng.uniform(-3, 3, 6) * (rng.uniform(size=6) > 0.3)
+        if len(triples) % 3 == 0:
+            parts[1::2] = 0.0
+        parts *= rng.choice([1.0, -1.0], 6)
+        try:
+            triples.append(HypergeomParams(*(complex(parts[i], parts[i + 1]) for i in (0, 2, 4))))
+        except InvalidC:
+            continue
+    edges = [(-3, complex(2, -0.0), 1.5), (complex(1, 1), -5, complex(3, -0.0)), (complex(-0.0, 2), -2, 0.5),
+             (1e155, 1e155, 2), (2e4, 2e4, 1), (complex(1e150, -0.0), 1e150, complex(1, 1))]
+    return triples + [HypergeomParams(*abc) for abc in edges]
+
+
+PREPARED = _signed_zero_triples(np.random.RandomState(24), 45)
+
+
+def _flip_zeros(params):
+    """The triple with the sign of each zero part flipped; it is equal to params."""
+    def flip(x):
+        return -x if x == 0 else x
+    return HypergeomParams(*(complex(flip(w.real), flip(w.imag)) for w in (params.a, params.b, params.c)))
+
+
+class TestPreparedTriple:
+    """A triple keeps its hash from construction; every series result is the one
+    that the reference loop, fed the triple's Python numbers, gives, sign of
+    zero included."""
+
+    def test_points_and_rings_match_the_reference_loop(self, monkeypatch):
+        """Points at complex z, and rings in the triple's own dtype (long double
+        for the real triples), against `_reference_loop`, and under a swap."""
+        points = [(params, z) for params in PREPARED for z in (0.6j, complex(-0.8, -0.0), complex(0.4, -0.5))]
+        with np.errstate(all="ignore"):
+            got_points = [POINT_SERIES(params, complex(z), SeriesSettings()) for params, z in points]
+            got_rings = [gauss_2f1_ring(params, 0.97, 120) for params in PREPARED]
+            for (params, z), got in zip(points, got_points):
+                swapped = POINT_SERIES(params.swapped(), complex(z), SeriesSettings())
+                assert all(_same_bits(x, y) for x, y in zip(got, swapped)), (params, z)
+            for params, got in zip(PREPARED, got_rings):
+                assert _same_ring(got, gauss_2f1_ring(params.swapped(), 0.97, 120)), params
+            monkeypatch.setattr(hypergeom, "_sum_series", _reference_loop)
+            for (params, z), got in zip(points, got_points):
+                want = POINT_SERIES(params, complex(z), SeriesSettings())
+                assert all(_same_bits(x, y) for x, y in zip(got, want)), (params, z)
+            for params, got in zip(PREPARED, got_rings):
+                assert _same_ring(got, gauss_2f1_ring(params, 0.97, 120)), params
+        real = [params for params in PREPARED if hypergeom._ring_dtype(params) is np.longdouble]
+        assert len(real) >= 15 and any(math.copysign(1, params.a.imag) < 0 for params in real)
+
+    def test_equal_triples_hash_equal(self):
+        """Signed zeros and the type of the numbers given leave the triple, its hash
+        and its pass unchanged; the memo, which takes equal triples as one key,
+        so returns each of them its own bits."""
+        pairs = [(HypergeomParams(1, 2, 3), HypergeomParams(1.0, 2 + 0j, np.float64(3)))]
+        pairs += [(params, _flip_zeros(params)) for params in PREPARED]
+        for params, other in pairs:
+            assert params == other and hash(params) == hash(other) == hash((params.a, params.b, params.c))
+            assert len({params, other}) == 1
+        with np.errstate(all="ignore"):
+            for params, other in pairs[1:]:
+                mine = POINT_SERIES(params, 0.5 - 0.4j, SeriesSettings())
+                assert all(_same_bits(x, y) for x, y in zip(mine, POINT_SERIES(other, 0.5 - 0.4j, SeriesSettings())))
+        settings = SeriesSettings(tol=1e-15, max_terms=200_000, radius_cap=0.995)
+        assert hash(settings) == hash(hypergeom.DEFAULT_SERIES) == hash((1e-15, 200_000, 0.995))
+
+    def test_replace_prepares_the_new_triple(self):
+        params, z = HypergeomParams(1 + 1j, 2, 3), 0.5 + 0.2j
+        gauss_2f1(params, z)
+        moved = dataclasses.replace(params, a=-0.5)
+        fresh = HypergeomParams(-0.5, 2, 3)
+        assert moved == fresh and hash(moved) == hash(fresh) != hash(params)
+        assert _bits(gauss_2f1(moved, z)) == _bits(_direct(fresh, z)[gauss_2f1])
+        with pytest.raises(InvalidC):
+            dataclasses.replace(params, c=-2)
+        loose = dataclasses.replace(hypergeom.DEFAULT_SERIES, tol=1e-10)
+        assert hash(loose) == hash(SeriesSettings(tol=1e-10)) != hash(hypergeom.DEFAULT_SERIES)
+
+    def test_copies_and_pickles_are_equal_triples(self):
+        params = HypergeomParams(complex(-0.0, 1), 2.5, 3)
+        for other in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert other == params and hash(other) == hash(params)
+            assert math.copysign(1, other.a.real) < 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.a = 1

@@ -435,6 +435,19 @@ class TestOuterRingPath:
         report = verify_rows([StarlikeOrder(0)], [params], SWEEP_GRID)[0]
         assert (report.status, report.f_zeros_inside, report.rings) == (INCOMPLETE, None, "all")
         assert angles == [SWEEP_GRID.n_angles] * SWEEP_GRID.n_radii
+        overflowed = "zeros of F inside r = 0.97 unresolved: the series terms overflowed on the outer ring"
+        assert report.notes[-1] == overflowed
+
+    def test_unresolved_note_names_why_the_count_is_open(self):
+        """The ladder's note where it ran; where the outer tail bound is not
+        finite without overflow (the ratio bound at 1 or more up to max_terms),
+        a note that says so."""
+        coarse = DiskGridSettings(n_radii=2, r_max=0.995, n_angles=16)
+        ladder = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(2, 1, 1), coarse)
+        assert ladder.notes[-1] == "zeros of F inside r = 0.995 unresolved: no winding number on up to 256 angles"
+        short = verify_on_disk(StarlikeOrder(0.0), HypergeomParams(1, 1, 3), SWEEP_GRID, SeriesSettings(max_terms=3))
+        assert (short.status, short.f_zeros_inside) == (INCOMPLETE, None)
+        assert short.notes[-1] == "zeros of F inside r = 0.97 unresolved: no finite tail bound on the outer ring"
 
     def test_unconverged_outer_ring_takes_every_ring(self):
         report = verify_on_disk(StarlikeOrder(0), HypergeomParams(2, 1, 2), settings=SeriesSettings(max_terms=100))
