@@ -42,6 +42,7 @@ from .shapes import (
     StarlikeOrder,
     StronglyStarlike,
     class_to_json,
+    inside_limits,
     lam_of,
     shape_of,
 )
@@ -247,26 +248,8 @@ def _refuse_class(errors: dict, family: type, alpha: np.ndarray, lam: np.ndarray
     """Refuse the rows whose order or angle the family's class refuses, with the class's ValueError."""
     if family is None:
         raise InvalidParams("this checker needs the rows' class family (Rows.family)")
-    # each family accepts a product of intervals in (alpha, lam), so when the least and the
-    # greatest order and angle are accepted, so is every row (a NaN row makes them NaN)
-    try:
-        shape_of(family, alpha.min(), lam.min())
-        shape_of(family, alpha.max(), lam.max())
-        return
-    except ValueError:
-        pass
-    # one class per distinct (alpha, lam) bit pair, so -0.0 and each NaN keep their own;
-    # its error goes to every row of the pair, in row order
-    bits = np.stack([alpha.view(np.uint64), lam.view(np.uint64)], axis=1)
-    _, first, pair = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    refused = {}
-    for k, i in enumerate(first.tolist()):
-        try:
-            shape_of(family, float(alpha[i]), float(lam[i]))
-        except ValueError as exc:
-            refused[k] = exc
-    for i in np.flatnonzero(np.isin(pair, list(refused))).tolist():
-        errors.setdefault(i, refused[int(pair[i])])
+    for inside, message in inside_limits(family, alpha, lam):
+        _refuse(errors, ~inside, lambda _, message=message: ValueError(message))
 
 
 @dataclass(frozen=True)
@@ -532,26 +515,37 @@ def _cubic_residual(alpha, K, S, T, U, V):
 
     Points of shape (k,) are shared by every row, so x and alpha (s + 1/s) x
     are computed once per distinct alpha and gathered per row; points of
-    shape (rows, m) get per-row powers.  Either way each value comes from the
-    same operations in the same order.  The arithmetic runs in place: Horner's
-    sum lives in one buffer that every call reuses, and the result takes the
-    buffer of the per-row x once x is spent, so a call makes one new array of
-    its size, the one it returns (fresh pages cost the log scan more than its
-    arithmetic).  One residual serves one caller at a time.
+    shape (rows, m) get per-row powers, with the coefficients laid out in that
+    shape once, so that no loop runs over one row's m points alone.  Either
+    way each value comes from the same operations in the same order.  The
+    arithmetic runs in place: Horner's sum and the per-row x live in buffers
+    that every call reuses, so a call makes one new array of its size, the
+    one it returns (fresh pages cost the log scan more than its arithmetic).
+    One residual serves one caller at a time.
     """
     # distinct by bits, so that -0.0 and +0.0 (or two NaNs) keep their own powers
     distinct, group = np.unique(alpha.view(np.int64), return_inverse=True)
-    distinct, every_row = distinct.view(float)[:, None], np.arange(len(alpha))
-    alpha, K, S, T, U, V = (v[:, None] for v in (alpha, K, S, T, U, V))
+    distinct, columns = distinct.view(float)[:, None], [v[:, None] for v in (alpha, K, S, T, U, V)]
+    laid_out = {}  # shape of per-row points -> the coefficients in that shape, and a buffer for x
     work = np.empty(0)
 
     def residual(s):
         nonlocal work
         s = np.asarray(s, dtype=float)
-        a, rows = (distinct, group) if s.ndim == 1 else (alpha, every_row)
-        powers = s**a
-        scaled = a * (s + 1 / s) * powers
-        x = powers[rows]
+        if s.ndim == 1:
+            _, K, S, T, U, V = columns
+            powers = s**distinct
+            scaled = distinct * (s + 1 / s) * powers
+            x = powers[group]
+        else:
+            if s.shape not in laid_out:
+                laid_out[s.shape] = [*(np.broadcast_to(v, s.shape).copy() for v in columns), np.empty(s.shape)]
+            a, K, S, T, U, V, x = laid_out[s.shape]
+            np.power(s, a, out=x)
+            scaled = 1 / s  # 1/s + s, then times a and x: IEEE + and * commute, so these are a (s + 1/s) x's bits
+            scaled += s
+            scaled *= a
+            scaled *= x
         if work.size < x.size:
             work = np.empty(x.size)
         horner = np.multiply(S, x, out=work[:x.size].reshape(x.shape))
@@ -560,8 +554,8 @@ def _cubic_residual(alpha, K, S, T, U, V):
         horner += U
         horner *= x
         horner += V
-        # x is spent, so the result takes its buffer ("clip" gathers without a temporary)
-        out = np.take(scaled, rows, axis=0, out=x, mode="clip")
+        # the shared points' x is spent, so the result takes its buffer ("clip" gathers without a temporary)
+        out = scaled if s.ndim > 1 else np.take(scaled, group, axis=0, out=x, mode="clip")
         out *= K
         out -= horner
         return out

@@ -312,7 +312,7 @@ class _ScanGrid:
         self.spec = spec
         self.axes = spec.axes
         self.values = [np.array(ax.values()) for ax in spec.axes]
-        self.labels = [np.array([render_value(v) for v in ax.values()], dtype=object) for ax in spec.axes]
+        self.labels = [np.array([render_value(v) + "," for v in ax.values()], dtype=object) for ax in spec.axes]
         self.strides = [int(np.prod([ax.steps for ax in spec.axes[k + 1:]])) for k in range(len(spec.axes))]
         self.size = int(np.prod([ax.steps for ax in spec.axes]))
         self.fixed = {sym: float(spec.fixed.get(sym, 0.0)) for sym in SCAN_SYMBOLS}
@@ -337,9 +337,9 @@ class _ScanGrid:
             alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
         return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), family, spec.line_search)
 
-    def label_columns(self, start: int, stop: int) -> list[list[str]]:
-        """The axis labels of rows start..stop-1, one list per axis."""
-        return [labels[idx].tolist() for labels, idx in zip(self.labels, self._axis_indices(start, stop))]
+    def label_columns(self, start: int, stop: int) -> list[np.ndarray]:
+        """The axis labels of rows start..stop-1, each with its trailing comma, one array per axis."""
+        return [labels[idx] for labels, idx in zip(self.labels, self._axis_indices(start, stop))]
 
 
 def _csv_field(text: str) -> str:
@@ -353,30 +353,34 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple
     """The CSV lines of scan rows start..stop-1, with their numbers of
     certified rows and of verifier violations.
 
-    The lines are built by columns: each distinct outcome (passed, or the
-    failed condition or refusal) is rendered once and every row picks its
-    own by index.  A verifying scan verifies the rows the checker accepted
-    in one `verify_rows` pass, each with its class and (a, b, c) as the
-    checker gives them; a refused row is written with status Invalid.
+    The text is one join over a (rows, fields) array of strings, filled by
+    columns: axis labels carry their comma, and each distinct outcome
+    (passed, or the failed condition or refusal) is rendered once with the
+    rest of its line and picked per row by index.  A verifying scan verifies
+    the rows the checker accepted in one `verify_rows` pass, each with its
+    class and (a, b, c) as the checker gives them; a refused row is written
+    with status Invalid.
     """
     batch = CHECKERS[spec.certificate_kind](grid.rows(start, stop))
     code, names = batch.failed_conditions()
-    empty_verify_fields = "" if spec.verify else ",,"
-    outcomes = np.array(["true,", *(f"false,{_csv_field(name)}" for name in names[1:])], dtype=object)
-    columns = [*grid.label_columns(start, stop), (outcomes + empty_verify_fields)[code].tolist()]
+    tail = "," if spec.verify else ",,\r\n"
+    outcomes = np.array([f"true,{tail}", *(f"false,{_csv_field(name)}{tail}" for name in names[1:])], dtype=object)
+    k = len(grid.axes)
+    fields = np.empty((stop - start, k + 3 if spec.verify else k + 1), dtype=object)
+    for j, column in enumerate(grid.label_columns(start, stop)):
+        fields[:, j] = column
+    fields[:, k] = outcomes[code]
     n_viol = 0
     if spec.verify:
-        min_slack, status = [""] * (stop - start), ["Invalid"] * (stop - start)
+        fields[:, k + 1:] = "", ",Invalid\r\n"  # min_slack, then status and the line end
         accepted = [i for i in range(stop - start) if i not in batch.errors]
         a, b, c = batch.params
         rows = [HypergeomParams(a[i], b[i], c[i]) for i in accepted]
         reports = verify_rows([batch.shape_class(i) for i in accepted], rows, spec.grid, spec.series)
         for i, report in zip(accepted, reports):
-            min_slack[i], status[i] = render_value(report.min_slack), report.status
-        columns += [min_slack, status]
-        n_viol = status.count(VIOLATED)
-    text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
-    return text, int(np.count_nonzero(code == 0)), n_viol
+            fields[i, k + 1:] = render_value(report.min_slack), f",{report.status}\r\n"
+        n_viol = sum(report.status == VIOLATED for report in reports)
+    return "".join(fields.ravel().tolist()), int(np.count_nonzero(code == 0)), n_viol
 
 
 def run_scan(spec: ScanSpec, out_path: str, threads: int = 1) -> dict:

@@ -21,40 +21,50 @@ from typing import Union
 
 import numpy as np
 
+def inside_limits(family: type, alpha, lam=0.0) -> list[tuple]:
+    """(inside, message) per limit of the family, in the order its classes check them: whether
+    alpha or lam (numbers, or arrays elementwise; NaN is outside) meets it, and its ValueError text."""
+    values = {"alpha": alpha, "lam": lam}
+    return [(((lo <= values[name]) if closed else (lo < values[name])) & (values[name] < hi), message)
+            for name, lo, hi, closed, message in family.LIMITS]
+
+
+class _Limited:
+    """A family whose LIMITS state each parameter's interval once, as (field, lo, hi, lo
+    included, message); a class refuses the first limit it breaks."""
+
+    def __post_init__(self):
+        for inside, message in inside_limits(type(self), self.alpha, getattr(self, "lam", 0.0)):
+            if not inside:
+                raise ValueError(message)
+
+
 @dataclass(frozen=True)
-class StarlikeOrder:
+class StarlikeOrder(_Limited):
     """Target class Re[z f'/f] > alpha on the disk; alpha = 0 is classical starlikeness."""
 
     alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < 1:
-            raise ValueError("starlike order alpha must lie in [0, 1)")
+    LIMITS = (("alpha", 0.0, 1.0, True, "starlike order alpha must lie in [0, 1)"),)
 
 
 @dataclass(frozen=True)
-class StronglyStarlike:
+class StronglyStarlike(_Limited):
     """Target class |arg(z f'/f)| < pi alpha / 2 on the disk."""
 
     alpha: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError("strong starlikeness order alpha must lie in (0, 1)")
+    LIMITS = (("alpha", 0.0, 1.0, False, "strong starlikeness order alpha must lie in (0, 1)"),)
 
 
 @dataclass(frozen=True)
-class SpirallikeOrder:
+class SpirallikeOrder(_Limited):
     """Target class Re[e^{-i lam} z f'/f] > alpha cos(lam) on the disk."""
 
     lam: float
     alpha: float = 0.0
-
-    def __post_init__(self):
-        if not abs(self.lam) < math.pi / 2:
-            raise ValueError("spiral angle lam must lie in (-pi/2, pi/2)")
-        if not 0 <= self.alpha < 1:
-            raise ValueError("spirallike order alpha must lie in [0, 1)")
+    LIMITS = (
+        ("lam", -math.pi / 2, math.pi / 2, False, "spiral angle lam must lie in (-pi/2, pi/2)"),
+        ("alpha", 0.0, 1.0, True, "spirallike order alpha must lie in [0, 1)"),
+    )
 
 
 ShapeClass = Union[StarlikeOrder, StronglyStarlike, SpirallikeOrder]

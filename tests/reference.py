@@ -5,13 +5,25 @@ independent route to a quantity that the package computes another way.
 """
 
 import cmath
+import csv
+import io
+import itertools
 import math
 
 import numpy as np
 
-from hypstar import StronglyStarlike, gauss_2f1, gauss_2f1_derivative
+from hypstar import (
+    HypergeomParams,
+    SpirallikeOrder,
+    StarlikeOrder,
+    StronglyStarlike,
+    gauss_2f1,
+    gauss_2f1_derivative,
+)
+from hypstar.certificates import CHECKERS, CLASS_KINDS, Rows, render_value
 from hypstar.oracles import golden_section
 from hypstar.shapes import lam_of
+from hypstar.verifier import verify_rows
 
 # rows per lockstep pass of quadratic_nonneg_sampled: 500 x 2001 float64 is 8 MB an array
 _CHUNK_ROWS = 500
@@ -138,3 +150,49 @@ def ode_residual(params, z: complex) -> complex:
     d2f = a * b / c * gauss_2f1_derivative(params.shifted(), z)
     df = gauss_2f1_derivative(params, z)
     return (1 - z) * z * d2f + (c - (a + b + 1) * z) * df - a * b * gauss_2f1(params, z)
+
+
+# a scan spec's class kind -> its family
+SCAN_FAMILIES = {"starlike": StarlikeOrder, "strongly-starlike": StronglyStarlike, "spirallike": SpirallikeOrder}
+
+
+def render_scan_csv(spec) -> bytes:
+    """The CSV bytes of a scan, written row by row by csv.writer (QUOTE_MINIMAL,
+    \\r\\n line ends): every point in row-major order, checked in one call of
+    its kind's checker, and the accepted rows verified in one `verify_rows`
+    call when the spec verifies."""
+    points = list(itertools.product(*(ax.values() for ax in spec.axes)))
+    values = {sym: np.full(len(points), float(spec.fixed.get(sym, 0.0)))
+              for sym in ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "alpha", "lambda")}
+    for k, ax in enumerate(spec.axes):
+        values[ax.symbol] = np.array([point[k] for point in points])
+    a, b, c = (values[f"{name}_re"].astype(complex) for name in "abc")
+    for z, name in zip((a, b, c), "abc"):
+        z.imag = values[f"{name}_im"]
+    alpha, lam, family = values["alpha"], values["lambda"], None
+    if spec.certificate_kind in CLASS_KINDS:
+        family = SCAN_FAMILIES[spec.class_spec["kind"]]
+        alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
+    batch = CHECKERS[spec.certificate_kind](Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), family,
+                                                 spec.line_search))
+    accepted = [i for i in range(len(points)) if i not in batch.errors]
+    reports = {}
+    if spec.verify:
+        pa, pb, pc = batch.params
+        found = verify_rows([batch.shape_class(i) for i in accepted],
+                            [HypergeomParams(pa[i], pb[i], pc[i]) for i in accepted], spec.grid, spec.series)
+        reports = dict(zip(accepted, found))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow([ax.symbol for ax in spec.axes] + ["certificate_passed", "failed_condition", "min_slack", "status"])
+    for i, point in enumerate(points):
+        if i in batch.errors:
+            outcome = ["false", f"invalid: {batch.errors[i]}"]
+        else:
+            failed = [cond.name for cond in batch.conditions if not cond.passed[i]]
+            outcome = ["false", failed[0]] if failed else ["true", ""]
+        verified = ["", ""]
+        if spec.verify:
+            verified = [render_value(reports[i].min_slack), reports[i].status] if i in reports else ["", "Invalid"]
+        writer.writerow([render_value(v) for v in point] + outcome + verified)
+    return buf.getvalue().encode("utf-8")

@@ -31,12 +31,14 @@ from hypstar import (
     certify_strong_starlike,
     certify_theorem_A,
     oracles,
+    shapes,
     spirallike_lmn,
     starlike_order_lmn,
     strong_starlike_cubic,
 )
 from hypstar.certificates import Rows
 from hypstar.oracles import DEFAULT_LINE_SEARCH, minimize_on_positive_line
+from hypstar.shapes import shape_of
 
 
 def cond_value(cert, name):
@@ -449,8 +451,8 @@ class TestGeneralChecker:
 
     @pytest.mark.parametrize("check", [certificates.general_batch, certificates.convexity_batch])
     def test_one_refused_order_in_a_chunk_refuses_that_row_alone(self, check):
-        """Classes are built once per distinct (alpha, lam); the refused pair's
-        error goes to its one row, and the other rows check as they would without it."""
+        """The rows are tested against the class's limits as arrays; the refused
+        row gets the class's error, and the other rows check as they would without it."""
         rng = np.random.default_rng(24)
         n, bad = 4096, 1234
         a, b = (1 + rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
@@ -474,6 +476,33 @@ class TestGeneralChecker:
             assert np.array_equal(mine.passed[keep], theirs.passed)
             if not isinstance(mine.threshold, str):
                 assert [t for i, t in enumerate(mine.threshold) if i != bad] == list(theirs.threshold)
+
+    @pytest.mark.parametrize("family", [StarlikeOrder, SpirallikeOrder, StronglyStarlike])
+    @pytest.mark.parametrize("check", [certificates.general_batch, certificates.convexity_batch])
+    def test_distinct_orders_are_refused_without_a_class_per_row(self, monkeypatch, check, family):
+        # a quarter of 4,096 distinct orders at or above 1; for spirallike, some angles out of range too
+        rng = np.random.default_rng(25)
+        n = 4096
+        alpha = rng.uniform(0.01, 0.99, n)
+        alpha[::4] = 1 + rng.uniform(0, 1, n // 4)
+        alpha[4] = 1.0
+        lam = rng.uniform(-1.5, 1.5, n)
+        lam[1::5] = rng.choice([-1, 1], len(lam[1::5])) * rng.uniform(np.pi / 2, 3, len(lam[1::5]))
+        lam[5] = np.pi / 2
+        want = {}
+        for i in range(n):
+            try:
+                shape_of(family, alpha[i], lam[i])
+            except ValueError as exc:
+                want[i] = str(exc)
+        built = []
+        original = shapes._Limited.__post_init__
+        monkeypatch.setattr(shapes._Limited, "__post_init__", lambda cls: built.append(cls) or original(cls))
+        got = check(Rows(1, 1, 4, alpha, lam, family=family))
+        assert len(built) <= 4
+        assert {i: str(e) for i, e in got.errors.items()} == want
+        assert all(type(e) is ValueError for e in got.errors.values())
+        assert len(want) >= n // 4 and (family is not SpirallikeOrder or len(want) > n // 4 + n // 10)
 
 
 class TestConvexity:
@@ -644,20 +673,25 @@ CUBIC_ALPHAS = {
 @np.errstate(all="ignore")
 def test_cubic_residual_matches_the_allocating_one(alphas):
     rows = _cubic_rows(CUBIC_ALPHAS[alphas])
-    kept = [r.copy() for r in rows]
-    residual = certificates._cubic_residual(*rows)
-    reference = _reference_cubic_residual(*(r[:, None] for r in rows))
+    one_row = [r[3:4].copy() for r in rows]
+    kept = [r.copy() for r in rows + one_row]
+    residual, other = certificates._cubic_residual(*rows), certificates._cubic_residual(*one_row)
     s = np.logspace(-8, 8, 2000)
     shared = [s[:2], s[2:165], s[1900:], s[5:6]]
-    per_row = [np.exp(np.random.RandomState(7).uniform(-18, 18, (len(rows[0]), 3))), np.ones((len(rows[0]), 1))]
-    points = shared + per_row
-    kept_points = [p.copy() for p in points]
-    results = [residual(p) for p in points]
+    draw = np.random.RandomState(7).uniform(-18, 18, (2, len(rows[0]), 3))
+    # per-row shapes (rows, 3), then (rows, 1), then (rows, 3) again, which meets the coefficients laid out first
+    per_row = [np.exp(draw[0]), np.ones((len(rows[0]), 1)), np.exp(draw[1])]
+    calls = [(residual, p, rows) for p in shared + per_row]
+    # the one-row residual between the other's calls: its own shared points, then per-row (1, 3) and (1, 1)
+    for k, p in ((1, s[:40]), (3, np.exp(draw[0][:1])), (5, s[7:8, None]), (6, np.exp(draw[1][:1]))):
+        calls.insert(k, (other, p, one_row))
+    kept_points = [p.copy() for _, p, _ in calls]
+    results = [f(p) for f, p, _ in calls]
     # earlier results stay intact after later calls, and no input is written
-    for p, got in zip(points, results):
-        assert got.tobytes() == reference(p).tobytes()
-    assert [r.tobytes() for r in rows] == [k.tobytes() for k in kept]
-    assert [p.tobytes() for p in points] == [k.tobytes() for k in kept_points]
+    for (_, p, coefs), got in zip(calls, results):
+        assert got.tobytes() == _reference_cubic_residual(*(r[:, None] for r in coefs))(p).tobytes()
+    assert [r.tobytes() for r in rows + one_row] == [k.tobytes() for k in kept]
+    assert [p.tobytes() for _, p, _ in calls] == [k.tobytes() for k in kept_points]
 
 
 @pytest.mark.parametrize("block", [1 << 17, 80])

@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from reference import render_scan_csv
 
 from hypstar import cli
 from hypstar.cli import main, parse_scan_spec
@@ -872,6 +873,18 @@ def test_array_checkers_agree_with_dispatch(kind, tmp_path, monkeypatch):
     # the specs reach passing rows, failed conditions and refused rows
     assert "" in outcomes and "invalid" in outcomes
     assert len(outcomes) >= (3 if kind in ONE_CONDITION_KINDS else 4)
+
+
+@pytest.mark.parametrize("chunk", (17, 4096))
+@pytest.mark.parametrize("kind", sorted(AGREEMENT_SPECS))
+def test_scan_csv_is_what_the_csv_module_writes(kind, chunk, tmp_path, monkeypatch):
+    # run_scan's one join per chunk against csv.writer, row by row, on the same checker's rows
+    monkeypatch.setattr(cli, "SCAN_CHUNK_ROWS", chunk)
+    for n, raw in enumerate(AGREEMENT_SPECS[kind]):
+        spec = parse_scan_spec(dict(raw, certificate=kind))
+        out = tmp_path / f"{n}.csv"
+        cli.run_scan(spec, str(out))
+        assert out.read_bytes() == render_scan_csv(spec), (kind, n)
 
 
 class TestEntryPoint:

@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 
 import pytest
+from reference import render_scan_csv
 
 from hypstar import cli
 from hypstar.cli import parse_scan_spec
@@ -39,6 +40,16 @@ def test_scan_bytes_match_the_kept_file(name, chunk, tmp_path, monkeypatch):
     rows = list(csv.reader(io.StringIO(want.decode(), newline="")))[1:]
     assert summary["certified"] == sum(row[len(spec.axes)] == "true" for row in rows)
     assert summary["verifier_violations"] == sum(row[-1] == "Violated" for row in rows)
+
+
+@pytest.mark.parametrize("name", ("verify", "verify_mixed"))
+def test_verifying_scan_is_what_the_csv_module_writes(name, tmp_path, monkeypatch):
+    # chunks of 5 split the verified rows, the refused ones and the rows of one axis value
+    monkeypatch.setattr(cli, "SCAN_CHUNK_ROWS", 5)
+    spec = parse_scan_spec(json.loads((DATA / f"scan_{name}.json").read_text()))
+    out = tmp_path / "scan.csv"
+    cli.run_scan(spec, str(out))
+    assert out.read_bytes() == render_scan_csv(spec)
 
 
 def test_kept_files_cover_what_they_are_for():
