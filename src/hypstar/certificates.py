@@ -15,9 +15,7 @@ chunk of rows in one call.  `CHECKERS` is the one table of theorem kinds:
 each `--theorem` name with its checker.  The kinds in `CLASS_KINDS` take the
 rows' class family from `Rows.family`, at `Rows.alpha` and `Rows.lam`.
 
-Numeric conventions are those of `tolerance`: "x is real" means
-|Im x| <= 1e-12 (1 + |x|); strict inequalities require a margin above
-1e-12; closed inequalities tolerate -1e-12 times a problem-size scale.
+Every comparison with a tolerance is a rule of `tolerance`.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidC, InvalidParams, NonFinite, PrecondFailed
-from .hypergeom import NONPOS_INT_TOL, HypergeomParams
+from .hypergeom import HypergeomParams, may_be_nonpositive_integer
 from .oracles import (
     DEFAULT_LINE_SEARCH,
     LineSearchSettings,
@@ -46,7 +44,7 @@ from .shapes import (
     lam_of,
     shape_of,
 )
-from .tolerance import REAL_TOL, STRICT_TOL, is_real, nonneg, strict_pos
+from .tolerance import apart, at_most, below, is_real, nonneg, on_edge, strict_pos
 
 @dataclass(frozen=True)
 class Condition:
@@ -113,7 +111,7 @@ def _cond_strict_pos(name: str, value) -> Condition:
 
 
 def _cond_nonneg(name: str, value, scale=1.0) -> Condition:
-    return Condition(name, value, ">= 0", nonneg(value, scale))
+    return Condition(name, value, ">= 0", nonneg(value, scale=scale))
 
 
 def _cond_info(name: str, value) -> Condition:
@@ -220,8 +218,7 @@ def _refuse(errors: dict, mask: np.ndarray, error: Callable[[int], Exception]) -
 
 def _refuse_nonpositive_c(errors: dict, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
     """Refuse the rows HypergeomParams refuses: a non-finite a, b or c, or c at a nonpositive integer."""
-    near = (np.abs(c.imag) <= NONPOS_INT_TOL) & (c.real <= NONPOS_INT_TOL)
-    for i in np.flatnonzero(near | ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))):
+    for i in np.flatnonzero(may_be_nonpositive_integer(c) | ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))):
         try:
             HypergeomParams(a[i], b[i], c[i])
         except (InvalidC, InvalidParams) as exc:
@@ -229,7 +226,7 @@ def _refuse_nonpositive_c(errors: dict, a: np.ndarray, b: np.ndarray, c: np.ndar
 
 
 def _refuse_zero_ab(errors: dict, a: np.ndarray, b: np.ndarray) -> None:
-    _refuse(errors, np.abs(a * b) <= STRICT_TOL, lambda _: InvalidParams("ab must be nonzero"))
+    _refuse(errors, at_most(np.abs(a * b), 0), lambda _: InvalidParams("ab must be nonzero"))
 
 
 def _refuse_nonpositive_real(errors: dict, name: str, value: np.ndarray) -> np.ndarray:
@@ -318,7 +315,7 @@ def starlike_order_batch(rows: Rows) -> CertificateBatch:
     ]
 
     def notes(i: int) -> list[str]:
-        if abs(margin[i]) <= 1e-9:
+        if on_edge(margin[i]):
             return [
                 "Re[ab] - p(1-alpha) is on the strict boundary; for real parameters with "
                 "0 < a <= 2, b <= c and b + c = 3 the limiting-family checker (CorA2) still certifies"
@@ -351,9 +348,9 @@ def cor_a2_batch(rows: Rows) -> CertificateBatch:
     b_s.imag = c_s.imag = s
     _refuse_nonpositive_c(errors, a, b_s, c_s)
     conditions = [
-        Condition("a", a, "0 < a <= 2", (STRICT_TOL < a) & (a <= 2 + STRICT_TOL)),
-        Condition("b + c", b + c, ">= 3", b + c >= 3 - STRICT_TOL),
-        Condition("c - b", c - b, ">= 0", c - b >= -STRICT_TOL),
+        Condition("a", a, "0 < a <= 2", strict_pos(a) & at_most(a, 2)),
+        Condition("b + c", b + c, ">= 3", nonneg(b + c, floor=3)),
+        Condition("c - b", c - b, ">= 0", nonneg(c - b)),
     ]
     order = 1 - a / 2
     in_range = (0 <= order) & (order < 1)
@@ -362,7 +359,7 @@ def cor_a2_batch(rows: Rows) -> CertificateBatch:
     def notes(i: int) -> list[str]:
         certified = in_range[i] and all(cond.passed[i] for cond in conditions)
         out = [f"certified order 1 - a/2 = {order[i]:.15g}"] if certified else []
-        if abs(b[i] + c[i] - 3) <= STRICT_TOL:
+        if at_most(abs(b[i] + c[i] - 3), 0):
             out.append("b + c = 3 boundary accepted via the limiting family")
         return out
 
@@ -394,7 +391,7 @@ def spirallike_batch(rows: Rows) -> CertificateBatch:
     ]
 
     def notes(i: int) -> list[str]:
-        if m0[i] < -STRICT_TOL:
+        if below(m0[i], 0):
             return [
                 "Re[e^{-i lam} ab] < 0: a nonnegative value is necessary for lam-spirallikeness, "
                 "so f is not lam-spirallike of any order"
@@ -417,7 +414,7 @@ def spirallike_cor1_batch(rows: Rows) -> CertificateBatch:
     a, b, lam, alpha = rows.a, rows.b, rows.lam, rows.alpha
     errors: dict[int, Exception] = {}
     _refuse(errors, ~((0 <= alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in [0, 1)"))
-    _refuse(errors, ~((STRICT_TOL < np.abs(lam)) & (np.abs(lam) < np.pi / 2)),
+    _refuse(errors, ~(strict_pos(np.abs(lam)) & (np.abs(lam) < np.pi / 2)),
             lambda _: PrecondFailed("requires 0 < |lam| < pi/2"))
     m = _refuse_nonpositive_real(errors, "e^{-i lam} ab", _times(_times(np.exp(-1j * lam), a), b))
     c = a + b + 1
@@ -447,7 +444,7 @@ def spirallike_cor2_batch(rows: Rows) -> CertificateBatch:
     m = _refuse_nonpositive_real(errors, "ab", _times(a, b))
     cos2 = _square(np.cos(lam))
     lower = (1 - 2 * alpha) / (4 * (1 - alpha))
-    _refuse(errors, ~((lower + STRICT_TOL < cos2) & (cos2 < 1 - STRICT_TOL)),
+    _refuse(errors, ~(strict_pos(cos2, lower) & below(cos2, 1)),
             lambda i: PrecondFailed(f"requires {lower[i]:.6g} < cos^2(lam) < 1, got cos^2(lam) = {cos2[i]:.6g}"))
     c = a + b + 1
     _refuse_nonpositive_c(errors, a, b, c)
@@ -652,7 +649,7 @@ def strong_starlike_batch(rows: Rows) -> CertificateBatch:
     _refuse(errors, ~((0 < alpha) & (alpha < 1)), lambda _: InvalidParams("alpha must lie in (0, 1)"))
     p = a + b + 1 - c
     w = a * b - p.real
-    sector = np.where(np.abs(w) > STRICT_TOL, np.pi * alpha / 2 - np.abs(np.angle(w)), -np.pi * alpha / 2)
+    sector = np.where(strict_pos(np.abs(w)), np.pi * alpha / 2 - np.abs(np.angle(w)), -np.pi * alpha / 2)
     cubic = strong_starlike_cubic(a, b, c, alpha)
     per_eps = [
         ((w * np.exp(1j * eps * np.pi * (1 - alpha) / 2)).real, cubic.T(eps), cubic.U(eps), cubic.V)
@@ -790,9 +787,9 @@ def sst_cor_final_batch(rows: Rows) -> CertificateBatch:
     cap2 = 2 - 2 * np.cos(np.pi * alpha) / np.cos(half) + alpha * np.tan(half)
     conditions = [
         Condition("(a-2)(b-2)", prod, [f"<= 4 cos^2(pi alpha/2) = {v:.15g}" for v in cap1.tolist()],
-                  prod <= cap1 + STRICT_TOL * np.maximum(1.0, np.abs(prod))),
+                  at_most(prod, cap1, np.abs(prod))),
         Condition("a + b", lsum, [f"<= {v:.15g}" for v in cap2.tolist()],
-                  lsum <= cap2 + STRICT_TOL * np.maximum(1.0, np.abs(lsum))),
+                  at_most(lsum, cap2, np.abs(lsum))),
     ]
     lo = 2 * _square(np.sin(half))
 
@@ -868,7 +865,7 @@ def general_batch(rows: Rows) -> CertificateBatch:
     ua, ub = _square(np.abs(a)) - 2 * ta.real, _square(np.abs(b)) - 2 * tb.real
     base = d0 - mu2 * (_square(np.abs(a)) + _square(np.abs(b)) - _square(np.abs(c - 1)) - 2 * p.real * mu.real)
     lmn = LMNCoefficients(base - 4 * ta.imag * tb.imag, -c3 / 2 - ua * tb.imag - ub * ta.imag, base - ua * ub)
-    cubic_free = np.abs(c3) <= STRICT_TOL * _lmn_scale(lmn)
+    cubic_free = at_most(np.abs(c3), 0, _lmn_scale(lmn))
     conditions = [
         _cond_real("p", p),
         _cond_strict_pos("Re[ab conj(mu)] - p|mu|^2", d0),
@@ -921,8 +918,7 @@ def convexity_batch(rows: Rows) -> CertificateBatch:
         inner = strong_starlike_batch(shifted)
     else:
         target = shifted.a + shifted.b + 1
-        _refuse(errors, np.abs(shifted.c - target) > REAL_TOL * (1 + np.abs(target)),
-                lambda _: InvalidParams("spirallike delegate requires c = a + b + 2"))
+        _refuse(errors, apart(shifted.c, target), lambda _: InvalidParams("spirallike delegate requires c = a + b + 2"))
         inner = spirallike_batch(shifted)
     for i, exc in inner.errors.items():
         errors.setdefault(i, exc)

@@ -317,29 +317,25 @@ class _ScanGrid:
         self.size = int(np.prod([ax.steps for ax in spec.axes]))
         self.fixed = {sym: float(spec.fixed.get(sym, 0.0)) for sym in SCAN_SYMBOLS}
 
-    def _axis_indices(self, start: int, stop: int) -> list[np.ndarray]:
+    def axis_indices(self, start: int, stop: int) -> list[np.ndarray]:
         rows = np.arange(start, stop)
         return [(rows // stride) % ax.steps for ax, stride in zip(self.axes, self.strides)]
 
-    def rows(self, start: int, stop: int) -> Rows:
-        """Rows start..stop-1; for the kinds in CLASS_KINDS, the spec's class
-        family, at its own alpha and lambda where it gives them and at each
-        row's otherwise."""
-        point = {sym: np.full(stop - start, value) for sym, value in self.fixed.items()}
-        for ax, values, idx in zip(self.axes, self.values, self._axis_indices(start, stop)):
+    def rows(self, indices: list[np.ndarray]) -> Rows:
+        """The rows at these axis indices; a fixed symbol stays one number for
+        every row.  For the kinds in CLASS_KINDS, the spec's class family, at
+        its own alpha and lambda where it gives them and at each row's otherwise."""
+        point = dict(self.fixed)
+        for ax, values, idx in zip(self.axes, self.values, indices):
             point[ax.symbol] = values[idx]
-        a, b, c = (point[f"{name}_re"].astype(complex) for name in "abc")
+        a, b, c = (np.empty(len(indices[0]), dtype=complex) for _ in "abc")
         for z, name in zip((a, b, c), "abc"):
-            z.imag = point[f"{name}_im"]
+            z.real, z.imag = point[f"{name}_re"], point[f"{name}_im"]
         spec, alpha, lam, family = self.spec, point["alpha"], point["lambda"], None
         if spec.certificate_kind in CLASS_KINDS:
             family = SHAPE_CLASSES[spec.class_spec["kind"]]
             alpha, lam = spec.class_spec.get("alpha", alpha), spec.class_spec.get("lambda", lam)
         return Rows(a, b, c, alpha, lam, spec.fixed.get("s", 0.0), family, spec.line_search)
-
-    def label_columns(self, start: int, stop: int) -> list[np.ndarray]:
-        """The axis labels of rows start..stop-1, each with its trailing comma, one array per axis."""
-        return [labels[idx] for labels, idx in zip(self.labels, self._axis_indices(start, stop))]
 
 
 def _csv_field(text: str) -> str:
@@ -361,14 +357,15 @@ def _scan_chunk(spec: ScanSpec, grid: _ScanGrid, start: int, stop: int) -> tuple
     class and (a, b, c) as the checker gives them; a refused row is written
     with status Invalid.
     """
-    batch = CHECKERS[spec.certificate_kind](grid.rows(start, stop))
+    indices = grid.axis_indices(start, stop)
+    batch = CHECKERS[spec.certificate_kind](grid.rows(indices))
     code, names = batch.failed_conditions()
     tail = "," if spec.verify else ",,\r\n"
     outcomes = np.array([f"true,{tail}", *(f"false,{_csv_field(name)}{tail}" for name in names[1:])], dtype=object)
     k = len(grid.axes)
     fields = np.empty((stop - start, k + 3 if spec.verify else k + 1), dtype=object)
-    for j, column in enumerate(grid.label_columns(start, stop)):
-        fields[:, j] = column
+    for j, (labels, idx) in enumerate(zip(grid.labels, indices)):
+        fields[:, j] = labels[idx]
     fields[:, k] = outcomes[code]
     n_viol = 0
     if spec.verify:

@@ -50,6 +50,11 @@ def _is_nonpositive_integer(w: complex) -> bool:
     return k <= 0 and abs(w.real - k) <= NONPOS_INT_TOL
 
 
+def may_be_nonpositive_integer(c: np.ndarray) -> np.ndarray:
+    """Where an array of c may hold a value that `_is_nonpositive_integer` accepts."""
+    return (np.abs(c.imag) <= NONPOS_INT_TOL) & (c.real <= NONPOS_INT_TOL)
+
+
 @dataclass(frozen=True)
 class HypergeomParams:
     """Parameter triple (a, b, c) of finite numbers; c must stay away from 0, -1, -2, ...
