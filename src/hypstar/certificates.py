@@ -518,7 +518,10 @@ def _cubic_residual(alpha, K, S, T, U, V):
     arithmetic runs in place: Horner's sum and the per-row x live in buffers
     that every call reuses, so a call makes one new array of its size, the
     one it returns (fresh pages cost the log scan more than its arithmetic).
-    One residual serves one caller at a time.
+    One residual serves one caller at a time.  numpy picks a float64 power's
+    kernel by layout, not by value alone: the shared path's stride-0 exponent
+    of exactly 0.5 takes the square root, and a reversed operand libm's pow,
+    so the kept goldens hold while each path keeps its contiguous operands.
     """
     # distinct by bits, so that -0.0 and +0.0 (or two NaNs) keep their own powers
     distinct, group = np.unique(alpha.view(np.int64), return_inverse=True)

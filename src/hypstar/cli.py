@@ -22,7 +22,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -91,14 +91,22 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're,im' with finite parts, got {text!r}")
 
 
-def _series_settings(args) -> SeriesSettings:
-    return SeriesSettings(tol=args.series_tol, max_terms=args.max_terms, radius_cap=args.radius_cap)
+# the flag of each settings field; a settings type's flags are added in its field order
+SETTINGS_FLAGS = {
+    "tol": "--series-tol", "max_terms": "--max-terms", "radius_cap": "--radius-cap",
+    "n_radii": "--n-radii", "r_max": "--r-max", "n_angles": "--n-angles", "radial_spacing": "--radial-spacing",
+    "s_min": "--ls-s-min", "s_max": "--ls-s-max", "n_log_points": "--ls-points",
+    "refine_iters": "--ls-refine-iters", "min_margin": "--ls-min-margin",
+}
+_SETTINGS_HELP = {"tol": "relative series truncation tolerance", "max_terms": "series term budget",
+                  "radius_cap": "largest |z| the series will accept"}
 
 
-def _grid_settings(args) -> DiskGridSettings:
-    return DiskGridSettings(
-        n_radii=args.n_radii, r_max=args.r_max, n_angles=args.n_angles, radial_spacing=args.radial_spacing
-    )
+def _settings(args, settings_cls):
+    """settings_cls built from the flags that _add_settings_flags added for it,
+    each read under the dest that argparse derives from the flag's name."""
+    return settings_cls(**{f.name: getattr(args, SETTINGS_FLAGS[f.name][2:].replace("-", "_"))
+                           for f in fields(settings_cls)})
 
 
 def _check_radius(grid: DiskGridSettings, series: SeriesSettings) -> None:
@@ -118,7 +126,7 @@ def build_shape_class(kind: str, alpha: float, lam: float) -> ShapeClass:
 
 
 def cmd_eval(args) -> int:
-    settings = _series_settings(args)
+    settings = _settings(args, SeriesSettings)
     params = HypergeomParams(args.a, args.b, args.c)
     F = gauss_2f1(params, args.z, settings)
     Fp = gauss_2f1_derivative(params, args.z, settings)
@@ -144,14 +152,12 @@ def _certificate(args) -> Certificate:
     of the kind's checker on a one-row Rows.  As in a scan, only the kinds
     in CLASS_KINDS read --class, at --alpha and --lambda, and their checker
     refuses a bad one."""
-    line_search = LineSearchSettings(s_min=args.ls_s_min, s_max=args.ls_s_max, n_log_points=args.ls_points,
-                                     refine_iters=args.ls_refine_iters, min_margin=args.ls_min_margin)
     family = None
     if args.theorem in CLASS_KINDS:
         if args.cls is None:
             raise InvalidParams(f"--class is required for the {args.theorem} checker")
         family = SHAPE_CLASSES[args.cls]
-    rows = Rows(args.a, args.b, args.c, args.alpha, args.lam, args.s, family, line_search)
+    rows = Rows(args.a, args.b, args.c, args.alpha, args.lam, args.s, family, _settings(args, LineSearchSettings))
     return CHECKERS[args.theorem](rows).certificate(0)
 
 
@@ -162,23 +168,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    grid, series = _grid_settings(args), _series_settings(args)
+    grid, series = _settings(args, DiskGridSettings), _settings(args, SeriesSettings)
     _check_radius(grid, series)
     cls = build_shape_class(args.cls, args.alpha, args.lam)
     params = HypergeomParams(args.a, args.b, args.c)
     report = verify_on_disk(cls, params, grid, series)
     print(json.dumps(report.to_json(), indent=2))
-    if report.status == CONSISTENT:
-        return 0
-    if report.status == VIOLATED:
-        return 1
-    if report.status == INCOMPLETE:
-        return 3
-    return 2
+    return {CONSISTENT: 0, VIOLATED: 1, INCOMPLETE: 3}.get(report.status, 2)  # Degenerate exits 2
 
 
 def cmd_crosscheck(args) -> int:
-    grid, series = _grid_settings(args), _series_settings(args)
+    grid, series = _settings(args, DiskGridSettings), _settings(args, SeriesSettings)
     _check_radius(grid, series)
     cert = _certificate(args)
     result = cross_check(cert.shape_class, cert.params, cert, grid, series)
@@ -430,11 +430,13 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _add_series_flags(parser: argparse.ArgumentParser) -> None:
-    # not on certify, which sums no series, nor on scan, which takes its series settings from the spec
-    parser.add_argument("--series-tol", type=float, default=1e-15, help="relative series truncation tolerance")
-    parser.add_argument("--max-terms", type=int, default=200_000, help="series term budget")
-    parser.add_argument("--radius-cap", type=float, default=0.995, help="largest |z| the series will accept")
+def _add_settings_flags(parser: argparse.ArgumentParser, *settings_types) -> None:
+    """One flag per field of each settings type, with the field's type, default and choices."""
+    for settings_cls in settings_types:
+        types = get_type_hints(settings_cls)
+        for f in fields(settings_cls):
+            parser.add_argument(SETTINGS_FLAGS[f.name], type=types[f.name], default=f.default,
+                                choices=f.metadata.get("choices"), help=_SETTINGS_HELP.get(f.name))
 
 
 def _add_params(parser: argparse.ArgumentParser, with_z: bool = False) -> None:
@@ -457,19 +459,7 @@ def _add_certify_flags(parser: argparse.ArgumentParser) -> None:
     _add_params(parser)
     _add_class_flags(parser, required=False)
     parser.add_argument("--s", type=float, default=0.0, help="imaginary shift for the cor-a2 family")
-    parser.add_argument("--ls-s-min", type=float, default=1e-8)
-    parser.add_argument("--ls-s-max", type=float, default=1e8)
-    parser.add_argument("--ls-points", type=int, default=2000)
-    parser.add_argument("--ls-refine-iters", type=int, default=60)
-    parser.add_argument("--ls-min-margin", type=float, default=1e-9)
-
-
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-radii", type=int, default=40)
-    parser.add_argument("--r-max", type=float, default=0.995)
-    parser.add_argument("--n-angles", type=int, default=720)
-    parser.add_argument("--radial-spacing", choices=("uniform", "geometric-toward-boundary"),
-                        default="geometric-toward-boundary")
+    _add_settings_flags(parser, LineSearchSettings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate F, F', f and q at a point")
     _add_params(p_eval, with_z=True)
-    _add_series_flags(p_eval)
+    # the series flags are not on certify, which sums no series, nor on scan,
+    # which takes its series settings from the spec
+    _add_settings_flags(p_eval, SeriesSettings)
     # --json only where it changes stdout: certify, verify and crosscheck always print JSON
     p_eval.add_argument("--json", action="store_true", help="machine-readable stdout; logs stay on stderr")
     p_eval.set_defaults(func=cmd_eval)
@@ -493,14 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="disk-grid verification of a class membership")
     _add_params(p_verify)
     _add_class_flags(p_verify, required=True)
-    _add_grid_flags(p_verify)
-    _add_series_flags(p_verify)
+    _add_settings_flags(p_verify, DiskGridSettings, SeriesSettings)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cross = sub.add_parser("crosscheck", help="certificate plus disk verification, with a soundness verdict")
     _add_certify_flags(p_cross)
-    _add_grid_flags(p_cross)
-    _add_series_flags(p_cross)
+    _add_settings_flags(p_cross, DiskGridSettings, SeriesSettings)
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_scan = sub.add_parser("scan", help="parameter-region scan to CSV")

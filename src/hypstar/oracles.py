@@ -20,7 +20,10 @@ def golden_section(f: Callable, lo, hi, iters: int):
     (argmin, min), one entry per bracket.
 
     lo and hi are arrays of brackets (0-d for one bracket): f is called on
-    arrays of that shape, and all brackets shrink in lockstep.
+    arrays of that shape, and all brackets shrink in lockstep.  The points
+    are fresh contiguous arrays, and numpy rounds a float64 exp of them by its
+    SIMD kernel (of a reversed array, by libm's): the minimizer kinds' goldens
+    rest on that layout.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x1 = hi - _GOLDEN * (hi - lo)

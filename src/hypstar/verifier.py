@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -51,10 +51,12 @@ _STACK_NODES = 1 << 16
 
 @dataclass(frozen=True)
 class DiskGridSettings:
+    RADIAL_SPACINGS: ClassVar[tuple[str, ...]] = ("uniform", "geometric-toward-boundary")
+
     n_radii: int = 40
     r_max: float = 0.995
     n_angles: int = 720
-    radial_spacing: str = "geometric-toward-boundary"
+    radial_spacing: str = field(default="geometric-toward-boundary", metadata={"choices": RADIAL_SPACINGS})
 
     def __post_init__(self):
         if not 0 < self.r_max < 1:
@@ -63,8 +65,8 @@ class DiskGridSettings:
             raise ValueError("n_angles must be at least 8")
         if self.n_radii < 1:
             raise ValueError("n_radii must be at least 1")
-        if self.radial_spacing not in ("uniform", "geometric-toward-boundary"):
-            raise ValueError("radial_spacing must be 'uniform' or 'geometric-toward-boundary'")
+        if self.radial_spacing not in self.RADIAL_SPACINGS:
+            raise ValueError(f"radial_spacing must be {' or '.join(map(repr, self.RADIAL_SPACINGS))}")
 
     def radii(self) -> np.ndarray:
         k = np.arange(1, self.n_radii + 1)

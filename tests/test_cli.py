@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from hypstar import cli
 from hypstar.cli import main, parse_scan_spec
 from hypstar.errors import HypstarError, InvalidParams
 from hypstar.hypergeom import SeriesSettings
+from hypstar.oracles import LineSearchSettings
+from hypstar.verifier import DiskGridSettings
 
 FAST_GRID = ["--n-radii", "8", "--n-angles", "90", "--r-max", "0.98"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -364,9 +367,71 @@ def test_commands_without_series_settings_refuse_the_series_flags(command, flag,
 ])
 def test_commands_that_sum_a_series_take_the_series_flags(argv):
     args = cli.build_parser().parse_args([*argv, *(part for pair in SERIES_FLAGS for part in pair)])
-    assert cli._series_settings(args) == SeriesSettings(tol=1e-10, max_terms=5, radius_cap=0.9)
+    assert cli._settings(args, SeriesSettings) == SeriesSettings(tol=1e-10, max_terms=5, radius_cap=0.9)
     if argv[0] == "eval":
         assert args.json
+
+
+# each subcommand that takes settings flags: its required flags alone, and its settings types
+SETTINGS_COMMANDS = {
+    "eval": (["eval", "--a", "1,0", "--b", "1,0", "--z", "0.5,0"], (SeriesSettings,)),
+    "certify": (["certify", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0"], (LineSearchSettings,)),
+    "verify": (["verify", "--class", "starlike", "--a", "1,0", "--b", "1,0"], (DiskGridSettings, SeriesSettings)),
+    "crosscheck": (["crosscheck", "--theorem", "starlike-order", "--a", "1,0", "--b", "1,0"],
+                   (LineSearchSettings, DiskGridSettings, SeriesSettings)),
+}
+# each settings field's flag, and a valid value other than the field's default
+FIELD_FLAGS = {
+    "tol": ("--series-tol", 1e-10), "max_terms": ("--max-terms", 5), "radius_cap": ("--radius-cap", 0.9),
+    "n_radii": ("--n-radii", 17), "r_max": ("--r-max", 0.9), "n_angles": ("--n-angles", 64),
+    "radial_spacing": ("--radial-spacing", "uniform"),
+    "s_min": ("--ls-s-min", 1e-6), "s_max": ("--ls-s-max", 1e6), "n_log_points": ("--ls-points", 17),
+    "refine_iters": ("--ls-refine-iters", 7), "min_margin": ("--ls-min-margin", 1e-6),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
+def test_required_flags_alone_build_the_default_settings(command):
+    argv, settings_types = SETTINGS_COMMANDS[command]
+    args = cli.build_parser().parse_args(argv)
+    for settings_cls in settings_types:
+        assert cli._settings(args, settings_cls) == settings_cls()
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
+def test_each_settings_flag_reaches_its_own_field(command):
+    argv, settings_types = SETTINGS_COMMANDS[command]
+    for settings_cls in settings_types:
+        for f in fields(settings_cls):
+            flag, value = FIELD_FLAGS[f.name]
+            assert value != f.default
+            args = cli.build_parser().parse_args([*argv, flag, str(value)])
+            built = cli._settings(args, settings_cls)
+            assert built == replace(settings_cls(), **{f.name: value})
+            assert type(getattr(built, f.name)) is type(value)
+            assert all(cli._settings(args, other) == other() for other in settings_types if other is not settings_cls)
+
+
+def test_the_flag_table_names_exactly_the_settings_fields():
+    settings_fields = [f.name for cls in (SeriesSettings, DiskGridSettings, LineSearchSettings) for f in fields(cls)]
+    assert list(cli.SETTINGS_FLAGS) == settings_fields
+    assert len(set(cli.SETTINGS_FLAGS.values())) == len(settings_fields)
+
+
+@pytest.mark.parametrize("command", ["verify", "crosscheck"])
+def test_radial_spacing_offers_exactly_the_spacings_the_grid_accepts(command, capsys):
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    flag = next(action for action in sub.choices[command]._actions if "--radial-spacing" in action.option_strings)
+    assert tuple(flag.choices) == DiskGridSettings.RADIAL_SPACINGS == ("uniform", "geometric-toward-boundary")
+    for name in flag.choices:
+        assert DiskGridSettings(radial_spacing=name).radial_spacing == name
+    with pytest.raises(ValueError, match="radial_spacing must be 'uniform' or 'geometric-toward-boundary'"):
+        DiskGridSettings(radial_spacing="linear")
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*SETTINGS_COMMANDS[command][0], "--radial-spacing", "linear"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'linear'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,6 +462,19 @@ def test_readme_cli_table_names_exactly_the_flags_of_each_subcommand():
     table = {command: re.findall(r"`(--[\w-]+)`", flags) for command, flags in rows}
     assert table == _subcommand_flags()
     assert sum(map(len, table.values())) == 57
+
+
+def test_readme_lists_each_settings_default_once():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI"):]
+    rows = re.findall(r"^ *\| `(--[\w-]+)` \| `(\w+)\.(\w+)` \| `([^`]+)` \|$",
+                      section[:section.index("\n## ", 1)], re.MULTILINE)
+    types = {cls.__name__: cls for cls in (SeriesSettings, DiskGridSettings, LineSearchSettings)}
+    assert [name for _, _, name, _ in rows] == list(cli.SETTINGS_FLAGS)
+    for flag, type_name, name, default in rows:
+        field = next(f for f in fields(types[type_name]) if f.name == name)
+        assert cli.SETTINGS_FLAGS[name] == flag
+        assert type(field.default)(default) == field.default, (flag, default)
 
 
 SCAN_SPEC = {
