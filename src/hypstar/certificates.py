@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidC, InvalidParams, NonFinite, PrecondFailed
-from .hypergeom import HypergeomParams, may_be_nonpositive_integer
+from .hypergeom import HypergeomParams
 from .oracles import (
     DEFAULT_LINE_SEARCH,
     LineSearchSettings,
@@ -44,7 +44,8 @@ from .shapes import (
     lam_of,
     shape_of,
 )
-from .tolerance import apart, at_most, below, is_real, nonneg, on_edge, strict_pos
+from .tolerance import (REAL_TOL, STRICT_TOL, apart, at_most, below, is_real, may_be_nonpositive_integer, nonneg,
+                        on_edge, strict_pos)
 
 @dataclass(frozen=True)
 class Condition:
@@ -103,14 +104,14 @@ class Certificate:
 
 
 def _cond_real(name: str, value) -> Condition:
-    return Condition(f"Im[{name}]", np.imag(value), "|Im| <= 1e-12 (relative)", is_real(value))
+    return Condition(f"Im[{name}]", np.imag(value), f"|Im| <= {REAL_TOL:g} (relative)", is_real(value))
 
 
 def _cond_strict_pos(name: str, value) -> Condition:
-    return Condition(name, value, "> 0 (strict, tol 1e-12)", strict_pos(value))
+    return Condition(name, value, f"> 0 (strict, tol {STRICT_TOL:g})", strict_pos(value))
 
 
-def _cond_nonneg(name: str, value, scale=1.0) -> Condition:
+def _cond_nonneg(name: str, value, scale=None) -> Condition:
     return Condition(name, value, ">= 0", nonneg(value, scale=scale))
 
 
@@ -872,7 +873,7 @@ def general_batch(rows: Rows) -> CertificateBatch:
     conditions = [
         _cond_real("p", p),
         _cond_strict_pos("Re[ab conj(mu)] - p|mu|^2", d0),
-        Condition("s^3 coefficient", c3, "= 0 (|c3| <= 1e-12 scale)", cubic_free),
+        Condition("s^3 coefficient", c3, f"= 0 (|c3| <= {STRICT_TOL:g} scale)", cubic_free),
         *_lmn_conditions(lmn),
     ]
 

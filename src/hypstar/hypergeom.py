@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidC, InvalidParams, NoConvergence, RadiusExceeded, ZeroOfF
+from .tolerance import at_most, is_nonpositive_integer, vanishes
 
-# tolerance for rejecting c at a nonpositive integer
-NONPOS_INT_TOL = 1e-12
-# |F(z)| at or below this counts as a zero of F
-ZERO_TOL = 1e-12
-# rounding slack for the radius gate: |r e^{i theta}| can land a few ulps
-# above r when the grid sits exactly on the cap
-_RADIUS_SLACK = 1e-12
 # fewest series terms per block of the ring evaluator
 _RING_BLOCK = 256
 # most series terms per numpy pass: an np.clongdouble array of them (32 B a
@@ -41,18 +35,6 @@ for _index in _INDEX.values():
 _ONE = {t: t(1) for t in _INDEX}
 _ZERO = np.clongdouble(0)
 _PI = np.arctan2(np.longdouble(0), np.longdouble(-1))  # pi in long double
-
-
-def _is_nonpositive_integer(w: complex) -> bool:
-    if abs(w.imag) > NONPOS_INT_TOL:
-        return False
-    k = round(w.real)
-    return k <= 0 and abs(w.real - k) <= NONPOS_INT_TOL
-
-
-def may_be_nonpositive_integer(c: np.ndarray) -> np.ndarray:
-    """Where an array of c may hold a value that `_is_nonpositive_integer` accepts."""
-    return (np.abs(c.imag) <= NONPOS_INT_TOL) & (c.real <= NONPOS_INT_TOL)
 
 
 @dataclass(frozen=True)
@@ -80,7 +62,7 @@ class HypergeomParams:
             if not cmath.isfinite(value):
                 raise InvalidParams(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if _is_nonpositive_integer(self.c):
+        if is_nonpositive_integer(self.c):
             raise InvalidC("c is a nonpositive integer")
         object.__setattr__(self, "_hash", hash((self.a, self.b, self.c)))
 
@@ -216,7 +198,6 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
     no term past the block where the loop stops, and may overwrite u.
     """
     r = abs(z)
-    index = _INDEX[dtype]
     last = _ONE[dtype]  # u_{start-1}, the carry between spans
     goal = 1.0  # tail target relative to tol; F(0) = 1 sets the first scale
     start = 1
@@ -225,11 +206,8 @@ def _sum_series(params: HypergeomParams, z: complex, settings: SeriesSettings, w
         if span_stop < reach:
             span_stop = max(span_stop, min(reach, (start + _SPAN_TERMS) // width * width))
         span_stop = min(span_stop, settings.max_terms + 1)
-        if span_stop <= len(index):
-            n, n1 = index[start - 1:span_stop - 1], index[start:span_stop]
-        else:
-            n1 = np.arange(start - 1, span_stop, dtype=dtype)
-            n, n1 = n1[:-1], n1[1:]
+        n1 = _indices(start - 1, span_stop, 1, dtype)
+        n, n1 = n1[:-1], n1[1:]
         ratio = _term_ratios(params, z, n, n1)
         ratio[0] *= last
         u = ratio.cumprod()
@@ -264,7 +242,7 @@ def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings)
     The first block holds 2 log(tol)/log|z| terms: on the test corpus the
     count needed exceeds log(tol)/log|z| at 2 points in 3, and twice it at 1 in 50.
     """
-    if abs(z) > settings.radius_cap + _RADIUS_SLACK:
+    if not at_most(abs(z), settings.radius_cap):
         raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
     f, zdf = _ONE[np.clongdouble], _ZERO  # the sums from u_0
     if z == 0:
@@ -326,7 +304,7 @@ def gauss_2f1_grid(
     can record them and move on.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(z) > settings.radius_cap + _RADIUS_SLACK):
+    if not at_most(np.abs(z), settings.radius_cap).all():
         raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
     values = np.empty(z.shape, dtype=np.complex128)
     converged = np.empty(z.shape, dtype=bool)
@@ -379,7 +357,7 @@ def gauss_2f1_ring(
     everywhere else.
     """
     r = float(r)
-    if r > settings.radius_cap + _RADIUS_SLACK:
+    if not at_most(r, settings.radius_cap):
         raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
     ring = _ring_pass(params, r, n_angles, settings, _ring_dtype(params))
     return ring or _ring_pass(params, r, n_angles, settings, np.clongdouble)
@@ -469,10 +447,10 @@ def log_derivative_q(params: HypergeomParams, z: complex, settings: SeriesSettin
     """q(z) = z f'(z) / f(z) = 1 + z F'(z)/F(z); exactly 1 at z = 0.
 
     F and zF' come from one pass, and q is formed in long double.  Raises
-    ZeroOfF when |F(z)| <= ZERO_TOL.  A zero of F means f is not zero-free,
+    ZeroOfF where F(z) `vanishes`.  A zero of F means f is not zero-free,
     so callers must treat the point as a hard failure rather than skip it.
     """
     f, zdf = _point(params, z, settings)
-    if abs(f) <= ZERO_TOL:
+    if vanishes(f):
         raise ZeroOfF(f"|F(z)| = {float(abs(f)):.3g} at z = {z}; q is undefined there")
     return complex(1 + zdf / f)

@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .tolerance import at_most, strict_pos
+
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
@@ -90,11 +92,11 @@ def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray
     """Net coefficients of the dominant exponents of sum coef * s^expo, as
     s -> infinity (highest exponent) and as s -> 0+ (lowest exponent).
 
-    Exponents within 1e-12 of a group's first exponent join that group and
-    their coefficients are summed, in descending order of exponent; a group
-    whose net coefficient is within 1e-12 (relative to the largest, at least
-    1) of zero cancels and the next one decides.  Exponents and coefficients
-    may be arrays, one entry per row; the results have one entry per row.
+    An exponent whose distance to a group's first exponent is `at_most` 0
+    joins that group, and a group's coefficients are summed, in descending
+    order of exponent; a group whose |net coefficient| is not `strict_pos` on
+    the scale of the largest cancels, and the next one decides.  Exponents and
+    coefficients may be arrays, one entry per row; the results have one entry per row.
     """
     parts = np.broadcast_arrays(*(np.asarray(x, dtype=float) for term in terms for x in term))
     expo = np.atleast_2d(np.stack(parts[0::2], axis=-1))
@@ -107,14 +109,14 @@ def leading_coefficients(terms: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray
     group = np.zeros(expo.shape, dtype=int)
     first = expo[:, 0]
     for j in range(1, n_terms):
-        new = ~(np.abs(first - expo[:, j]) <= 1e-12)
+        new = ~at_most(np.abs(first - expo[:, j]), 0)
         group[:, j] = group[:, j - 1] + new
         first = np.where(new, expo[:, j], first)
     sums = np.zeros(expo.shape)
     for j in range(n_terms):
         sums[rows, group[:, j]] += coef[:, j]
     size = np.abs(sums)  # slots past the last group hold 0
-    decides = size > 1e-12 * np.maximum(size.max(axis=1), 1.0)[:, None]
+    decides = strict_pos(size, scale=size.max(axis=1)[:, None])
     any_decides = decides.any(axis=1)
     at_infinity = np.where(any_decides, sums[rows, np.argmax(decides, axis=1)], 0.0)
     at_zero = np.where(any_decides, sums[rows, n_terms - 1 - np.argmax(decides[:, ::-1], axis=1)], 0.0)

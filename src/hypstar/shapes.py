@@ -21,11 +21,14 @@ from typing import Union
 
 import numpy as np
 
+def _inside(value, lo, hi, closed):
+    return ((lo <= value) if closed else (lo < value)) & (value < hi)
+
+
 def inside_limits(family: type, alpha, lam=0.0) -> list[tuple]:
     """(inside, message) per limit of the family, in the order its classes check them: whether
     alpha or lam (numbers, or arrays elementwise; NaN is outside) meets it, and its ValueError text."""
-    values = {"alpha": alpha, "lam": lam}
-    return [(((lo <= values[name]) if closed else (lo < values[name])) & (values[name] < hi), message)
+    return [(_inside(alpha if name == "alpha" else lam, lo, hi, closed), message)
             for name, lo, hi, closed, message in family.LIMITS]
 
 
@@ -34,8 +37,8 @@ class _Limited:
     included, message); a class refuses the first limit it breaks."""
 
     def __post_init__(self):
-        for inside, message in inside_limits(type(self), self.alpha, getattr(self, "lam", 0.0)):
-            if not inside:
+        for name, lo, hi, closed, message in self.LIMITS:
+            if not _inside(getattr(self, name), lo, hi, closed):
                 raise ValueError(message)
 
 

@@ -22,7 +22,6 @@ from .certificates import Certificate, json_pair
 # because perfbench/tracing.py wraps verifier.gauss_2f1_grid
 from .hypergeom import (  # noqa: F401
     DEFAULT_SERIES,
-    ZERO_TOL,
     HypergeomParams,
     RingValues,
     SeriesSettings,
@@ -30,15 +29,13 @@ from .hypergeom import (  # noqa: F401
     gauss_2f1_ring,
 )
 from .shapes import ShapeClass, class_to_json, membership_slack_array
+from .tolerance import ZERO_TOL, vanishes, violates
 
 CONSISTENT = "Consistent"
 VIOLATED = "Violated"
 DEGENERATE = "Degenerate"
 INCOMPLETE = "Incomplete"
 
-# slack below this counts as a violation; the strict inequalities genuinely
-# tighten toward |z| = 1, so exact-zero thresholds would flag rounding noise
-VIOLATION_TOL = 1e-9
 # the argument principle trusts a sampled winding number only while each
 # principal step of arg F lies within this much of the trapezoid prediction
 MAX_PHASE_STEP = math.pi / 2
@@ -200,17 +197,14 @@ def _ring_figures(groups, f: np.ndarray, zdf: np.ndarray, converged: np.ndarray)
 
     The long-double quotient zF'/F is formed once; the winding count reads
     its real part and q = 1 + zF'/F is rounded to complex128.  The slack of
-    q is +inf where the series did not settle or where |F| <= ZERO_TOL, and
+    q is +inf where the series did not settle or where F `vanishes`, and
     comes from one `membership_slack_array` call per class of `groups`.  A
     ring's figures are its unconverged nodes, its nodes with F = 0, the
     first of those, its violated nodes, and the first node of least slack
     with that slack.
     """
     quotient = zdf / f
-    # |F| <= ZERO_TOL needs |Re F| <= ZERO_TOL and |Im F| <= ZERO_TOL, so
-    # np.abs, a long double hypot, runs only on the nodes that pass those
-    zero = (abs(f.real) <= ZERO_TOL) & (abs(f.imag) <= ZERO_TOL) & converged
-    zero[zero] = np.abs(f[zero]) <= ZERO_TOL
+    zero = vanishes(f) & converged
     valid = converged & ~zero
     q = (1 + quotient).astype(np.complex128)
     slack = np.empty(f.shape)
@@ -220,7 +214,7 @@ def _ring_figures(groups, f: np.ndarray, zdf: np.ndarray, converged: np.ndarray)
     argmin = np.argmin(slack, axis=1)
     counts = np.stack([
         (~converged).sum(axis=1), zero.sum(axis=1), np.argmax(zero, axis=1),
-        (slack < -VIOLATION_TOL).sum(axis=1), argmin,
+        violates(slack).sum(axis=1), argmin,
     ], axis=1)
     least = slack[np.arange(len(slack)), argmin].tolist()
     return quotient, [(*row, v) for row, v in zip(counts.tolist(), least)]
@@ -251,7 +245,7 @@ def _report(
         return complex(r * np.exp(1j * (2 * math.pi * k / grid.n_angles)))
 
     min_slack, argmin = origin_slack, None  # None: the origin
-    n_violations = 1 if min_slack < -VIOLATION_TOL else 0
+    n_violations = 1 if violates(min_slack) else 0
     n_f_zeros = n_unevaluated = 0
     notes: list[str] = []
     for r, (bad, zeros, first_zero, violations, j, least) in rings:

@@ -104,6 +104,22 @@ class TestGauss2F1:
         with pytest.raises(RadiusExceeded):
             gauss_2f1(HypergeomParams(1, 1, 2), 0.996)
 
+    @pytest.mark.parametrize("evaluate", [
+        gauss_2f1,
+        gauss_2f1_derivative,
+        log_derivative_q,
+        shifted_f,
+        lambda params, z: gauss_2f1_grid(params, np.array([0.5, z])),
+        lambda params, r: gauss_2f1_ring(params, r, 16),
+    ], ids=["gauss_2f1", "gauss_2f1_derivative", "log_derivative_q", "shifted_f", "gauss_2f1_grid", "gauss_2f1_ring"])
+    def test_radius_gate_refuses_nan(self, evaluate):
+        """NaN is not within the cap: each gate refuses it before any series
+        work, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RadiusExceeded):
+                evaluate(HypergeomParams(1, 1, 2), math.nan)
+
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
             gauss_2f1(HypergeomParams(1, 1, 2), 0.9, SeriesSettings(max_terms=5))

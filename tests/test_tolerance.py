@@ -1,27 +1,41 @@
-"""The tolerance rules at every place the checkers apply one.
+"""The tolerance rules at every place a module of hypstar applies one.
 
-Each of the 15 cases of SITES is one comparison in `certificates` (the
-prefilter of c is `hypergeom`'s): the rule call the checker makes, and the
-expression with literal tolerances that the checker used to write inline,
-kept here as the reference.  A refusal's case is the mask of accepted rows,
-as `~` on a boolean array changes no bit.  Both must give the same booleans
-on the threshold itself, 1 and 2 ulp on either side of it, +-0.0, NaN and
-+-inf, as arrays, as Python scalars and as numpy scalars (the note sites
-pass numpy scalars).  The guard test keeps `certificates` free of
-tolerances of its own.
+Each case of SITES is one comparison in `certificates`, `hypergeom`,
+`oracles` or `verifier`: the rule call the module makes, and the expression
+with literal tolerances that the module used to write inline, kept here as
+the reference.  A refusal's case is the mask of accepted rows, as `~` on a
+boolean array changes no bit.  Both must give the same booleans on the
+threshold itself, 1 and 2 ulp on either side of it, +-0.0, NaN and +-inf,
+as arrays, as Python scalars and as numpy scalars (the note sites pass numpy
+scalars); the zero tests of F also on np.clongdouble, the type of F's sums.
+NaN is left out at the radius gates, which refuse it where the inline
+expression let it through (tests/test_hypergeom.py checks that refusal).
+The guard test keeps every other module free of tolerances of its own.
 """
 import ast
+import cmath
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypstar.certificates import LMNCoefficients, _lmn_scale
-from hypstar.hypergeom import may_be_nonpositive_integer
-from hypstar.tolerance import apart, at_most, below, nonneg, on_edge, strict_pos
+from hypstar.tolerance import (
+    apart,
+    at_most,
+    below,
+    is_nonpositive_integer,
+    may_be_nonpositive_integer,
+    nonneg,
+    on_edge,
+    strict_pos,
+    vanishes,
+    violates,
+)
 
-CERTIFICATES = Path(__file__).resolve().parent.parent / "src" / "hypstar" / "certificates.py"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "hypstar"
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf]
 
 
@@ -42,6 +56,35 @@ def complex_around(*thresholds):
     parts = around(*thresholds, *(-t for t in thresholds))
     return [complex(re, im) for re, im in itertools.product(parts, parts)]
 
+
+def radii_around(cap):
+    """`around` the cap and the cap plus its slack, without NaN."""
+    return [r for r in around(cap, cap + 1e-12) if not math.isnan(r)]
+
+
+def is_nonpositive_integer_inline(w):
+    """hypergeom's test of c as it was written inline; HypergeomParams
+    refused a c that is not finite before it."""
+    if not cmath.isfinite(w):
+        return False
+    if abs(w.imag) > 1e-12:
+        return False
+    k = round(w.real)
+    return k <= 0 and abs(w.real - k) <= 1e-12
+
+
+def ring_zero_inline(f):
+    """The verifier's zero test on rings as it was written inline, less its `& converged`."""
+    f = np.atleast_1d(f)
+    zero = (abs(f.real) <= 1e-12) & (abs(f.imag) <= 1e-12)
+    zero[zero] = np.abs(f[zero]) <= 1e-12
+    return zero
+
+
+# F near |F| = 1e-12 on the axes and off them
+ZERO_VALUES = complex_around(1e-12) + [
+    cmath.rect(t, angle) for angle in (math.pi / 4, 1.0, -2.5) for t in around(1e-12) if math.isfinite(t)
+]
 
 # site -> (rule call, inline expression it replaced, values); a value is a tuple of arguments
 SITES = {
@@ -134,10 +177,52 @@ SITES = {
         lambda m0: m0 < -1e-12,
         [(v,) for v in around(-1e-12, 0.0)],
     ),
+    # hypergeom
+    "c at a nonpositive integer": (
+        is_nonpositive_integer,
+        is_nonpositive_integer_inline,
+        [
+            (complex(re, im),)
+            for re in around(0.0, -1.0, -3.0, 2.0, 1e-12, -1e-12, -1 + 1e-12, -1 - 1e-12, 2 - 1e-12)
+            for im in around(1e-12, -1e-12)
+        ],
+    ),
+    "radius gate, point": (
+        lambda z, cap: at_most(abs(z), cap),
+        lambda z, cap: np.logical_not(abs(z) > cap + 1e-12),
+        [(r * w, cap) for cap in (0.995, 0.5, 0.97) for r in radii_around(cap) for w in (1, 1j, cmath.rect(1, 2.0))],
+    ),
+    "radius gate, grid": (
+        lambda z, cap: at_most(np.abs(z), cap),
+        lambda z, cap: np.logical_not(np.abs(z) > cap + 1e-12),
+        [(r * w, cap) for cap in (0.995, 0.5) for r in radii_around(cap) for w in (1, -1j, cmath.rect(1, -0.7))],
+    ),
+    "radius gate, ring": (
+        lambda r, cap: at_most(r, cap),
+        lambda r, cap: np.logical_not(r > cap + 1e-12),
+        [(r, cap) for cap in (0.995, 0.5, 0.97) for r in radii_around(cap)],
+    ),
+    "zero of F, point": (vanishes, lambda f: abs(f) <= 1e-12, [(f,) for f in ZERO_VALUES]),
+    # oracles.leading_coefficients
+    "leading exponent grouping": (
+        lambda gap: ~at_most(np.abs(gap), 0),
+        lambda gap: ~(np.abs(gap) <= 1e-12),
+        [(v,) for v in around(1e-12, -1e-12)],
+    ),
+    "leading coefficient cancellation": (
+        lambda size, largest: strict_pos(size, scale=largest),
+        lambda size, largest: size > 1e-12 * np.maximum(largest, 1.0),
+        [(v, m) for m in (1.0, 0.25, 7.5, 1e6, np.inf, np.nan) for v in around(1e-12 * max(1.0, m))],
+    ),
+    # verifier
+    "zero of F, rings": (vanishes, ring_zero_inline, [(f,) for f in ZERO_VALUES]),
+    "violation slack": (violates, lambda slack: slack < -1e-9, [(v,) for v in around(-1e-9, 0.0)]),
 }
+# sites whose rule takes one Python complex at a time
+SCALAR_SITES = {"c at a nonpositive integer"}
 
 
-@pytest.mark.parametrize("site", sorted(SITES))
+@pytest.mark.parametrize("site", sorted(SITES.keys() - SCALAR_SITES))
 def test_rule_matches_the_inline_expression_on_arrays(site):
     rule, reference, values = SITES[site]
     args = [np.array(column) for column in zip(*values)]
@@ -155,6 +240,26 @@ def test_rule_matches_the_inline_expression_on_scalars(site):
         assert bool(rule(*(np.asarray(x)[()] for x in args))) == bool(reference(*args)), args
 
 
+@pytest.mark.parametrize("site", ["zero of F, point", "zero of F, rings"])
+def test_zero_of_f_matches_the_inline_expression_on_clongdouble(site):
+    """F's sums are np.clongdouble: the values of ZERO_VALUES and ones a long
+    double ulp or two from |F| = 1e-12, as an array and one by one."""
+    rule, reference, values = SITES[site]
+    edge = []
+    for t in (np.longdouble(1e-12), np.longdouble(1e-12) / np.sqrt(np.longdouble(2))):
+        for direction in (np.inf, -np.inf):
+            x = t
+            for _ in range(2):
+                x = np.nextafter(x, np.longdouble(direction))
+                edge += [np.clongdouble(x), np.clongdouble(x) * 1j, x + 1j * t]
+    f = np.array([v for v, in values] + edge, dtype=np.clongdouble)
+    got, want = rule(f), reference(f)
+    assert np.array_equal(got, want), f[got != want]
+    assert want.any() and not want.all()
+    for x in f:
+        assert bool(rule(x)) == bool(reference(x)), x
+
+
 def test_lmn_scale_is_at_least_one():
     """The scale of general's s^3 rule is at least 1 (or NaN), so the rule's
     own floor of 1 never moves its bound."""
@@ -165,22 +270,61 @@ def test_lmn_scale_is_at_least_one():
     assert np.isnan(scale).any() and (scale == 1).any()
 
 
-def test_certificates_holds_no_tolerance_of_its_own():
-    """No name ending in _TOL, and no float constant below 1e-6 in magnitude,
-    in certificates.py: each comparison with a tolerance goes through
-    `tolerance` (or `hypergeom` for c at a nonpositive integer).  Threshold
-    strings such as "> 0 (strict, tol 1e-12)" are str constants and are not
-    counted.  The two 1e-12 exponent-grouping rules of
-    `oracles.leading_coefficients` are outside this test's scope: they group
-    the terms of the minimizer's residual, in `oracles`."""
-    tree = ast.parse(CERTIFICATES.read_text(encoding="utf-8"))
-    names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
-    names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-    names += [alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names]
-    assert [name for name in names if name.endswith("_TOL")] == []
-    tiny = [
-        node.value for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)) and 0 < abs(node.value) < 1e-6
-    ]
-    assert tiny == []
+def _settings_defaults(tree) -> set[int]:
+    """ids of the default values of the fields of the *Settings dataclasses."""
+    return {
+        id(stmt.value) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name.endswith("Settings")
+        for stmt in node.body if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+    }
+
+
+def _docstrings(tree) -> set[int]:
+    return {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _tolerance_names(tree) -> tuple[list[str], list[str]]:
+    """(defined, used): the names ending in _TOL or _SLACK that the module
+    binds, and those it reads outside a {...} of an f-string."""
+    formatted = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue) for sub in ast.walk(node)}
+    defined, used = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name, store = node.name, True
+        elif isinstance(node, ast.arg):
+            name, store = node.arg, True
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            store = not isinstance(node.ctx, ast.Load)
+        else:
+            continue
+        if name.endswith(("_TOL", "_SLACK")):
+            if store:
+                defined.append(name)
+            elif id(node) not in formatted:
+                used.append(name)
+    return defined, used
+
+
+def test_no_module_holds_a_tolerance_of_its_own():
+    """Every module of hypstar but `tolerance` calls a rule of `tolerance`
+    for each comparison with a tolerance: it defines no name ending in _TOL
+    or _SLACK and reads such a name only to print it in an f-string, holds
+    no float constant below 1e-6 in magnitude but the defaults of settings
+    fields, and writes 1e-12 or 1e-9 in no string that is not a docstring."""
+    modules = sorted(p for p in SOURCES.glob("*.py") if p.name != "tolerance.py")
+    assert {"certificates.py", "hypergeom.py", "oracles.py", "verifier.py"} <= {p.name for p in modules}
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined, used = _tolerance_names(tree)
+        assert (defined, used) == ([], []), path.name
+        exempt = _settings_defaults(tree) | _docstrings(tree)
+        constants = [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and id(node) not in exempt]
+        tiny = [c.value for c in constants if isinstance(c.value, (float, complex)) and 0 < abs(c.value) < 1e-6]
+        assert tiny == [], path.name
+        written = [c.value for c in constants if isinstance(c.value, str)
+                   and any(t in c.value for t in ("1e-12", "1e-09", "1e-9"))]
+        assert written == [], path.name

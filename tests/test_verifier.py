@@ -26,8 +26,8 @@ from hypstar import (
     verify_on_disk,
 )
 from hypstar import verifier
-from hypstar.hypergeom import ZERO_TOL
 from hypstar.shapes import membership_slack_array
+from hypstar.tolerance import VIOLATION_TOL, ZERO_TOL
 from hypstar.verifier import (
     CONSISTENT,
     DEFAULT_SERIES,
@@ -38,7 +38,6 @@ from hypstar.verifier import (
     SOUND,
     UNSOUND,
     VIOLATED,
-    VIOLATION_TOL,
     _winding_numbers,
     verify_rows,
 )

@@ -7,6 +7,9 @@ rows that rest on the outer ring, a Violated row on the sweep grid whose
 zero count no outer sampling resolves (so it takes the refinement ladder up
 to 16 N angles and every ring), Degenerate rows with and without a
 terminating series, and an Incomplete row whose terms overflow on every ring.
+Each crosscheck_<name>.json is the stdout of `hypstar crosscheck` in
+CROSSCHECKS: a SOUND row, and an INFO row whose terminating F has a zero
+inside the sweep grid's outer ring.
 """
 
 import json
@@ -42,3 +45,20 @@ def test_verify_json_matches_the_kept_file(name, capsys):
     assert out.encode() == (DATA / f"verify_{name}.json").read_bytes()
     report = json.loads(out)
     assert (report["status"], report["rings"]) == (status, rings)
+
+
+# name: (flags, verdict, status, f_zeros_inside)
+CROSSCHECKS = {
+    "starlike_sound": (f"--a 2,0 --b 2,5 --c 3,5 --alpha 0 {SMALL}", "SOUND", "Consistent", 0),
+    "starlike_degenerate": (f"--a=-1,0 --b 2,0 --c 1,0 --alpha 0 {SWEEP}", "INFO", "Degenerate", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSCHECKS))
+def test_crosscheck_json_matches_the_kept_file(name, capsys):
+    args, verdict, status, zeros = CROSSCHECKS[name]
+    assert main(["crosscheck", "--theorem", "starlike-order", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (DATA / f"crosscheck_{name}.json").read_bytes()
+    result = json.loads(out)
+    assert (result["verdict"], result["report"]["status"], result["report"]["f_zeros_inside"]) == (verdict, status, zeros)
