@@ -20,6 +20,7 @@ Every comparison with a tolerance is a rule of `tolerance`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -29,6 +30,7 @@ from .errors import InvalidC, InvalidParams, NonFinite, PrecondFailed
 from .hypergeom import HypergeomParams
 from .oracles import (
     DEFAULT_LINE_SEARCH,
+    FEW_BRACKETS,
     LineSearchSettings,
     MinimizerResult,
     leading_coefficients,
@@ -523,11 +525,15 @@ def _cubic_residual(alpha, K, S, T, U, V):
     kernel by layout, not by value alone: the shared path's stride-0 exponent
     of exactly 0.5 takes the square root, and a reversed operand libm's pow,
     so the kept goldens hold while each path keeps its contiguous operands.
+    At most `FEW_BRACKETS` per-row points, as a few-row refinement passes,
+    take the power in numpy and the rest on Python floats, in the same order
+    with coefficient lists laid out per shape: a numpy call costs more than
+    the arithmetic of so few points.
     """
     # distinct by bits, so that -0.0 and +0.0 (or two NaNs) keep their own powers
     distinct, group = np.unique(alpha.view(np.int64), return_inverse=True)
     distinct, columns = distinct.view(float)[:, None], [v[:, None] for v in (alpha, K, S, T, U, V)]
-    laid_out = {}  # shape of per-row points -> the coefficients in that shape, and a buffer for x
+    laid_out = {}  # shape of per-row points -> the coefficients in that shape, a buffer for x, and coefficient lists
     work = np.empty(0)
 
     def residual(s):
@@ -540,9 +546,13 @@ def _cubic_residual(alpha, K, S, T, U, V):
             x = powers[group]
         else:
             if s.shape not in laid_out:
-                laid_out[s.shape] = [*(np.broadcast_to(v, s.shape).copy() for v in columns), np.empty(s.shape)]
-            a, K, S, T, U, V, x = laid_out[s.shape]
+                coefs = [np.broadcast_to(v, s.shape).copy() for v in columns]
+                listed = [v.ravel().tolist() for v in coefs] if s.size <= FEW_BRACKETS else None
+                laid_out[s.shape] = [*coefs, np.empty(s.shape), listed]
+            a, K, S, T, U, V, x, listed = laid_out[s.shape]
             np.power(s, a, out=x)
+            if listed:
+                return np.array(_residual_floats(s.ravel().tolist(), x.ravel().tolist(), listed)).reshape(s.shape)
             scaled = 1 / s  # 1/s + s, then times a and x: IEEE + and * commute, so these are a (s + 1/s) x's bits
             scaled += s
             scaled *= a
@@ -562,6 +572,17 @@ def _cubic_residual(alpha, K, S, T, U, V):
         return out
 
     return residual
+
+
+def _residual_floats(s: list, x: list, coefs: list) -> list:
+    """`_cubic_residual`'s per-row arithmetic on lists of Python floats, in the
+    array path's order, with coefs the lists of (alpha, K, S, T, U, V); 1/0.0
+    is numpy's signed inf, not ZeroDivisionError."""
+    out = []
+    for si, xi, a, K, S, T, U, V in zip(s, x, *coefs):
+        scaled = ((1 / si if si else math.copysign(math.inf, si)) + si) * a * xi
+        out.append(scaled * K - (((S * xi + T) * xi + U) * xi + V))
+    return out
 
 
 def _cubic_terms(alpha, K, S, T, U, V):

@@ -243,7 +243,8 @@ def _point_series(params: HypergeomParams, z: complex, settings: SeriesSettings)
     count needed exceeds log(tol)/log|z| at 2 points in 3, and twice it at 1 in 50.
     """
     if not at_most(abs(z), settings.radius_cap):
-        raise RadiusExceeded(f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
+        raise RadiusExceeded(f"z = {z} is not a number" if cmath.isnan(z) else
+                             f"|z| = {abs(z):.6g} exceeds radius_cap = {settings.radius_cap}")
     f, zdf = _ONE[np.clongdouble], _ZERO  # the sums from u_0
     if z == 0:
         return f, zdf, True
@@ -305,7 +306,8 @@ def gauss_2f1_grid(
     """
     z = np.asarray(z, dtype=np.complex128)
     if not at_most(np.abs(z), settings.radius_cap).all():
-        raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
+        raise RadiusExceeded("grid holds a point that is not a number" if np.isnan(z).any() else
+                             f"grid exceeds radius_cap = {settings.radius_cap}")
     values = np.empty(z.shape, dtype=np.complex128)
     converged = np.empty(z.shape, dtype=bool)
     for i, zi in np.ndenumerate(z):
@@ -358,7 +360,8 @@ def gauss_2f1_ring(
     """
     r = float(r)
     if not at_most(r, settings.radius_cap):
-        raise RadiusExceeded(f"grid exceeds radius_cap = {settings.radius_cap}")
+        raise RadiusExceeded(f"r = {r} is not a number" if math.isnan(r) else
+                             f"r = {r:.6g} exceeds radius_cap = {settings.radius_cap}")
     ring = _ring_pass(params, r, n_angles, settings, _ring_dtype(params))
     return ring or _ring_pass(params, r, n_angles, settings, np.clongdouble)
 

@@ -114,11 +114,28 @@ class TestGauss2F1:
     ], ids=["gauss_2f1", "gauss_2f1_derivative", "log_derivative_q", "shifted_f", "gauss_2f1_grid", "gauss_2f1_ring"])
     def test_radius_gate_refuses_nan(self, evaluate):
         """NaN is not within the cap: each gate refuses it before any series
-        work, with no warning."""
+        work, with no warning, and says that the value is not a number."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RadiusExceeded):
+            with pytest.raises(RadiusExceeded, match="is not a number"):
                 evaluate(HypergeomParams(1, 1, 2), math.nan)
+
+    def test_radius_gates_name_the_value_they_refuse(self):
+        params = HypergeomParams(1, 1, 2)
+        with pytest.raises(RadiusExceeded, match=r"^z = \(nan\+0j\) is not a number$"):
+            gauss_2f1(params, math.nan)
+        with pytest.raises(RadiusExceeded, match=r"^z = \(0\.5\+nanj\) is not a number$"):
+            gauss_2f1(params, complex(0.5, math.nan))
+        with pytest.raises(RadiusExceeded, match=r"^\|z\| = 0\.996 exceeds radius_cap = 0\.995$"):
+            gauss_2f1(params, 0.996)
+        with pytest.raises(RadiusExceeded, match=r"^r = nan is not a number$"):
+            gauss_2f1_ring(params, math.nan, 16)
+        with pytest.raises(RadiusExceeded, match=r"^r = 0\.996 exceeds radius_cap = 0\.995$"):
+            gauss_2f1_ring(params, 0.996, 16)
+        with pytest.raises(RadiusExceeded, match=r"^grid holds a point that is not a number$"):
+            gauss_2f1_grid(params, np.array([0.5, 2.0, complex(0.1, math.nan)]))
+        with pytest.raises(RadiusExceeded, match=r"^grid exceeds radius_cap = 0\.995$"):
+            gauss_2f1_grid(params, np.array([0.5, 2.0]))
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):

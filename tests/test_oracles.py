@@ -18,9 +18,11 @@ from reference import (
 
 from hypstar import (
     LineSearchSettings,
+    certificates,
     minimize_on_positive_line,
     oracles,
 )
+from hypstar.certificates import Rows
 from hypstar.oracles import (
     DEFAULT_LINE_SEARCH,
     golden_section,
@@ -85,11 +87,67 @@ class TestQuadraticNonneg:
         assert np.count_nonzero(differ) <= 2
 
 
+NAN_PAYLOAD = np.array([0x7FF8000000000001]).view(float)[0]
+
+# residuals of golden_section's points t, each with the same shape as t
+GOLDEN_RESIDUALS = {
+    "parabola": lambda t: (t - 0.3) ** 2,
+    "ties": lambda t: np.round(np.cos(3 * t), 1),  # equal values across many points
+    "constant": lambda t: np.zeros_like(t),
+    "signed zeros": lambda t: np.copysign(0.0, np.sin(40 * t)),
+    "nan": lambda t: np.where(t > 0.2, np.nan, t * t),
+    "nan payload": lambda t: np.where(np.sin(9 * t) > 0, NAN_PAYLOAD, -t),
+    "infinities": lambda t: np.where(np.abs(t) < 0.1, -np.inf, np.where(t > 0.5, np.inf, t)),
+}
+GOLDEN_SHAPES = [(), (1, 3), (2, 3), (oracles.FEW_BRACKETS - 1,), (oracles.FEW_BRACKETS,), (oracles.FEW_BRACKETS + 1,)]
+
+
+def _brackets(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Random brackets in [-1, 1], with an empty, a reversed and a -0.0-ended one where there is room."""
+    rng = np.random.RandomState(sum(shape) + 3)
+    lo, hi = (np.sort(rng.uniform(-1, 1, (2,) + shape), axis=0) if shape else rng.uniform(-1, 1, 2))
+    lo, hi = np.array(lo), np.array(hi)
+    if lo.size >= 3:
+        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
+        flat_hi[0] = flat_lo[0]
+        flat_lo[1], flat_hi[1] = flat_hi[1], flat_lo[1]
+        flat_lo[2] = -0.0
+    return lo, hi
+
+
 class TestGoldenSection:
     def test_parabola(self):
         x, v = golden_section(lambda t: (t - 0.3) ** 2, -1, 1, 80)
         assert x == pytest.approx(0.3, abs=1e-9)
         assert v == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", GOLDEN_SHAPES, ids=str)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RESIDUALS))
+    def test_both_paths_give_the_same_bits(self, monkeypatch, name, shape):
+        f = GOLDEN_RESIDUALS[name]
+        lo, hi = _brackets(shape)
+        results = []
+        for few in (10**6, -1):  # the Python-float path, then the array path, whatever the shape
+            monkeypatch.setattr(oracles, "FEW_BRACKETS", few)
+            seen = []
+            x, v = golden_section(lambda t: seen.append(t.flags.c_contiguous and t.shape == shape) or f(t), lo, hi, 60)
+            assert x.shape == v.shape == shape and x.dtype == v.dtype == float
+            assert seen == [True] * 62  # every call on a contiguous array of the brackets' shape
+            results.append((x.tobytes(), v.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("brackets, few", [
+        (oracles.FEW_BRACKETS, True),
+        (oracles.FEW_BRACKETS + 1, False),
+        (1, True),
+    ])
+    def test_the_path_follows_the_bracket_count(self, monkeypatch, brackets, few):
+        calls = []
+        original = oracles._golden_few
+        monkeypatch.setattr(oracles, "_golden_few", lambda *args: calls.append(1) or original(*args))
+        # the count is that of the broadcast brackets
+        golden_section(np.cos, np.zeros(1), np.ones(brackets), 5)
+        assert calls == ([1] if few else [])
 
 
 def _one_row(f):
@@ -222,6 +280,61 @@ def test_many_row_merge_matches_the_stable_sort(monkeypatch, block):
     assert np.isnan(got.min_value[~_FINITE]).all() and np.isfinite(got.min_value[_FINITE]).all()
     assert got.argmin_s[0] == got.argmin_s[2] == got.argmin_s[3] == 1e-8
     assert math.copysign(1, got.min_value[2]) == -1
+
+
+def _checker_rows(kind: str, complex_b: bool) -> list[np.ndarray]:
+    """(alpha, K, S, T, U, V) of the residual rows that a 64-row checker call minimizes."""
+    rng = np.random.RandomState(21 + complex_b)
+    n = 64
+    a, b = rng.uniform(-1, 3, n) + 0j, rng.uniform(-1, 3, n) + 1j * complex_b * rng.uniform(-1, 1, n)
+    alpha = rng.uniform(0.05, 0.95, n)
+    orders = []
+    original = certificates._sign_minima
+
+    def spy(order, line_search):
+        orders.append([v.copy() for v in order])
+        return original(order, line_search)
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(certificates, "_sign_minima", spy)
+        if kind == "strong-starlike":
+            certificates.strong_starlike_batch(Rows(a, b, rng.uniform(0.5, 4, n) + b.imag * 1j, alpha))
+        else:
+            certificates.sst_cor_p0_batch(Rows(a, b, alpha=alpha))
+    return orders[0]
+
+
+@pytest.mark.parametrize("complex_b", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["strong-starlike", "sst-cor-p0"])
+@np.errstate(all="ignore")
+def test_each_row_of_a_many_row_minimization_is_its_own_one_row_one(kind, complex_b):
+    # the 128 rows refine 384 brackets in arrays; one row refines 3 in Python floats
+    order = _checker_rows(kind, complex_b)
+    many = minimize_on_positive_line(certificates._cubic_residual(*order))
+    assert 3 * len(many.min_value) > oracles.FEW_BRACKETS
+    for i in range(len(many.min_value)):
+        one = minimize_on_positive_line(certificates._cubic_residual(*(v[i:i + 1] for v in order)))
+        assert one.min_value.tobytes() == many.min_value[i:i + 1].tobytes()
+        assert one.argmin_s.tobytes() == many.argmin_s[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, -0.0, 5e-324]],
+    [[0.0, 1.0, math.inf], [-0.0, math.nan, 1e-8]],
+])
+@np.errstate(all="ignore")
+def test_few_point_residual_at_zero_is_numpys_inf_and_nan(monkeypatch, points):
+    # exp(x) is 0.0 below about -745, where a refinement near a denormal s_min may look;
+    # the order -1 row makes the sign of 1/-0.0 show
+    order = [np.array(v) for v in ([0.5, -1.0], [1.0, 2.0], [0.25, -1.0], [1.0, 3.0], [-2.0, 0.5], [0.0, 1.0])]
+    s = np.array(points)
+    order = [v[:len(s)] for v in order]
+    assert np.exp(np.float64(-746)) == 0.0
+    got = certificates._cubic_residual(*order)(s)  # Python floats: 1/0.0 raises no ZeroDivisionError
+    monkeypatch.setattr(certificates, "FEW_BRACKETS", -1)
+    want = certificates._cubic_residual(*order)(s)
+    assert not np.isfinite(want).all()
+    assert got.tobytes() == want.tobytes()
 
 
 class TestHalfPlaneBound:
